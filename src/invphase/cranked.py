@@ -100,15 +100,13 @@ class CrankedSystem:
         """``exp(-1j * t * K)`` from the cached eigendecomposition of K."""
         if self._k_eig is None:
             self._k_eig = linalg.eigh(self.k.array, check_hermitian=False)
-        w, v = self._k_eig
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        return linalg.spectral_exp(*self._k_eig, t)
 
     def _expi0(self, t: float) -> np.ndarray:
         """``exp(-1j * t * I0)`` from the cached eigendecomposition of I0."""
         if self._i0_eig is None:
             self._i0_eig = linalg.eigh(self.i0.array, check_hermitian=False)
-        w, v = self._i0_eig
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
+        return linalg.spectral_exp(*self._i0_eig, t)
 
     def __repr__(self):
         return f"CrankedSystem(dim={self.dim})"

@@ -40,6 +40,8 @@ __all__ = [
     "frob",
     "hermitize",
     "polar_unitary",
+    "require_hermitian",
+    "spectral_exp",
     "TOL_FLOOR",
 ]
 
@@ -78,6 +80,21 @@ def herm_defect(a) -> float:
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
+def require_hermitian(a, what: str) -> np.ndarray:
+    """Square complex ndarray of ``a``, checked to be Hermitian.
+
+    Raises :class:`NonHermitianInput` when
+    ``max|A - A^H| > 1e-12 * max(1, max|A|)``.
+    """
+    arr = _as_matrix(a)
+    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    defect = herm_defect(arr)
+    if defect > 1e-12 * scale:
+        raise NonHermitianInput(
+            f"{what}: max|A - A^H| = {defect:.3e} > 1e-12 * {scale:.3e}")
+    return arr
+
+
 class OperatorMatrix:
     """Immutable dense operator with validated structural flags.
 
@@ -113,12 +130,7 @@ class OperatorMatrix:
         if unknown:
             raise ValueError(f"unknown OperatorMatrix flags: {sorted(unknown)}")
         if "hermitian" in flagset:
-            scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-            defect = herm_defect(arr)
-            if defect > 1e-12 * scale:
-                raise NonHermitianInput(
-                    f"hermitian flag claimed but max|A - A^H| = {defect:.3e} "
-                    f"> 1e-12 * {scale:.3e}")
+            require_hermitian(arr, "OperatorMatrix hermitian flag")
         if "unitary" in flagset:
             gram = arr.conj().T @ arr
             defect = float(np.linalg.norm(gram - np.eye(arr.shape[0])))
@@ -151,59 +163,6 @@ class OperatorMatrix:
     def dagger(self) -> "OperatorMatrix":
         """Hermitian conjugate; hermitian/diagonal/unitary flags survive."""
         return OperatorMatrix(self._array.conj().T, self._flags)
-
-    # -- minimal arithmetic (flags recomputed conservatively) ---------------
-
-    def _coerced(self, other) -> np.ndarray:
-        arr = _as_matrix(other)
-        if arr.shape != self._array.shape:
-            raise DimensionMismatch(
-                f"shape {arr.shape} does not match {self._array.shape}")
-        return arr
-
-    def __add__(self, other):
-        keep = self._flags & {"hermitian", "diagonal"}
-        if isinstance(other, OperatorMatrix):
-            keep &= other._flags
-        else:
-            keep = frozenset()
-        return OperatorMatrix(self._array + self._coerced(other), keep)
-
-    def __sub__(self, other):
-        keep = self._flags & {"hermitian", "diagonal"}
-        if isinstance(other, OperatorMatrix):
-            keep &= other._flags
-        else:
-            keep = frozenset()
-        return OperatorMatrix(self._array - self._coerced(other), keep)
-
-    def __matmul__(self, other):
-        keep = frozenset()
-        if isinstance(other, OperatorMatrix):
-            keep = (self._flags & other._flags) & {"unitary", "diagonal"}
-        return OperatorMatrix(self._array @ self._coerced(other), keep)
-
-    def __mul__(self, scalar):
-        s = complex(scalar)
-        keep = self._flags & {"diagonal"}
-        if s.imag == 0.0:
-            keep |= self._flags & {"hermitian"}
-        return OperatorMatrix(self._array * s, keep)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return OperatorMatrix(-self._array, self._flags & {"hermitian",
-                                                           "diagonal"})
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return (self._array.shape == other._array.shape
-                and bool(np.array_equal(self._array, other._array)))
-
-    def __hash__(self):
-        return hash((self._array.shape, self._array.tobytes()))
 
     def __repr__(self):
         return (f"OperatorMatrix(dim={self.dim}, "
@@ -275,14 +234,10 @@ def eigh(a, *, check_hermitian: bool = True):
     ConvergenceFailure
         If LAPACK does not converge.
     """
-    arr = _as_matrix(a)
     if check_hermitian:
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-        defect = herm_defect(arr)
-        if defect > 1e-12 * scale:
-            raise NonHermitianInput(
-                f"eigh requires a Hermitian matrix; max|A - A^H| = "
-                f"{defect:.3e} > 1e-12 * {scale:.3e}")
+        arr = require_hermitian(a, "eigh input")
+    else:
+        arr = _as_matrix(a)
     h = hermitize(arr)
     try:
         w, v = np.linalg.eigh(h)
@@ -333,7 +288,16 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
             raise NonHermitianInput("diagonal generator has complex diagonal")
         return np.diag(np.exp(-1j * s * d.real))
     w, v = eigh(arr, check_hermitian=check_hermitian)
-    return (v * np.exp(-1j * s * w)) @ v.conj().T
+    return spectral_exp(w, v, s)
+
+
+def spectral_exp(w, v, t: float) -> np.ndarray:
+    """``exp(-1j * t * A)`` from the eigendecomposition ``A = v diag(w) v^H``.
+
+    ``v`` must be unitary (columns orthonormal); the result is then unitary
+    to machine precision for any real ``t``.
+    """
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def comm(a, b) -> np.ndarray:

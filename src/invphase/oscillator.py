@@ -409,7 +409,7 @@ def w_operator(fock: FockSpace, theta_bar: float, phi_bar: float
     k3_diag = np.diag(fock.K3.array).real
     outer = np.exp(-1j * phi_bar * k3_diag)
     w2, v2 = fock.cached_eig("K2", fock.K2)
-    middle = (v2 * np.exp(-1j * theta_bar * w2)) @ v2.conj().T
+    middle = linalg.spectral_exp(w2, v2, theta_bar)
     w = (outer[:, None] * middle) * outer.conj()[None, :]
     return OperatorMatrix(w, flags=("unitary",))
 

@@ -34,11 +34,7 @@ from .errors import (
 )
 from .invariant import InvariantFrame, frame_derivative
 from .linalg import expm_igen, frob, hermitize
-from .propagator import (
-    HamiltonianSchedule,
-    UnitaryPath,
-    _adaptive_step,
-)
+from .propagator import HamiltonianSchedule, UnitaryPath, propagate
 
 __all__ = [
     "PhaseRecord",
@@ -165,10 +161,11 @@ def project(frame: InvariantFrame, schedule: HamiltonianSchedule
 def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
     """Integrate the block Schrodinger equation ``i du^n/dt = Delta^n u^n``.
 
-    Uses the same commutator-free exponential stepper as
-    :func:`invphase.propagator.evolve` on each block's ``Delta`` series
-    (cubic interpolation between grid samples); fills ``record.u`` in
-    place and returns the record.
+    Each block's ``Delta`` series (cubic interpolation between grid
+    samples) goes through :func:`invphase.propagator.propagate`, the kernel
+    behind :func:`invphase.propagator.evolve`, so it gets the same stepper,
+    error model and drift policy; fills ``record.u`` in place and returns
+    the record.
 
     Raises
     ------
@@ -176,11 +173,9 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
         If a step's doubling estimate cannot be brought under ``tol``.
     """
     grid = record.grid
-    n_pts = grid.size
     us = []
     err_max = 0.0
     for n in range(record.n_blocks):
-        d = int(record.degeneracies[n])
         delta = record.Delta[n]
         # periodic interpolation only when the series itself closes
         period = None
@@ -190,15 +185,8 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
                 period = grid[-1]
         sched = HamiltonianSchedule.from_samples(
             grid, delta, period=period, label=f"Delta^{n}")
-        u = np.empty((n_pts, d, d), dtype=complex)
-        u[0] = np.eye(d)
-        acc = np.eye(d, dtype=complex)
-        for k in range(n_pts - 1):
-            h = grid[k + 1] - grid[k]
-            transfer, err = _adaptive_step(sched, grid[k], h, tol)
-            acc = transfer @ acc
-            err_max = max(err_max, err)
-            u[k + 1] = acc
+        u, err, _ = propagate(sched, grid, tol, np.arange(grid.size))
+        err_max = max(err_max, err)
         us.append(u)
     record.u = us
     record.u_tol_achieved = err_max

@@ -6,6 +6,11 @@ spectrally so every factor is exactly unitary), estimates the local error by
 step-doubling, composes evolution operators of geometrically equivalent
 systems, and detects evolution loops ``U(t) = c * identity``.
 
+One kernel, :func:`propagate`, computes every time-ordered exponential of
+the package: the evolution operator of :func:`evolve`, the symmetry factor
+``V`` of :func:`compose_geq` and the block evolutions ``u^n`` of
+:func:`invphase.phases.solve_un`.
+
 Design notes
 ------------
 * Time step for interval ``[t0, t0+h]``::
@@ -18,8 +23,11 @@ Design notes
 * Local error per step is ``||step_coarse - step_fine||_F`` (unitarily
   invariant, so no reference propagator is needed); the fine value is kept.
   Intervals whose estimate exceeds ``tol`` are split recursively.
-* Constant schedules bypass the stepper: ``U(t) = expm_igen(H, t)`` from a
-  single eigendecomposition.
+* Drift policy: after each interval the accumulated product is
+  re-unitarized (polar factor) when ``||U U^H - 1||_F > 1e-12``; the largest
+  defect seen is reported as ``drift_max``.
+* Constant schedules bypass the stepper: ``U(t) = exp(-i t H)`` from a
+  single cached eigendecomposition.
 * No interpolation between stored grid points is offered; consumers sample
   on the grid.
 """
@@ -102,7 +110,7 @@ class HamiltonianSchedule:
     def constant(cls, matrix, *, label="constant"):
         """Schedule for a time-independent Hermitian ``matrix``."""
         obj = cls._bare()
-        arr = hermitize(cls._check_hermitian(matrix, "constant matrix"))
+        arr = hermitize(linalg.require_hermitian(matrix, "constant matrix"))
         arr.setflags(write=False)
         obj.dim = arr.shape[0]
         obj.label = label
@@ -132,7 +140,7 @@ class HamiltonianSchedule:
                        label="scalar-profile"):
         """Schedule ``H(t) = profile(t) * base`` with Hermitian ``base``."""
         obj = cls._bare()
-        arr = hermitize(cls._check_hermitian(base, "profile base"))
+        arr = hermitize(linalg.require_hermitian(base, "profile base"))
         arr.setflags(write=False)
         obj.dim = arr.shape[0]
         obj.period = cls._check_period(period)
@@ -167,7 +175,7 @@ class HamiltonianSchedule:
         if not np.allclose(deltas, deltas[0], rtol=1e-10, atol=0.0):
             raise ValueError("sampled schedule requires a uniform grid")
         for k in (0, grid.size // 2, grid.size - 1):
-            cls._check_hermitian(table[k], f"sample {k}")
+            linalg.require_hermitian(table[k], f"sample {k}")
         obj = cls._bare()
         obj.dim = table.shape[1]
         obj.period = cls._check_period(period)
@@ -198,21 +206,6 @@ class HamiltonianSchedule:
         if period <= 0:
             raise ValueError("period must be positive")
         return period
-
-    @staticmethod
-    def _check_hermitian(matrix, what):
-        arr = np.asarray(
-            matrix.array if isinstance(matrix, OperatorMatrix) else matrix,
-            dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"{what}: expected square matrix")
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-        defect = linalg.herm_defect(arr)
-        if defect > 1e-12 * scale:
-            from .errors import NonHermitianInput
-            raise NonHermitianInput(
-                f"{what}: hermiticity defect {defect:.3e} > 1e-12*{scale:.3e}")
-        return arr
 
     def _check_periodicity(self):
         if self.period is None:
@@ -253,8 +246,7 @@ class HamiltonianSchedule:
         if self._kind == "scalar_profile":
             return float(self._profile(t)) * self._matrix
         if self._kind == "callable":
-            arr = self._check_hermitian(self._fn(t), f"H({t})")
-            return hermitize(arr)
+            return hermitize(linalg.require_hermitian(self._fn(t), f"H({t})"))
         return self._interp(t)
 
     def eval(self, t: float) -> OperatorMatrix:
@@ -388,6 +380,68 @@ def _adaptive_step(schedule, t0, h, tol, depth=0):
     return tr @ tl, max(el, er)
 
 
+def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
+              keep: np.ndarray):
+    """Time-ordered exponential ``U(t) = Texp(-i int_0^t H)`` on a grid.
+
+    The stepping kernel shared by :func:`evolve`, :func:`compose_geq` and
+    :func:`invphase.phases.solve_un`.  A constant schedule is exponentiated
+    spectrally at each kept time.  Any other schedule is advanced by one
+    step-doubled CF4 step per interval ``[grid[k], grid[k+1]]`` (split
+    recursively until the estimate meets ``tol``), and the running product
+    is re-unitarized whenever ``||U U^H - 1||_F > 1e-12``.
+
+    Parameters
+    ----------
+    schedule : HamiltonianSchedule
+    grid : ndarray
+        Strictly increasing times starting at 0.
+    tol : float
+        Local-error budget per interval.
+    keep : ndarray of int
+        Sorted grid indices to store, starting with 0.
+
+    Returns
+    -------
+    (samples, err_max, drift_max)
+        ``samples[row] = U(grid[keep[row]])``, the largest local-error
+        estimate, and the largest unitarity defect seen before any
+        re-unitarization.
+
+    Raises
+    ------
+    ToleranceNotMet
+        If an interval still exceeds ``tol`` after maximal splitting.
+    """
+    dim = schedule.dim
+    samples = np.empty((keep.size, dim, dim), dtype=complex)
+    samples[0] = np.eye(dim)
+    if schedule.is_constant:
+        w, v = schedule.base_eig()
+        for row, k in enumerate(keep[1:], start=1):
+            samples[row] = linalg.spectral_exp(w, v, grid[k])
+        return samples, 0.0, 0.0
+
+    keep_set = {int(k): row for row, k in enumerate(keep)}
+    u = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
+    err_max = 0.0
+    drift_max = 0.0
+    for k in range(grid.size - 1):
+        h = grid[k + 1] - grid[k]
+        transfer, err = _adaptive_step(schedule, grid[k], h, tol)
+        u = transfer @ u
+        err_max = max(err_max, err)
+        drift = frob(u @ u.conj().T - eye)
+        drift_max = max(drift_max, drift)
+        if drift > 1e-12:
+            u = linalg.polar_unitary(u)
+        row = keep_set.get(k + 1)
+        if row is not None:
+            samples[row] = u
+    return samples, err_max, drift_max
+
+
 def _resolve_store(grid: np.ndarray, store) -> np.ndarray:
     """Map requested store times onto integration-grid indices."""
     if store is None:
@@ -448,36 +502,7 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
 
     grid = np.linspace(0.0, t_max, steps + 1)
     keep = _resolve_store(grid, store)
-    dim = schedule.dim
-
-    if schedule.is_constant:
-        w, v = schedule.base_eig()
-        samples = np.empty((keep.size, dim, dim), dtype=complex)
-        samples[0] = np.eye(dim)
-        for row, k in enumerate(keep[1:], start=1):
-            samples[row] = (v * np.exp(-1j * w * grid[k])) @ v.conj().T
-        return UnitaryPath(grid[keep], samples, tol_achieved=0.0,
-                           drift_max=0.0)
-
-    samples = np.empty((keep.size, dim, dim), dtype=complex)
-    samples[0] = np.eye(dim)
-    keep_set = {int(k): row for row, k in enumerate(keep)}
-    u = np.eye(dim, dtype=complex)
-    eye = np.eye(dim)
-    err_max = 0.0
-    drift_max = 0.0
-    h = grid[1] - grid[0]
-    for k in range(steps):
-        transfer, err = _adaptive_step(schedule, grid[k], h, tol)
-        u = transfer @ u
-        err_max = max(err_max, err)
-        drift = frob(u @ u.conj().T - eye)
-        drift_max = max(drift_max, drift)
-        if drift > 1e-12:
-            u = linalg.polar_unitary(u)
-        row = keep_set.get(k + 1)
-        if row is not None:
-            samples[row] = u
+    samples, err_max, drift_max = propagate(schedule, grid, tol, keep)
     return UnitaryPath(grid[keep], samples, tol_achieved=err_max,
                        drift_max=drift_max)
 
@@ -502,11 +527,17 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
     tol : float
         Local-error budget for the ``V`` integration.
 
+    ``V`` comes from :func:`propagate` on ``path.grid`` (spectral for a
+    constant ``Y``, stepped under the drift policy otherwise), except for a
+    scalar-profile ``Y(t) = f(t) Y0``, where ``V(t) = exp(-i F(t) Y0)`` with
+    ``F`` the cumulative Simpson integral of ``f``.
+
     Returns
     -------
     UnitaryPath
-        The composed path; bit-identical to ``path`` when ``Y`` is the zero
-        schedule.
+        The composed path.  ``tol_achieved`` and ``drift_max`` are the
+        larger of the base path's and ``V``'s.  When ``Y`` is the constant
+        zero schedule the samples are ``path.samples`` itself.
 
     Raises
     ------
@@ -531,46 +562,32 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
                     f"at grid point t={t:.9g}")
 
     # zero schedule -> exact identity transformation, bit-identical samples
-    if all(not np.any(y.sample(t)) for t in grid[: min(3, grid.size)]) \
-            and not np.any(y.sample(grid[-1])):
+    if y.is_constant and not np.any(y.sample(0.0)):
         return UnitaryPath(grid, path.samples,
                            tol_achieved=path.tol_achieved,
                            drift_max=path.drift_max)
 
-    dim = path.dim
-    v_samples = np.empty_like(path.samples)
-    v_samples[0] = np.eye(dim)
-
-    if y.is_constant:
-        w, vec = y.base_eig()
-        for k in range(1, grid.size):
-            v_samples[k] = (vec * np.exp(-1j * w * grid[k])) @ vec.conj().T
-        err_max = 0.0
-    elif y.kind == "scalar_profile":
+    if y.kind == "scalar_profile":
         # V(t) = exp(-i F(t) Y0): exact up to the quadrature of F
         from scipy.integrate import cumulative_simpson
         f_vals = np.array([float(y._profile(t)) for t in grid])
         f_cum = np.concatenate(
             ([0.0], cumulative_simpson(f_vals, x=grid)))
         w, vec = y.base_eig()
+        v_samples = np.empty_like(path.samples)
+        v_samples[0] = np.eye(path.dim)
         for k in range(1, grid.size):
-            v_samples[k] = (vec * np.exp(-1j * w * f_cum[k])) @ vec.conj().T
-        err_max = 0.0
+            v_samples[k] = linalg.spectral_exp(w, vec, f_cum[k])
+        err_max = v_drift = 0.0
     else:
-        v = np.eye(dim, dtype=complex)
-        err_max = 0.0
-        for k in range(grid.size - 1):
-            h = grid[k + 1] - grid[k]
-            transfer, err = _adaptive_step(y, grid[k], h, tol)
-            v = transfer @ v
-            err_max = max(err_max, err)
-            v_samples[k + 1] = v
+        v_samples, err_max, v_drift = propagate(y, grid, tol,
+                                                np.arange(grid.size))
 
     out = np.einsum("kij,kjl->kil", path.samples, v_samples)
-    out[0] = np.eye(dim)
+    out[0] = np.eye(path.dim)
     return UnitaryPath(grid, out,
                        tol_achieved=max(path.tol_achieved, err_max),
-                       drift_max=path.drift_max)
+                       drift_max=max(path.drift_max, v_drift))
 
 
 def loop_check(path: UnitaryPath, t: float, tol: float = 1e-10):

@@ -64,28 +64,10 @@ class TestOperatorMatrix:
         with pytest.raises((ValueError, RuntimeError)):
             m.array[0, 0] = 5.0
 
-    def test_arithmetic_flag_propagation(self):
-        a = OperatorMatrix(np.diag([1.0, 2.0]), flags=("hermitian", "diagonal"))
-        b = OperatorMatrix(np.diag([3.0, 4.0]), flags=("hermitian", "diagonal"))
-        s = a + b
-        assert "hermitian" in s.flags and "diagonal" in s.flags
-        p = a @ b
-        assert "diagonal" in p.flags
-        n = a * 2.0
-        assert "hermitian" in n.flags
-        c = a * 1j  # complex scalar breaks hermiticity
-        assert "hermitian" not in c.flags
-
     def test_dagger(self):
         arr = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
         m = OperatorMatrix(arr)
         assert np.array_equal(m.dagger().array, arr.conj().T)
-
-    def test_dimension_mismatch_add(self):
-        a = OperatorMatrix(np.eye(2))
-        b = OperatorMatrix(np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            a + b
 
 
 class TestEigh:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invphase.errors import SymmetryViolation, ToleranceNotMet
 from invphase.linalg import OperatorMatrix, expm_igen, frob
 from invphase.propagator import (
     HamiltonianSchedule,
     UnitaryPath,
+    _adaptive_step,
     compose_geq,
     evolve,
     loop_check,
@@ -218,11 +220,60 @@ class TestComposeGeq:
             expected = self.path.at(t) @ expm_igen(Yint(t), 1.0)
             assert frob(out.at(t) - expected) < 1e-9
 
+    @pytest.mark.parametrize("form", ["scalar_profile", "callable"])
+    def test_y_zero_at_first_and_last_points_is_applied(self, form):
+        # Y = sin^2(pi (t - 1/2)) I0 on (1/2, 3/2), zero elsewhere: zero at
+        # the first three grid points and the last, yet int_0^2 Y = I0 / 2
+        def f(t):
+            return np.sin(np.pi * (t - 0.5)) ** 2 if 0.5 < t < 1.5 else 0.0
+        if form == "scalar_profile":
+            y = HamiltonianSchedule.scalar_profile(f, self.i0)
+        else:
+            y = HamiltonianSchedule.from_callable(lambda t: f(t) * self.i0, 5)
+        path = evolve(HamiltonianSchedule.constant(self.k), 2.0, steps=64)
+        out = compose_geq(path, y, invariant0=self.i0)
+        expected = path.final() @ expm_igen(self.i0, 0.5)
+        assert frob(out.final() - expected) < 1e-10
+
     def test_symmetry_violation(self):
         bad = HamiltonianSchedule.constant(random_hermitian(5, 77))
         with pytest.raises(SymmetryViolation) as exc:
             compose_geq(self.path, bad, invariant0=self.i0)
         assert "t=" in str(exc.value)
+
+
+def _reference_stepping(schedule, grid, tol):
+    """Stepping loop each caller carried before the shared kernel."""
+    u = np.eye(schedule.dim, dtype=complex)
+    out = [u]
+    for k in range(grid.size - 1):
+        h = grid[k + 1] - grid[k]
+        transfer, _ = _adaptive_step(schedule, grid[k], h, tol)
+        u = transfer @ u
+        out.append(u)
+    return np.array(out)
+
+
+class TestKernel:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           stored=st.sets(st.integers(1, 31), min_size=1, max_size=12))
+    def test_compose_geq_matches_reference_on_nonuniform_grid(
+            self, dim, seed, stored):
+        a = random_hermitian(dim, seed) / dim
+        b = random_hermitian(dim, seed + 1) / dim
+        full = np.linspace(0.0, 1.0, 33)
+        path = evolve(HamiltonianSchedule.constant(a), 1.0, steps=32,
+                      store=full[sorted(stored)])
+        y = HamiltonianSchedule.from_callable(
+            lambda t: a + np.cos(t) * b, dim)
+        out = compose_geq(path, y)
+        expected = path.samples @ _reference_stepping(y, path.grid, 1e-10)
+        eye = np.eye(dim)
+        for k in range(len(path)):
+            assert frob(out.samples[k] - expected[k]) <= 1e-12
+            u = out.samples[k]
+            assert frob(u @ u.conj().T - eye) <= 1e-12 * dim
 
 
 class TestLoopCheck:
