@@ -263,20 +263,6 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     return out
 
 
-def _clusters(w: np.ndarray, thresh: float):
-    """Group ascending eigenvalues into blocks separated by > thresh."""
-    sizes = []
-    start = 0
-    n = w.size
-    while start < n:
-        stop = start + 1
-        while stop < n and (w[stop] - w[stop - 1]) < thresh:
-            stop += 1
-        sizes.append(stop - start)
-        start = stop
-    return sizes
-
-
 def _unitary_fractional_powers(u: np.ndarray, fractions: np.ndarray):
     """Powers u**f for a small unitary u, via its complex Schur form."""
     t, q = scipy.linalg.schur(u, output="complex")
@@ -316,9 +302,9 @@ def eigenframe(invariant: InvariantPath,
 
     w0, v0 = linalg.eigh(s[0], check_hermitian=False)
     thresh = DEGENERACY_GAP * max(frob(s[0]), 1.0)
-    sizes = _clusters(w0, thresh)
-    starts = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    eigenvalues = np.array([w0[st] for st in starts])
+    bounds = linalg.cluster_bounds(w0, thresh)
+    starts, sizes = bounds[:-1].tolist(), np.diff(bounds).tolist()
+    eigenvalues = w0[starts]
 
     frames = np.empty((n_pts, dim, dim), dtype=complex)
     frames[0] = v0
@@ -326,10 +312,11 @@ def eigenframe(invariant: InvariantPath,
 
     for k in range(1, n_pts):
         w, v = linalg.eigh(s[k], check_hermitian=False)
-        if _clusters(w, thresh) != sizes:
+        bounds_k = linalg.cluster_bounds(w, thresh)
+        if not np.array_equal(bounds_k, bounds):
             raise DegeneracyCrossing(
                 f"degeneracy structure changed at t={grid[k]:.6g}: "
-                f"{_clusters(w, thresh)} vs {sizes} at t=0")
+                f"{np.diff(bounds_k).tolist()} vs {sizes} at t=0")
         if np.any(np.abs(w - w0) > SPECTRUM_DRIFT * (1 + np.abs(w0))):
             raise ComputeError(
                 f"invariant spectrum drifted at t={grid[k]:.6g}")

@@ -195,15 +195,23 @@ def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:
 
 def _fix_phase(vecs: np.ndarray) -> np.ndarray:
     """Make each column's largest-|.| component (lowest index on ties) real > 0."""
-    out = vecs.copy()
-    mags = np.abs(out)
-    for j in range(out.shape[1]):
-        col = mags[:, j]
-        i = int(np.argmax(col + 0.0))    # argmax takes the first maximum
-        piv = out[i, j]
-        if piv != 0:
-            out[:, j] *= np.abs(piv) / piv
+    # argmax takes the first maximum; the broadcast product has the bits of
+    # scaling the columns one at a time; all-zero columns stay as they are
+    piv = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    if np.count_nonzero(piv) == piv.size:
+        return vecs * (np.abs(piv) / piv)
+    out, nz = vecs.copy(), piv != 0
+    out[:, nz] *= np.abs(piv[nz]) / piv[nz]
     return out
+
+
+def cluster_bounds(w: np.ndarray, thresh: float) -> np.ndarray:
+    """Bounds ``b`` of the clusters ``w[b[k]:b[k+1]]`` of ascending ``w``;
+    adjacent eigenvalues share a cluster when their gap is ``< thresh``."""
+    close = w[1:] - w[:-1] < thresh
+    if not close.any():                  # every eigenvalue is its own cluster
+        return np.arange(w.size + 1)
+    return np.flatnonzero(np.concatenate(([True], ~close, [True])))
 
 
 def eigh(a, *, check_hermitian: bool = True):
@@ -223,9 +231,9 @@ def eigh(a, *, check_hermitian: bool = True):
         Eigenvalues in ascending order.
     v : ndarray, shape (dim, dim)
         Orthonormal eigenvectors as columns, canonicalized: inside each
-        near-degenerate cluster (relative gap below 1e-9 of the Frobenius
-        norm) the basis is the deterministic projection construction, and
-        every column's largest-magnitude entry is made real positive.
+        near-degenerate cluster (gaps < 1e-9 max(1, ||A||_F)) the basis is
+        the deterministic projection construction, and every column's
+        largest-magnitude entry is made real positive.
 
     Raises
     ------
@@ -234,30 +242,21 @@ def eigh(a, *, check_hermitian: bool = True):
     ConvergenceFailure
         If LAPACK does not converge.
     """
-    if check_hermitian:
-        arr = require_hermitian(a, "eigh input")
-    else:
-        arr = _as_matrix(a)
-    h = hermitize(arr)
+    h = hermitize(require_hermitian(a, "eigh input") if check_hermitian
+                  else _as_matrix(a))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
 
     # canonicalize within near-degenerate clusters
-    gap_scale = max(float(np.linalg.norm(h)), 1.0)
-    thresh = _CLUSTER_GAP * gap_scale
-    n = w.size
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and (w[stop] - w[stop - 1]) < thresh:
-            stop += 1
-        if stop - start > 1:
-            v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
-        start = stop
-    v = _fix_phase(v)
-    return w, v
+    thresh = _CLUSTER_GAP * max(float(np.linalg.norm(h)), 1.0)
+    bounds = cluster_bounds(w, thresh)
+    if bounds.size <= w.size:            # some cluster has two or more members
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if stop - start > 1:
+                v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
+    return w, _fix_phase(v)
 
 
 def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
@@ -280,9 +279,9 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
     """
     arr = _as_matrix(a)
     s = float(s)
-    # fast path: exactly diagonal input
-    if not np.any(arr - np.diag(np.diag(arr))):
-        d = np.diag(arr)
+    # fast path: exactly diagonal input (zero off-diagonal, finite diagonal)
+    d = arr.diagonal()
+    if np.count_nonzero(arr) == np.count_nonzero(d) and np.isfinite(d).all():
         if check_hermitian and np.max(np.abs(d.imag), initial=0.0) > 1e-12 * max(
                 1.0, float(np.max(np.abs(d))) if d.size else 0.0):
             raise NonHermitianInput("diagonal generator has complex diagonal")

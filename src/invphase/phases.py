@@ -73,6 +73,10 @@ class PhaseRecord:
     u : list of ndarray or None
         Block evolution ``u^n(t)`` once :func:`solve_un` has run
         (``u[n][0]`` is the identity).
+    u_tol_achieved, u_drift_max : float or None
+        Largest local-error estimate and largest unitarity defect over all
+        blocks of :func:`solve_un` (``drift_max`` of
+        :func:`invphase.propagator.propagate`).
     delta_angle, gamma_angle : dict
         Per nondegenerate block, continuous (unwrapped) angle series
         ``delta_n(t)`` and ``gamma_n(t)`` once :func:`abelian_phases` has
@@ -95,6 +99,7 @@ class PhaseRecord:
         self.a_residual = float(a_residual)
         self.u = None
         self.u_tol_achieved = None
+        self.u_drift_max = None
         self.delta_angle = {}
         self.gamma_angle = {}
         self.Gamma_T = {}
@@ -174,7 +179,7 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
     """
     grid = record.grid
     us = []
-    err_max = 0.0
+    err_max = drift_max = 0.0
     for n in range(record.n_blocks):
         delta = record.Delta[n]
         # periodic interpolation only when the series itself closes
@@ -185,11 +190,13 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
                 period = grid[-1]
         sched = HamiltonianSchedule.from_samples(
             grid, delta, period=period, label=f"Delta^{n}")
-        u, err, _ = propagate(sched, grid, tol, np.arange(grid.size))
+        u, err, drift = propagate(sched, grid, tol, np.arange(grid.size))
         err_max = max(err_max, err)
+        drift_max = max(drift_max, drift)
         us.append(u)
     record.u = us
     record.u_tol_achieved = err_max
+    record.u_drift_max = drift_max
     return record
 
 
@@ -280,7 +287,8 @@ def reconstruct_U(frame: InvariantFrame, record: PhaseRecord) -> UnitaryPath:
         samples[k] = frame.frames[k] @ block @ w0h
     samples[0] = np.eye(dim)
     return UnitaryPath(grid, samples,
-                       tol_achieved=record.u_tol_achieved or 0.0)
+                       tol_achieved=record.u_tol_achieved or 0.0,
+                       drift_max=record.u_drift_max or 0.0)
 
 
 class PhaseSplit:

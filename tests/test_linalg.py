@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invphase import linalg
 from invphase.errors import (
+    ConvergenceFailure,
     DimensionMismatch,
     NonHermitianInput,
 )
@@ -186,6 +188,160 @@ class TestExpm:
         m = OperatorMatrix(np.diag([1.0, 2.0]), flags=("hermitian",))
         u = expm_igen(m, 1.0)
         assert np.allclose(u, np.diag(np.exp(-1j * np.array([1.0, 2.0]))))
+
+
+def _reference_fix_phase(vecs):
+    """Per-column phase loop that ``linalg._fix_phase`` vectorizes."""
+    out = vecs.copy()
+    mags = np.abs(out)
+    for j in range(out.shape[1]):
+        i = int(np.argmax(mags[:, j]))   # argmax takes the first maximum
+        piv = out[i, j]
+        if piv != 0:
+            out[:, j] *= np.abs(piv) / piv
+    return out
+
+
+def _reference_eigh(a):
+    """``eigh`` with the scalar cluster scan and the per-column phase loop."""
+    h = linalg.hermitize(linalg.require_hermitian(a, "eigh input"))
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
+    thresh = 1e-9 * max(float(np.linalg.norm(h)), 1.0)
+    n = w.size
+    start = 0
+    while start < n:
+        stop = start + 1
+        while stop < n and (w[stop] - w[stop - 1]) < thresh:
+            stop += 1
+        if stop - start > 1:
+            v[:, start:stop] = linalg._canonical_cluster_basis(
+                v[:, start:stop])
+        start = stop
+    return w, _reference_fix_phase(v)
+
+
+def _reference_expm_igen(a, s):
+    """``expm_igen`` with the elementwise diagonal test."""
+    arr = np.asarray(a, dtype=complex)
+    if not np.any(arr - np.diag(np.diag(arr))):
+        d = np.diag(arr)
+        if np.max(np.abs(d.imag), initial=0.0) > 1e-12 * max(
+                1.0, float(np.max(np.abs(d))) if d.size else 0.0):
+            raise NonHermitianInput("diagonal generator has complex diagonal")
+        return np.diag(np.exp(-1j * s * d.real))
+    w, v = _reference_eigh(arr)
+    return linalg.spectral_exp(w, v, s)
+
+
+def _outcome(fn, *args):
+    """Arrays returned by ``fn``, or the type and text of what it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            out = fn(*args)
+        except (ConvergenceFailure, NonHermitianInput) as exc:
+            return type(exc), str(exc)
+    return out if isinstance(out, tuple) else (out,)
+
+
+def _same_outcome(x, y):
+    if not isinstance(x[0], np.ndarray) or not isinstance(y[0], np.ndarray):
+        return x == y
+    # NaN entries match NaN entries (their sign bit carries no meaning)
+    return len(x) == len(y) and all(
+        np.array_equal(p, q, equal_nan=True) for p, q in zip(x, y))
+
+
+def _matches_reference(a, s):
+    return (_same_outcome(_outcome(eigh, a), _outcome(_reference_eigh, a))
+            and _same_outcome(_outcome(expm_igen, a, s),
+                              _outcome(_reference_expm_igen, a, s)))
+
+
+@st.composite
+def hermitian_inputs(draw):
+    """Hermitian test matrices of the kinds the canonicalization must fix."""
+    kind = draw(st.sampled_from(
+        ["real", "complex", "clusters", "kron", "diagonal", "nan_diagonal"]))
+    dim = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    if kind == "real":
+        a = g.real + g.real.T
+    elif kind == "complex":
+        a = g + g.conj().T
+    elif kind == "clusters":
+        # a few levels, each repeated, split by far less than the cluster gap
+        q, _ = np.linalg.qr(g)
+        levels = np.sort(rng.integers(0, max(1, dim // 3), size=dim))
+        w = levels + 1e-13 * rng.normal(size=dim)
+        a = (q * w) @ q.conj().T
+    elif kind == "kron":
+        m = max(1, dim // 2)
+        a = np.kron(g[:m, :m] + g[:m, :m].conj().T, np.eye(2))
+    elif kind == "diagonal":
+        a = np.diag(rng.integers(-2, 3, size=dim) * rng.normal(size=dim))
+    else:
+        # a NaN on the diagonal of a dense or of an exactly diagonal matrix
+        a = g + g.conj().T if rng.random() < 0.5 else np.diag(g.real[0])
+        i = rng.integers(dim)
+        a[i, i] = np.nan
+    return a, draw(st.floats(-3.0, 3.0))
+
+
+class TestBitIdentityWithLoops:
+    """The vectorized canonicalization gives exactly what the loops gave."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=hermitian_inputs())
+    def test_eigh_and_expm_match_reference(self, case):
+        assert _matches_reference(*case)
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 24, 39])
+    def test_fix_phase_matches_reference_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        for vecs in (rng.normal(size=(dim, dim)).astype(complex),
+                     rng.normal(size=(dim, dim))
+                     + 1j * rng.normal(size=(dim, dim))):
+            vecs[:, rng.random(dim) < 0.3] = 0    # all-zero columns
+            vecs[rng.random((dim, dim)) < 0.2] *= -1   # signed zeros
+            got = linalg._fix_phase(vecs)
+            ref = _reference_fix_phase(vecs)
+            assert np.array_equal(got.view(float), ref.view(float))
+            assert np.array_equal(np.signbit(got.view(float)),
+                                  np.signbit(ref.view(float)))
+
+    def test_last_maximum_pivot_is_caught(self, monkeypatch):
+        # Pauli X eigenvectors have entries of equal magnitude, so the
+        # pivot is a tie that the lowest index must win
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert _matches_reference(x, 0.3)
+
+        def last_max_pivot(vecs):
+            rows = vecs.shape[0] - 1 - np.abs(vecs[::-1]).argmax(axis=0)
+            piv = vecs[rows, np.arange(vecs.shape[1])]
+            return vecs * (np.abs(piv) / piv)
+
+        monkeypatch.setattr(linalg, "_fix_phase", last_max_pivot)
+        assert not _matches_reference(x, 0.3)
+
+
+class TestClusterBounds:
+    def test_gap_rule(self):
+        w = np.array([0.0, 0.5e-9, 1.0, 2.0, 2.0, 2.0 + 0.99e-9, 3.0])
+        assert linalg.cluster_bounds(w, 1e-9).tolist() == [0, 2, 3, 6, 7]
+
+    def test_no_close_pair_and_empty(self):
+        assert linalg.cluster_bounds(np.arange(4.0), 1e-9).tolist() == [
+            0, 1, 2, 3, 4]
+        assert linalg.cluster_bounds(np.array([]), 1e-9).tolist() == [0]
+
+    def test_nan_gap_splits(self):
+        # a NaN gap is not "< thresh", as in the scalar scan
+        w = np.array([0.0, np.nan, np.nan])
+        assert linalg.cluster_bounds(w, 1e-9).tolist() == [0, 1, 2, 3]
 
 
 class TestCommNorm:

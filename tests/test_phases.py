@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from invphase import phases
 from invphase.errors import (
     DegenerateEigenvalue,
     IncompleteRecord,
@@ -250,6 +251,31 @@ class TestReconstruct:
         for idx in (256, 768):
             expected = cranked.frame.frames[idx] @ w0h
             assert frob(path.samples[idx] - expected) < 1e-5
+
+    def test_block_drift_reaches_reconstructed_path(self, monkeypatch):
+        # degenerate kron(H, 1_2) system: 2x2 blocks, each with its own drift
+        small = CrankedFixture(dim=3, steps=256)
+        doubled = InvariantPath(
+            small.inv.grid,
+            np.stack([np.kron(s, np.eye(2)) for s in small.inv.samples]))
+        frame = eigenframe(doubled, enforce_periodic=True)
+        sched = HamiltonianSchedule.from_callable(
+            lambda t: np.kron(small.sched.sample(t), np.eye(2)),
+            2 * small.dim, period=small.period)
+        drifts = []
+        kernel = phases.propagate
+
+        def recording_kernel(*args):
+            out = kernel(*args)
+            drifts.append(out[2])
+            return out
+
+        monkeypatch.setattr(phases, "propagate", recording_kernel)
+        rec = solve_un(project(frame, sched))
+        assert len(drifts) == frame.n_blocks == small.dim
+        assert max(drifts) > 0.0
+        assert rec.u_drift_max == max(drifts)
+        assert reconstruct_U(frame, rec).drift_max == max(drifts)
 
     def test_incomplete_record(self, cranked):
         rec = project(cranked.frame, cranked.sched)
