@@ -102,6 +102,11 @@ class CrankedSystem:
             self._k_eig = linalg.eigh(self.k.array, check_hermitian=False)
         return linalg.spectral_exp(*self._k_eig, t)
 
+    def rotate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Hermitian ndarray ``e^{-iKt} X e^{iKt}`` of a Hermitian ndarray X."""
+        e = self._expk(float(t))
+        return hermitize(e @ x @ e.conj().T)
+
     def _expi0(self, t: float) -> np.ndarray:
         """``exp(-1j * t * I0)`` from the cached eigendecomposition of I0."""
         if self._i0_eig is None:
@@ -114,9 +119,7 @@ class CrankedSystem:
 
 def cranked_H(sys: CrankedSystem, t: float) -> OperatorMatrix:
     """Cranked Hamiltonian ``H(t) = e^{-iKt} H0 e^{iKt}`` (Hermitian)."""
-    e = sys._expk(float(t))
-    return OperatorMatrix(hermitize(e @ sys.h0.array @ e.conj().T),
-                          flags=("hermitian",))
+    return OperatorMatrix(sys.rotate(sys.h0.array, t), flags=("hermitian",))
 
 
 def cranked_I(sys: CrankedSystem, t: float) -> OperatorMatrix:
@@ -126,9 +129,7 @@ def cranked_I(sys: CrankedSystem, t: float) -> OperatorMatrix:
     ``H(t)`` and the constant crank ``K``, and its spectrum equals that of
     ``I0`` for every ``t`` (unitary conjugation).
     """
-    e = sys._expk(float(t))
-    return OperatorMatrix(hermitize(e @ sys.i0.array @ e.conj().T),
-                          flags=("hermitian",))
+    return OperatorMatrix(sys.rotate(sys.i0.array, t), flags=("hermitian",))
 
 
 def cranked_U(sys: CrankedSystem, t: float) -> OperatorMatrix:
@@ -186,8 +187,7 @@ def geq_member(sys: CrankedSystem, ytilde: HamiltonianSchedule,
         return crank, upath
 
     def h_fn(t, _sys=sys, _y=ytilde):
-        e = _sys._expk(t)
-        return e @ (_sys.k.array + _y.sample(t)) @ e.conj().T
+        return _sys.rotate(_sys.k.array + _y.sample(t), t)
 
     hsched = HamiltonianSchedule.from_callable(
         h_fn, sys.dim, label=f"geq[{ytilde.label}]")
@@ -208,8 +208,8 @@ def generalized_cranked(k, h0, g, h, t: float) -> OperatorMatrix:
     NonHermitianInput
         If ``k`` or ``h0`` violates the hermiticity bound.
     """
-    karr = OperatorMatrix(k, flags=("hermitian",)).array
-    h0arr = OperatorMatrix(h0, flags=("hermitian",)).array
+    karr = linalg.require_hermitian(k, "K")
+    h0arr = linalg.require_hermitian(h0, "H0")
     if karr.shape != h0arr.shape:
         raise DimensionMismatch(
             f"K has shape {karr.shape}, H0 has shape {h0arr.shape}")

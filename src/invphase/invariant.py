@@ -33,8 +33,9 @@ from .errors import (
     OverlapTooSmall,
     SymmetryViolation,
 )
-from .linalg import OperatorMatrix, frob, hermitize
-from .propagator import HamiltonianSchedule, UnitaryPath
+from .linalg import frob, hermitize
+from .propagator import (HamiltonianSchedule, UnitaryPath, grid_index,
+                         uniform_spacing)
 
 __all__ = [
     "InvariantPath",
@@ -53,11 +54,6 @@ DEGENERACY_GAP = 1e-9
 
 #: per-eigenvalue drift bound: |lam_n(t) - lam_n(0)| <= 1e-8 * (1 + |lam_n(0)|)
 SPECTRUM_DRIFT = 1e-8
-
-
-def _as_array(a) -> np.ndarray:
-    return np.asarray(a.array if isinstance(a, OperatorMatrix) else a,
-                      dtype=complex)
 
 
 class InvariantPath:
@@ -110,10 +106,7 @@ class InvariantPath:
         return self.grid.size
 
     def at(self, t: float) -> np.ndarray:
-        k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the grid")
-        return self.samples[k]
+        return self.samples[grid_index(self.grid, t)]
 
     @property
     def is_periodic(self) -> bool:
@@ -216,20 +209,13 @@ class InvariantFrame:
 
 def transport(path: UnitaryPath, i0) -> InvariantPath:
     """Transport an initial invariant: ``I(t_k) = U(t_k) I(0) U(t_k)^+``."""
-    arr = hermitize(_as_array(i0))
+    arr = hermitize(i0)
     if arr.shape[0] != path.dim:
         raise DimensionMismatch(
             f"I0 has dim {arr.shape[0]}, path has dim {path.dim}")
     u = path.samples
     samples = np.einsum("kij,jl,kml->kim", u, arr, u.conj(), optimize=True)
     return InvariantPath(path.grid, samples, source="transported")
-
-
-def _uniform_spacing(grid: np.ndarray) -> float:
-    deltas = np.diff(grid)
-    if not np.allclose(deltas, deltas[0], rtol=1e-9, atol=0.0):
-        raise ValueError("operation requires a uniform grid")
-    return float(deltas[0])
 
 
 def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
@@ -247,16 +233,23 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     grid = invariant.grid
     if grid.size < 3:
         raise GridTooCoarse("lvn_residual needs at least 3 grid points")
-    if schedule.dim != invariant.dim:
-        raise DimensionMismatch("invariant and schedule dims differ")
-    h = _uniform_spacing(grid)
+    h = uniform_spacing(grid)
     s = invariant.samples
     didt = np.empty_like(s)
     didt[1:-1] = (s[2:] - s[:-2]) / (2 * h)
     didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
     didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
-    out = np.empty(grid.size)
-    for k, t in enumerate(grid):
+    return lvn_defect(invariant, schedule, didt)
+
+
+def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
+               didt: np.ndarray) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point for a given ``dI/dt``."""
+    if schedule.dim != invariant.dim:
+        raise DimensionMismatch("invariant and schedule dims differ")
+    s = invariant.samples
+    out = np.empty(invariant.grid.size)
+    for k, t in enumerate(invariant.grid):
         h_k = schedule.sample(t)
         bracket = s[k] @ h_k - h_k @ s[k]
         out[k] = frob(didt[k] - 1j * bracket)
@@ -485,7 +478,7 @@ def hstar(frame: InvariantFrame) -> HamiltonianSchedule:
     grid = frame.grid
     if grid.size < 5:
         raise GridTooCoarse("hstar needs at least 5 grid points")
-    h = _uniform_spacing(grid)
+    h = uniform_spacing(grid)
     wdot = frame_derivative(frame.frames, h, frame.periodic)
     n_pts = grid.size
     samples = np.empty_like(frame.frames)

@@ -1,8 +1,10 @@
 """Deterministic linear-algebra core for finite-dimensional quantum dynamics.
 
-All operators live in a fixed orthonormal basis and are stored as dense
-complex ``numpy`` arrays wrapped in :class:`OperatorMatrix`.  The module
-provides exactly-unitary matrix exponentials of Hermitian generators, a
+All operators live in a fixed orthonormal basis.  Inside the package they
+are plain dense complex ``numpy`` arrays; :class:`OperatorMatrix` is the
+edge type that validates an operator where it enters or leaves the public
+API, and :func:`as_matrix` unwraps either form.  The module provides
+exactly-unitary matrix exponentials of Hermitian generators, a
 deterministic Hermitian eigensolver (ascending eigenvalues, canonical
 eigenvector choice inside degenerate clusters), commutator norms, and a
 handful of small helpers (Hermitization, polar re-unitarization) used by
@@ -53,8 +55,8 @@ TOL_FLOOR = 1e-14
 _CLUSTER_GAP = 1e-9
 
 
-def _as_matrix(a) -> np.ndarray:
-    """Coerce input to a square 2-D complex ndarray."""
+def as_matrix(a) -> np.ndarray:
+    """Square 2-D complex ndarray of an array_like or an OperatorMatrix."""
     arr = np.asarray(a.array if isinstance(a, OperatorMatrix) else a,
                      dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -65,29 +67,32 @@ def _as_matrix(a) -> np.ndarray:
 
 def frob(a) -> float:
     """Frobenius norm of a matrix (or OperatorMatrix)."""
-    return float(np.linalg.norm(_as_matrix(a)))
+    return float(np.linalg.norm(as_matrix(a)))
 
 
 def hermitize(a) -> np.ndarray:
     """Return the Hermitian part (A + A^dagger)/2 of a matrix."""
-    arr = _as_matrix(a)
+    arr = as_matrix(a)
     return 0.5 * (arr + arr.conj().T)
 
 
 def herm_defect(a) -> float:
     """max |A - A^dagger| entrywise, the absolute hermiticity defect."""
-    arr = _as_matrix(a)
+    arr = as_matrix(a)
     return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
 
 
 def require_hermitian(a, what: str) -> np.ndarray:
     """Square complex ndarray of ``a``, checked to be Hermitian.
 
-    Raises :class:`NonHermitianInput` when
+    Raises :class:`NonHermitianInput` when an entry is not finite or
     ``max|A - A^H| > 1e-12 * max(1, max|A|)``.
     """
-    arr = _as_matrix(a)
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    arr = as_matrix(a)
+    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+    if not np.isfinite(scale):           # max|A| is NaN or inf
+        raise NonHermitianInput(f"{what}: entries are not all finite")
+    scale = max(1.0, scale)
     defect = herm_defect(arr)
     if defect > 1e-12 * scale:
         raise NonHermitianInput(
@@ -98,17 +103,20 @@ def require_hermitian(a, what: str) -> np.ndarray:
 class OperatorMatrix:
     """Immutable dense operator with validated structural flags.
 
+    The edge type of the public API: functions that hand an operator to a
+    caller return one, and the package's own loops work on plain ndarrays.
+
     Parameters
     ----------
     array : array_like
-        Square complex matrix.
+        Square complex matrix; it is copied, so the caller's array stays
+        writeable and later writes to it do not reach ``.array``.
     flags : iterable of str, optional
-        Any of ``"hermitian"``, ``"unitary"``, ``"diagonal"``.  Each claimed
-        flag is validated on construction:
+        ``"hermitian"`` and/or ``"unitary"``.  Each claimed flag is
+        validated on construction:
 
-        * hermitian : ``max|A - A^H| <= 1e-12 * max(1, max|A|)``
+        * hermitian : finite, ``max|A - A^H| <= 1e-12 * max(1, max|A|)``
         * unitary   : ``||A^H A - 1||_F <= 1e-10 * dim``
-        * diagonal  : all off-diagonal entries exactly zero
 
     Raises
     ------
@@ -120,10 +128,10 @@ class OperatorMatrix:
 
     __slots__ = ("_array", "_flags")
 
-    _KNOWN_FLAGS = frozenset({"hermitian", "unitary", "diagonal"})
+    _KNOWN_FLAGS = frozenset({"hermitian", "unitary"})
 
     def __init__(self, array, flags=()):
-        arr = _as_matrix(array)
+        arr = as_matrix(array).copy()
         arr.setflags(write=False)
         flagset = frozenset(flags)
         unknown = flagset - self._KNOWN_FLAGS
@@ -137,11 +145,6 @@ class OperatorMatrix:
             if defect > 1e-10 * arr.shape[0]:
                 raise ValueError(
                     f"unitary flag claimed but ||A^H A - 1||_F = {defect:.3e}")
-        if "diagonal" in flagset:
-            off = arr - np.diag(np.diag(arr))
-            if np.any(off != 0):
-                raise ValueError(
-                    "diagonal flag claimed but off-diagonal entries nonzero")
         self._array = arr
         self._flags = flagset
 
@@ -159,10 +162,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         """Matrix dimension."""
         return self._array.shape[0]
-
-    def dagger(self) -> "OperatorMatrix":
-        """Hermitian conjugate; hermitian/diagonal/unitary flags survive."""
-        return OperatorMatrix(self._array.conj().T, self._flags)
 
     def __repr__(self):
         return (f"OperatorMatrix(dim={self.dim}, "
@@ -243,7 +242,7 @@ def eigh(a, *, check_hermitian: bool = True):
         If LAPACK does not converge.
     """
     h = hermitize(require_hermitian(a, "eigh input") if check_hermitian
-                  else _as_matrix(a))
+                  else as_matrix(a))
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -277,7 +276,7 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
     ndarray
         The unitary ``exp(-1j*s*A)``.
     """
-    arr = _as_matrix(a)
+    arr = as_matrix(a)
     s = float(s)
     # fast path: exactly diagonal input (zero off-diagonal, finite diagonal)
     d = arr.diagonal()
@@ -301,7 +300,7 @@ def spectral_exp(w, v, t: float) -> np.ndarray:
 
 def comm(a, b) -> np.ndarray:
     """Commutator [A, B] = AB - BA."""
-    aa, bb = _as_matrix(a), _as_matrix(b)
+    aa, bb = as_matrix(a), as_matrix(b)
     if aa.shape != bb.shape:
         raise DimensionMismatch(
             f"commutator operands differ in shape: {aa.shape} vs {bb.shape}")
@@ -314,6 +313,6 @@ def comm_norm(a, b) -> float:
 
 def polar_unitary(a) -> np.ndarray:
     """Nearest unitary to ``a`` in Frobenius norm (polar factor via SVD)."""
-    arr = _as_matrix(a)
+    arr = as_matrix(a)
     u, _, vh = np.linalg.svd(arr)
     return u @ vh

@@ -64,7 +64,8 @@ from .errors import (
     GridTooCoarse,
     TruncationTooSmall,
 )
-from .linalg import OperatorMatrix, frob
+from .linalg import OperatorMatrix
+from .propagator import uniform_spacing
 
 __all__ = [
     "OscillatorParams",
@@ -220,7 +221,8 @@ class FockSpace:
     """Truncated Fock-space operator set for one oscillator family.
 
     Built by :func:`build_fock`.  Attributes (all ``OperatorMatrix`` unless
-    noted):
+    noted; these are the operators the public API hands out, validated once
+    here, while the package's loops read their ``.array``):
 
     * ``N`` (int): truncation dimension; ``N_int`` (int): interior block
       used for operator-identity checks; ``basis`` (str): ``"ktilde"`` or
@@ -298,16 +300,12 @@ class FockSpace:
 
     def interior(self, a) -> np.ndarray:
         """Interior ``N_int x N_int`` block of a matrix (truncation-safe)."""
-        arr = np.asarray(a.array if isinstance(a, OperatorMatrix) else a)
-        return arr[: self.N_int, : self.N_int]
+        return linalg.as_matrix(a)[: self.N_int, : self.N_int]
 
     def cached_eig(self, name: str, matrix) -> tuple:
         """Memoized deterministic eigendecomposition keyed by ``name``."""
         if name not in self._eig_cache:
-            arr = np.asarray(
-                matrix.array if isinstance(matrix, OperatorMatrix)
-                else matrix, dtype=complex)
-            self._eig_cache[name] = linalg.eigh(arr, check_hermitian=False)
+            self._eig_cache[name] = linalg.eigh(matrix, check_hermitian=False)
         return self._eig_cache[name]
 
     def __repr__(self):
@@ -402,6 +400,17 @@ def w_operator(fock: FockSpace, theta_bar: float, phi_bar: float
     cosh tb K3`` and ``I[theta_bar, phi_bar] = W I0 W^+`` on the interior
     block.
     """
+    return OperatorMatrix(w_columns(fock, theta_bar, phi_bar, fock.N),
+                          flags=("unitary",))
+
+
+def w_columns(fock: FockSpace, theta_bar: float, phi_bar: float,
+              n: int) -> np.ndarray:
+    """First ``n`` columns of :func:`w_operator`'s ``W`` as an ndarray.
+
+    Built from the cached ``K2`` eigendecomposition in O(N^2 n), without
+    forming or validating the full unitary.
+    """
     if fock.basis != "ktilde":
         raise ValueError("w_operator requires a ktilde-basis FockSpace")
     theta_bar = float(theta_bar)
@@ -409,9 +418,8 @@ def w_operator(fock: FockSpace, theta_bar: float, phi_bar: float
     k3_diag = np.diag(fock.K3.array).real
     outer = np.exp(-1j * phi_bar * k3_diag)
     w2, v2 = fock.cached_eig("K2", fock.K2)
-    middle = linalg.spectral_exp(w2, v2, theta_bar)
-    w = (outer[:, None] * middle) * outer.conj()[None, :]
-    return OperatorMatrix(w, flags=("unitary",))
+    middle = (v2 * np.exp(-1j * w2 * theta_bar)) @ v2[:n].conj().T
+    return (outer[:, None] * middle) * outer[:n].conj()[None, :]
 
 
 def closed_form_phases(params: OscillatorParams, n: int, t: float) -> tuple:
@@ -545,11 +553,9 @@ def ermakov_check(params: OscillatorParams, grid) -> float:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise GridTooCoarse("ermakov_check needs at least 3 grid points")
-    deltas = np.diff(grid)
-    if np.any(deltas <= 0) or not np.allclose(deltas, deltas[0], rtol=1e-9,
-                                              atol=0.0):
-        raise ValueError("ermakov_check requires a uniform increasing grid")
-    h = deltas[0]
+    h = uniform_spacing(grid)
+    if h <= 0:
+        raise ValueError("ermakov_check requires an increasing grid")
     inv_mt = 1.0 / params.mtilde
     w = params.omega
     rho2 = inv_mt - params.b * (1.0 - np.cos(2.0 * w * grid))

@@ -34,7 +34,8 @@ from .errors import (
 )
 from .invariant import InvariantFrame, frame_derivative
 from .linalg import expm_igen, frob, hermitize
-from .propagator import HamiltonianSchedule, UnitaryPath, propagate
+from .propagator import (HamiltonianSchedule, UnitaryPath, grid_index,
+                         propagate, uniform_spacing)
 
 __all__ = [
     "PhaseRecord",
@@ -135,13 +136,15 @@ def project(frame: InvariantFrame, schedule: HamiltonianSchedule
     ------
     GridTooCoarse
         If the frame has fewer than 5 points.
+    ValueError
+        If the frame's grid is not uniform.
     """
     grid = frame.grid
     if grid.size < 5:
         raise GridTooCoarse("project needs at least 5 grid points")
     if schedule.dim != frame.dim:
         raise DimensionMismatch("frame and schedule dims differ")
-    h = float(grid[1] - grid[0])
+    h = uniform_spacing(grid)
     vdot = frame_derivative(frame.frames, h, frame.periodic)
     n_pts = grid.size
     E = [np.empty((n_pts, d, d), dtype=complex)
@@ -241,9 +244,7 @@ def nonabelian_holonomy(record: PhaseRecord, T: float = None) -> PhaseRecord:
     grid = record.grid
     if T is None:
         T = grid[-1]
-    k_end = int(np.argmin(np.abs(grid - T)))
-    if abs(grid[k_end] - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T={T} is not on the record grid")
+    k_end = grid_index(grid, T)
     for n in range(record.n_blocks):
         d = int(record.degeneracies[n])
         a = record.A[n]

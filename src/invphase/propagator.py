@@ -43,7 +43,7 @@ from .errors import (
     SymmetryViolation,
     ToleranceNotMet,
 )
-from .linalg import OperatorMatrix, expm_igen, frob, hermitize
+from .linalg import expm_igen, frob, hermitize
 
 __all__ = [
     "HamiltonianSchedule",
@@ -249,13 +249,6 @@ class HamiltonianSchedule:
             return hermitize(linalg.require_hermitian(self._fn(t), f"H({t})"))
         return self._interp(t)
 
-    def eval(self, t: float) -> OperatorMatrix:
-        """H(t) as an OperatorMatrix with the hermitian flag validated."""
-        return OperatorMatrix(self.sample(t), flags=("hermitian",))
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.sample(t)
-
     def _interp(self, t: float) -> np.ndarray:
         grid, table = self._grid, self._table
         n_iv = grid.size - 1
@@ -289,6 +282,22 @@ class HamiltonianSchedule:
     def __repr__(self):
         return (f"HamiltonianSchedule(kind={self._kind!r}, dim={self.dim}, "
                 f"period={self.period}, label={self.label!r})")
+
+
+def grid_index(grid: np.ndarray, t: float) -> int:
+    """Index of grid point ``t`` (``ValueError`` beyond 1e-9 max(1, |t|))."""
+    k = int(np.argmin(np.abs(grid - t)))
+    if abs(grid[k] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"t={t} is not on the grid")
+    return k
+
+
+def uniform_spacing(grid: np.ndarray) -> float:
+    """Spacing of a uniform grid (``ValueError`` beyond relative 1e-9)."""
+    deltas = np.diff(grid)
+    if not np.allclose(deltas, deltas[0], rtol=1e-9, atol=0.0):
+        raise ValueError("operation requires a uniform grid")
+    return float(deltas[0])
 
 
 class UnitaryPath:
@@ -329,24 +338,13 @@ class UnitaryPath:
     def __len__(self) -> int:
         return self.grid.size
 
-    def index_of(self, t: float) -> int:
-        """Index of grid point ``t`` (raises if ``t`` is not on the grid)."""
-        k = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the stored grid")
-        return k
-
     def at(self, t: float) -> np.ndarray:
         """Stored unitary at grid time ``t``."""
-        return self.samples[self.index_of(t)]
+        return self.samples[grid_index(self.grid, t)]
 
     def final(self) -> np.ndarray:
         """Stored unitary at the last grid time."""
         return self.samples[-1]
-
-    def operator(self, t: float) -> OperatorMatrix:
-        """``U(t)`` wrapped with the unitary flag validated."""
-        return OperatorMatrix(self.at(t), flags=("unitary",))
 
     def __repr__(self):
         return (f"UnitaryPath(dim={self.dim}, points={len(self)}, "
@@ -446,13 +444,9 @@ def _resolve_store(grid: np.ndarray, store) -> np.ndarray:
     """Map requested store times onto integration-grid indices."""
     if store is None:
         return np.arange(grid.size)
-    h = grid[1] - grid[0] if grid.size > 1 else 1.0
     idx = {0, grid.size - 1}
     for t in np.atleast_1d(np.asarray(store, dtype=float)):
-        k = int(round(t / h)) if grid.size > 1 else 0
-        if k < 0 or k >= grid.size or abs(grid[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"store time {t} is not on the integration grid")
-        idx.add(k)
+        idx.add(grid_index(grid, t))
     return np.array(sorted(idx), dtype=int)
 
 
@@ -549,9 +543,7 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
             f"Y has dim {y.dim}, path has dim {path.dim}")
     grid = path.grid
     if invariant0 is not None:
-        i0 = np.asarray(
-            invariant0.array if isinstance(invariant0, OperatorMatrix)
-            else invariant0, dtype=complex)
+        i0 = linalg.as_matrix(invariant0)
         for t in grid:
             yt = y.sample(t)
             bound = 1e-8 * max(frob(yt), 1e-300)

@@ -224,6 +224,50 @@ class TestRun:
             encoding="utf-8").splitlines()
         assert len(lines) == 1 + 513 * 3
 
+    @staticmethod
+    def _integer_crank_config(tmp_path, seed, dim=8, steps=1024):
+        # K with spectrum 0..dim-1 in a random real basis: cyclic at 2 pi
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        k = (q * np.arange(dim, dtype=float)) @ q.T
+        k = 0.5 * (k + k.T)
+        h0 = np.diag(np.linspace(0.5, 3.0, dim)) + k
+        system = {"cranked": {"h0": h0.tolist(), "k": k.tolist()}}
+        return cli.load_config(write_config(
+            tmp_path, system=system,
+            grid={"t_max": 2 * math.pi, "steps": steps}))
+
+    @staticmethod
+    def _residual_row(report):
+        return next(row for row in report.checks
+                    if row.name == "invariant-residual")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generic_residual_passes_correct_run(self, tmp_path, seed):
+        config = self._integer_crank_config(tmp_path, seed)
+        report = cli.run(config, out_dir=tmp_path / "out")
+        row = self._residual_row(report)
+        assert row.tolerance == cli.RESIDUAL_TOL
+        assert row.status == "pass"
+        assert report.all_pass
+
+    def test_generic_residual_catches_wrong_propagator(self, tmp_path,
+                                                       monkeypatch):
+        # transport I0 with the propagator of a slightly different H:
+        # the residual against the configured H must fail
+        evolve = cli.propagator.evolve
+
+        def tilted_evolve(sched, *args, **kwargs):
+            tilt = 1e-5 * np.diag(np.linspace(-1.0, 1.0, sched.dim))
+            other = cli.propagator.HamiltonianSchedule.from_callable(
+                lambda t: sched.sample(t) + np.cos(t) * tilt, sched.dim)
+            return evolve(other, *args, **kwargs)
+
+        monkeypatch.setattr(cli.propagator, "evolve", tilted_evolve)
+        config = self._integer_crank_config(tmp_path, 1)
+        report = cli.run(config, out_dir=tmp_path / "out")
+        assert self._residual_row(report).status == "fail"
+
     def test_generic_schedule_run(self, tmp_path):
         system = {"schedule": {"terms": [
             {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},

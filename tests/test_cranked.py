@@ -55,6 +55,14 @@ class TestCrankedSystem:
         with pytest.raises(NonHermitianInput):
             CrankedSystem(good, bad)
 
+    def test_caller_arrays_stay_writeable(self):
+        h0 = np.diag([1.0, 2.0]).astype(complex)
+        k = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        sys = CrankedSystem(h0, k)
+        assert h0.flags.writeable and k.flags.writeable
+        h0[0, 0] = k[0, 0] = 7.0
+        assert sys.h0.array[0, 0] == 1.0 and sys.k.array[0, 0] == 0.0
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             CrankedSystem(np.eye(3), np.eye(2))

@@ -24,12 +24,12 @@ def taylor_expm(a, s, terms=60):
 
 class TestOperatorMatrix:
     def test_identity_flags(self):
-        m = OperatorMatrix(np.eye(3), flags=("hermitian", "unitary", "diagonal"))
+        m = OperatorMatrix(np.eye(3), flags=("hermitian", "unitary"))
         assert m.dim == 3
-        assert m.flags == frozenset({"hermitian", "unitary", "diagonal"})
+        assert m.flags == frozenset({"hermitian", "unitary"})
 
     def test_diag_hermitian(self):
-        m = OperatorMatrix(np.diag([2.0, -1.0]), flags=("hermitian", "diagonal"))
+        m = OperatorMatrix(np.diag([2.0, -1.0]), flags=("hermitian",))
         assert np.array_equal(m.array, np.diag([2.0, -1.0]))
 
     def test_hermitian_flag_rejected(self):
@@ -47,12 +47,6 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             OperatorMatrix(2.0 * np.eye(2), flags=("unitary",))
 
-    def test_diagonal_flag_exact(self):
-        a = np.eye(2)
-        a[0, 1] = 1e-300
-        with pytest.raises(ValueError):
-            OperatorMatrix(a, flags=("diagonal",))
-
     def test_unknown_flag(self):
         with pytest.raises(ValueError):
             OperatorMatrix(np.eye(2), flags=("positive",))
@@ -66,10 +60,19 @@ class TestOperatorMatrix:
         with pytest.raises((ValueError, RuntimeError)):
             m.array[0, 0] = 5.0
 
-    def test_dagger(self):
-        arr = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
-        m = OperatorMatrix(arr)
-        assert np.array_equal(m.dagger().array, arr.conj().T)
+    def test_caller_array_stays_writeable(self):
+        a = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
+        m = OperatorMatrix(a, flags=("hermitian",))
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        assert m.array[0, 0] == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_hermitian_rejected(self, bad):
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a[1, 1] = bad
+        with pytest.raises(NonHermitianInput):
+            OperatorMatrix(a, flags=("hermitian",))
 
 
 class TestEigh:
@@ -93,6 +96,16 @@ class TestEigh:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianInput):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2)])
+    def test_non_finite_rejected(self, bad, where):
+        # a symmetric non-finite pair in a dense or an exactly diagonal matrix
+        for a in (np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 0.0],
+                            [0.0, 0.0, 3.0]]), np.diag([1.0, 2.0, 3.0])):
+            a[where] = a[where[::-1]] = bad
+            with pytest.raises(NonHermitianInput):
+                eigh(a)
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(11)
@@ -159,6 +172,14 @@ class TestExpm:
         u = expm_igen(d, 0.7)
         assert np.allclose(u, np.diag(np.exp(-1j * 0.7 * np.diag(d))),
                            atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # an exactly diagonal input skips the fast path and is checked
+        for a in (np.diag([1.0, bad, 3.0]),
+                  np.array([[1.0, bad], [bad, 2.0]])):
+            with pytest.raises(NonHermitianInput):
+                expm_igen(a, 0.5)
 
     def test_unitarity_machine_precision(self):
         rng = np.random.default_rng(42)

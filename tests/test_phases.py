@@ -106,6 +106,17 @@ class TestProject:
     def test_a_residual_reported(self, cranked):
         assert 0.0 <= cranked.record.a_residual < 1e-6
 
+    def test_non_uniform_grid_rejected(self):
+        # a path stored on a non-uniform subset of its integration grid
+        h = integer_spectrum_hermitian(3, 4)
+        sched = HamiltonianSchedule.constant(h)
+        grid = np.linspace(0.0, 1.0, 65)
+        path = evolve(sched, 1.0, steps=64,
+                      store=np.delete(grid, [3, 17, 18, 40]))
+        frame = eigenframe(transport(path, np.diag([0.5, 1.0, 2.0])))
+        with pytest.raises(ValueError, match="uniform grid"):
+            project(frame, sched)
+
 
 class TestSolveUn:
     def test_zero_delta_gives_identity(self, cranked, hstar_setup):

@@ -25,8 +25,6 @@ class TestSchedule:
         h = HamiltonianSchedule.constant(np.diag([1.0, 2.0]))
         assert h.is_constant and h.dim == 2
         assert np.array_equal(h.sample(0.0), h.sample(3.7))
-        m = h.eval(1.0)
-        assert "hermitian" in m.flags
 
     def test_callable_periodicity_enforced(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -303,9 +301,3 @@ class TestUnitaryPath:
         bad = np.stack([2 * np.eye(2), np.eye(2)]).astype(complex)
         with pytest.raises(ValueError):
             UnitaryPath(grid, bad)
-
-    def test_operator_wrapper(self):
-        sched = HamiltonianSchedule.constant(np.diag([1.0, 2.0]))
-        path = evolve(sched, 1.0, steps=4)
-        m = path.operator(1.0)
-        assert "unitary" in m.flags
