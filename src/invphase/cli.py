@@ -391,8 +391,8 @@ def _w_column_series(params, fock, grid, n_levels):
         cols[i] = oscillator.w_columns(fock, theta, phi, n_levels)
     if periodic:
         cols[-1] = cols[0]
-    dcols = invariant.frame_derivative(cols, grid[1] - grid[0],
-                                       periodic=periodic)
+    dcols = invariant.frame_derivative(
+        cols, propagator.uniform_spacing(grid), periodic=periodic)
     a_series = -np.einsum("tin,tin->tn", cols.conj(), dcols).imag
     k_cols = np.einsum("ij,tjn->tin", fock.K.array, cols)
     e_series = np.einsum("tin,tin->tn", cols.conj(), k_cols).real
@@ -601,7 +601,8 @@ def _generic_phases(config, report, tol):
 
     # 4th-order dI/dt: the h^2 error of a 2nd-order one alone exceeds
     # RESIDUAL_TOL on correct cranked runs at 1024-4096 steps
-    didt = invariant.frame_derivative(path.samples, grid[1] - grid[0],
+    didt = invariant.frame_derivative(path.samples,
+                                      propagator.uniform_spacing(grid),
                                       periodic=False)
     residual = invariant.lvn_defect(path, sched, didt).max()
     report.extend([

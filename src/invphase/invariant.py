@@ -55,6 +55,17 @@ DEGENERACY_GAP = 1e-9
 #: per-eigenvalue drift bound: |lam_n(t) - lam_n(0)| <= 1e-8 * (1 + |lam_n(0)|)
 SPECTRUM_DRIFT = 1e-8
 
+#: bytes of samples that one step of a chunked pass over a path reads; the
+#: temporaries of that step are a small multiple of it
+_CHUNK_BYTES = 1 << 21
+
+
+def _row_chunks(samples: np.ndarray):
+    """Consecutive row slices of a sample stack, ``_CHUNK_BYTES`` each."""
+    rows = max(1, _CHUNK_BYTES // max(1, samples[:1].nbytes))
+    for start in range(0, samples.shape[0], rows):
+        yield start, samples[start:start + rows]
+
 
 class InvariantPath:
     """Hermitian invariant ``I(t)`` sampled on a time grid.
@@ -81,6 +92,12 @@ class InvariantPath:
         self.grid = grid
         self.samples = samples
         self.source = source
+        for start, chunk in _row_chunks(samples):
+            finite = np.isfinite(chunk).all(axis=(1, 2))
+            if not finite.all():
+                k = start + int(np.argmin(finite))
+                raise NonHermitianInput(
+                    f"invariant sample at t={grid[k]:.6g} is not finite")
         # spot-check hermiticity and spectrum constancy; the full
         # per-point validation happens inside eigenframe().
         w0 = None
@@ -115,11 +132,17 @@ class InvariantPath:
         return frob(self.samples[-1] - self.samples[0]) <= 1e-8 * ref
 
     def spectrum_drift(self) -> float:
-        """max over grid and levels of |lam(t) - lam(0)| / (1 + |lam(0)|)."""
+        """max over grid and levels of |lam(t) - lam(0)| / (1 + |lam(0)|).
+
+        The spectra come from stacked ``eigvalsh`` calls on chunks of
+        ``_CHUNK_BYTES`` of samples, so the extra memory is O(chunk), not
+        O(grid).
+        """
         w0 = np.linalg.eigvalsh(hermitize(self.samples[0]))
         worst = 0.0
-        for a in self.samples[1:]:
-            w = np.linalg.eigvalsh(hermitize(a))
+        for _, chunk in _row_chunks(self.samples[1:]):
+            w = np.linalg.eigvalsh(
+                0.5 * (chunk + chunk.conj().swapaxes(-1, -2)))
             worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
         return worst
 
@@ -223,7 +246,8 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     """Liouville-von Neumann residual series ``||dI/dt - i[I, H(t)]||_F``.
 
     ``dI/dt`` uses second-order central differences (one-sided second-order
-    stencils at the endpoints).
+    stencils at the endpoints), formed one grid point at a time, so the
+    extra memory is O(one sample), not O(grid).
 
     Raises
     ------
@@ -235,25 +259,49 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
         raise GridTooCoarse("lvn_residual needs at least 3 grid points")
     h = uniform_spacing(grid)
     s = invariant.samples
-    didt = np.empty_like(s)
-    didt[1:-1] = (s[2:] - s[:-2]) / (2 * h)
-    didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
-    didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
-    return lvn_defect(invariant, schedule, didt)
+
+    def didt():
+        yield (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
+        for k in range(1, grid.size - 1):
+            yield (s[k + 1] - s[k - 1]) / (2 * h)
+        yield (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+
+    return lvn_defect(invariant, schedule, didt())
 
 
 def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
-               didt: np.ndarray) -> np.ndarray:
-    """``||dI/dt - i[I, H(t)]||_F`` per grid point for a given ``dI/dt``."""
+               didt) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point for a given ``dI/dt``.
+
+    ``didt`` is an array or any iterable with one row per grid point; it is
+    read one row at a time.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the dims differ, or ``didt`` has more or fewer rows than the
+        grid.
+    """
     if schedule.dim != invariant.dim:
         raise DimensionMismatch("invariant and schedule dims differ")
     s = invariant.samples
     out = np.empty(invariant.grid.size)
-    for k, t in enumerate(invariant.grid):
+    for k, (t, d_k) in enumerate(_per_point(invariant.grid, didt)):
         h_k = schedule.sample(t)
         bracket = s[k] @ h_k - h_k @ s[k]
-        out[k] = frob(didt[k] - 1j * bracket)
+        out[k] = frob(d_k - 1j * bracket)
     return out
+
+
+def _per_point(grid: np.ndarray, rows):
+    """``zip(grid, rows, strict=True)``; a length mismatch raises
+    ``DimensionMismatch``."""
+    try:
+        yield from zip(grid, rows, strict=True)
+    except ValueError as exc:
+        raise DimensionMismatch(
+            f"dI/dt needs one row per grid point ({grid.size}): {exc}"
+        ) from exc
 
 
 def _unitary_fractional_powers(u: np.ndarray, fractions: np.ndarray):

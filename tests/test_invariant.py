@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from invphase import invariant
 from invphase.errors import (
     ComputeError,
     DegeneracyCrossing,
     DimensionMismatch,
     GridTooCoarse,
+    NonHermitianInput,
     OverlapTooSmall,
     SymmetryViolation,
 )
@@ -16,12 +21,14 @@ from invphase.invariant import (
     eigenframe,
     gauge_transform,
     hstar,
+    lvn_defect,
     lvn_residual,
     symmetry_check,
     transport,
 )
-from invphase.linalg import comm_norm, expm_igen, frob
-from invphase.propagator import HamiltonianSchedule, UnitaryPath, evolve
+from invphase.linalg import comm_norm, expm_igen, frob, hermitize
+from invphase.propagator import (HamiltonianSchedule, UnitaryPath, evolve,
+                                 uniform_spacing)
 
 
 def random_hermitian(dim, seed):
@@ -52,6 +59,67 @@ def cranked_setup(dim=6, steps=512, seed=0):
     sched = HamiltonianSchedule.from_callable(ham, dim, period=period)
     path = evolve(sched, period, steps=steps, tol=1e-10)
     return k, i0, sched, path, period
+
+
+def analytic_path(dim, n_pts, seed):
+    """``I(t) = e^{-iKt} I0 e^{iKt}`` for a diagonal ``K``, on [0, 2.3]."""
+    kd = np.random.default_rng(seed).normal(size=dim)
+    grid = np.linspace(0.0, 2.3, n_pts)
+    phases = np.exp(-1j * np.outer(grid, kd))
+    samples = np.einsum("ti,ij,tj->tij", phases,
+                        random_hermitian(dim, seed), phases.conj())
+    return InvariantPath(grid, samples), kd
+
+
+def chunk_rows(dim):
+    """Rows of a complex dim x dim stack in one chunk of a chunked pass."""
+    return invariant._CHUNK_BYTES // (16 * dim * dim)
+
+
+def reference_lvn_residual(inv, sched):
+    """``lvn_residual`` with a whole-stack stencil and an indexed loop."""
+    s = inv.samples
+    h = uniform_spacing(inv.grid)
+    didt = np.empty_like(s)
+    didt[1:-1] = (s[2:] - s[:-2]) / (2 * h)
+    didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
+    didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+    out = np.empty(inv.grid.size)
+    for k, t in enumerate(inv.grid):
+        h_k = sched.sample(t)
+        out[k] = frob(didt[k] - 1j * (s[k] @ h_k - h_k @ s[k]))
+    return out
+
+
+def reference_spectrum_drift(inv):
+    """``spectrum_drift`` with one ``eigvalsh`` call per grid point."""
+    w0 = np.linalg.eigvalsh(hermitize(inv.samples[0]))
+    worst = 0.0
+    for a in inv.samples[1:]:
+        w = np.linalg.eigvalsh(hermitize(a))
+        worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
+    return worst
+
+
+@st.composite
+def drift_paths(draw):
+    """Paths of 1 to 40 points, or of lengths around the chunk boundaries
+    (of the whole stack and of ``samples[1:]``), with one sample scaled
+    by 1 + 1e-9 so that the drift peaks at a chosen row."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 12))
+        n_pts = draw(st.integers(1, 40))
+        rows = list(range(1, n_pts))
+    else:
+        dim = draw(st.integers(8, 16))
+        c = chunk_rows(dim)
+        n_pts = draw(st.sampled_from(
+            [c - 1, c, c + 1, c + 2, 2 * c + 1, 2 * c + 2]))
+        rows = [k for k in (1, c - 1, c, c + 1, n_pts - 1) if k < n_pts]
+    path, _ = analytic_path(dim, n_pts, draw(st.integers(0, 2**32 - 1)))
+    if rows:
+        path.samples[draw(st.sampled_from(rows))] *= 1 + 1e-9
+    return path
 
 
 class TestTransport:
@@ -86,6 +154,35 @@ class TestTransport:
                             np.diag([1.0, 2.5])]).astype(complex)
         with pytest.raises(ComputeError):
             InvariantPath(grid, samples)
+
+
+class TestInvariantPath:
+    @pytest.mark.parametrize("k, i, j, value", [
+        (2, 0, 0, np.nan), (2, 0, 1, np.nan), (2, 1, 1, np.inf),
+        (0, 2, 2, np.nan), (8, 1, 2, complex(0, np.inf))])
+    def test_non_finite_sample_rejected(self, k, i, j, value):
+        grid = np.linspace(0, 1, 9)
+        samples = np.stack([np.diag([1.0, 2.0, 3.0])] * 9).astype(complex)
+        samples[k, i, j] = value
+        with pytest.raises(NonHermitianInput, match=f"t={grid[k]:.6g} "):
+            InvariantPath(grid, samples)
+
+    def test_non_finite_sample_in_later_chunk_named(self):
+        dim = 8
+        k = 2 * chunk_rows(dim) + 5
+        path, _ = analytic_path(dim, k + 9, seed=4)
+        samples = path.samples.copy()
+        samples[k, 3, 4] = np.nan
+        with pytest.raises(NonHermitianInput,
+                           match=f"t={path.grid[k]:.6g} "):
+            InvariantPath(path.grid, samples)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(path=drift_paths())
+    def test_spectrum_drift_matches_reference(self, path):
+        drift = path.spectrum_drift()
+        assert drift == reference_spectrum_drift(path)
+        assert (drift == 0.0) == (len(path) == 1)
 
 
 class TestLvnResidual:
@@ -126,6 +223,52 @@ class TestLvnResidual:
         inv = InvariantPath(grid, np.stack([np.eye(2, dtype=complex)] * 2))
         with pytest.raises(GridTooCoarse):
             lvn_residual(inv, HamiltonianSchedule.constant(np.eye(2)))
+
+    @pytest.mark.parametrize("rows", [8, 10])
+    @pytest.mark.parametrize("kind", ["array", "generator"])
+    def test_defect_rejects_row_count_mismatch(self, rows, kind):
+        grid = np.linspace(0, 1, 9)
+        inv = InvariantPath(grid, np.stack([np.eye(2, dtype=complex)] * 9))
+        didt = np.zeros((rows, 2, 2), dtype=complex)
+        if kind == "generator":
+            didt = (row for row in didt)
+        with pytest.raises(DimensionMismatch):
+            lvn_defect(inv, HamiltonianSchedule.constant(np.eye(2)), didt)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 12), n_pts=st.integers(3, 40),
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["constant", "callable"]))
+    @example(dim=1, n_pts=3, seed=0, kind="constant")
+    @example(dim=12, n_pts=3, seed=1, kind="callable")
+    def test_residual_matches_reference(self, dim, n_pts, seed, kind):
+        path, kd = analytic_path(dim, n_pts, seed)
+        if kind == "constant":
+            sched = HamiltonianSchedule.constant(np.diag(kd))
+        else:
+            h1 = random_hermitian(dim, seed + 1)
+            sched = HamiltonianSchedule.from_callable(
+                lambda t: np.diag(kd) + np.cos(t) * h1, dim)
+        assert np.array_equal(lvn_residual(path, sched),
+                              reference_lvn_residual(path, sched))
+
+    def test_diagnostics_run_in_bounded_memory(self):
+        dim = 32
+        path, kd = analytic_path(dim, 16 * chunk_rows(dim) + 1, seed=3)
+        sched = HamiltonianSchedule.constant(np.diag(kd))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (lambda: lvn_residual(path, sched),
+                        path.spectrum_drift):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        # the stack itself is 32 MiB; whole-stack temporaries are 100 % each
+        assert max(peaks) < 0.25 * path.samples.nbytes
 
 
 class TestEigenframe:
