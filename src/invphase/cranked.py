@@ -183,7 +183,7 @@ def geq_member(sys: CrankedSystem, ytilde: HamiltonianSchedule,
     base = evolve(crank, t_max, steps=steps, tol=tol)
     upath = compose_geq(base, ytilde, invariant0=sys.i0.array, tol=tol)
 
-    if ytilde.is_constant and not np.any(ytilde.sample(0.0)):
+    if ytilde.is_constant and not np.any(ytilde.base):
         return crank, upath
 
     def h_fn(t, _sys=sys, _y=ytilde):

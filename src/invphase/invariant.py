@@ -195,10 +195,6 @@ class InvariantFrame:
         start = int(self.degeneracies[:n].sum())
         return slice(start, start + int(self.degeneracies[n]))
 
-    def block_columns(self, n: int, k: int) -> np.ndarray:
-        """Columns |lam_n, a; t_k> as an (dim, d_n) array."""
-        return self.frames[k][:, self.block_slice(n)]
-
     def initial(self) -> np.ndarray:
         """The frame unitary W(0)."""
         return self.frames[0]
@@ -280,13 +276,17 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
     ------
     DimensionMismatch
         If the dims differ, or ``didt`` has more or fewer rows than the
-        grid.
+        grid, or a row is not ``(dim, dim)``.
     """
     if schedule.dim != invariant.dim:
         raise DimensionMismatch("invariant and schedule dims differ")
     s = invariant.samples
     out = np.empty(invariant.grid.size)
     for k, (t, d_k) in enumerate(_per_point(invariant.grid, didt)):
+        if np.shape(d_k) != s.shape[1:]:
+            raise DimensionMismatch(
+                f"dI/dt row {k} has shape {np.shape(d_k)}, "
+                f"expected {s.shape[1:]}")
         h_k = schedule.sample(t)
         bracket = s[k] @ h_k - h_k @ s[k]
         out[k] = frob(d_k - 1j * bracket)

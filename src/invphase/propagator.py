@@ -77,9 +77,16 @@ class HamiltonianSchedule:
       interpolated with cubic Lagrange stencils (periodic wraparound when
       the table spans one declared period).
 
-    Parameters validated on construction: every probed sample is Hermitian
-    (defect at most ``1e-12 * max(1, max|H|)``), and when a ``period`` is
-    declared, ``||H(t+T) - H(t)||_F <= 1e-10 * ||H(t)||_F`` on probe points.
+    Each constructor builds the evaluation function once; :meth:`sample`
+    only calls it.  The structure the kernels exploit is plain data:
+    ``base`` is the read-only matrix of a constant or scalar-profile
+    schedule (``None`` otherwise) and ``profile`` the scalar ``f`` of a
+    scalar-profile schedule (``None`` otherwise).
+
+    Parameters validated on construction: every tabulated sample, and every
+    sample a callable returns, is Hermitian (defect at most
+    ``1e-12 * max(1, max|H|)``), and when a ``period`` is declared,
+    ``||H(t+T) - H(t)||_F <= 1e-10 * ||H(t)||_F`` on probe points.
     """
 
     def __init__(self):
@@ -88,18 +95,15 @@ class HamiltonianSchedule:
             ".scalar_profile / .from_samples")
 
     @classmethod
-    def _bare(cls):
+    def _make(cls, fn, dim, period, label, base=None, profile=None):
         obj = object.__new__(cls)
-        obj.dim = 0
-        obj.period = None
-        obj.label = ""
-        obj._kind = ""
-        obj._fn = None
-        obj._matrix = None          # constant / scalar-profile base
-        obj._eig = None             # cached (w, v) of the base matrix
-        obj._profile = None         # scalar profile f(t)
-        obj._grid = None            # sampled-table grid
-        obj._table = None           # sampled-table values
+        obj._fn = fn
+        obj.dim = int(dim)
+        obj.period = period
+        obj.label = label
+        obj.base = base
+        obj.profile = profile
+        obj._eig = None             # cached (w, v) of base
         return obj
 
     # ------------------------------------------------------------------ #
@@ -109,24 +113,17 @@ class HamiltonianSchedule:
     @classmethod
     def constant(cls, matrix, *, label="constant"):
         """Schedule for a time-independent Hermitian ``matrix``."""
-        obj = cls._bare()
         arr = hermitize(linalg.require_hermitian(matrix, "constant matrix"))
         arr.setflags(write=False)
-        obj.dim = arr.shape[0]
-        obj.label = label
-        obj._kind = "constant"
-        obj._matrix = arr
-        return obj
+        return cls._make(lambda t: arr, arr.shape[0], None, label, base=arr)
 
     @classmethod
     def from_callable(cls, fn, dim, *, period=None, label="callable"):
         """Schedule wrapping ``fn(t) -> (dim, dim) Hermitian array``."""
-        obj = cls._bare()
-        obj.dim = int(dim)
-        obj.period = cls._check_period(period)
-        obj.label = label
-        obj._kind = "callable"
-        obj._fn = fn
+        def checked(t):
+            return hermitize(linalg.require_hermitian(fn(t), f"H({t})"))
+
+        obj = cls._make(checked, dim, cls._check_period(period), label)
         probe = obj.sample(0.0)
         if probe.shape != (obj.dim, obj.dim):
             raise DimensionMismatch(
@@ -139,15 +136,11 @@ class HamiltonianSchedule:
     def scalar_profile(cls, profile, base, *, period=None,
                        label="scalar-profile"):
         """Schedule ``H(t) = profile(t) * base`` with Hermitian ``base``."""
-        obj = cls._bare()
         arr = hermitize(linalg.require_hermitian(base, "profile base"))
         arr.setflags(write=False)
-        obj.dim = arr.shape[0]
-        obj.period = cls._check_period(period)
-        obj.label = label
-        obj._kind = "scalar_profile"
-        obj._matrix = arr
-        obj._profile = profile
+        obj = cls._make(lambda t: float(profile(t)) * arr, arr.shape[0],
+                        cls._check_period(period), label,
+                        base=arr, profile=profile)
         float(profile(0.0))  # must be real scalar
         obj._check_periodicity()
         return obj
@@ -174,25 +167,21 @@ class HamiltonianSchedule:
             raise ValueError("grid must start at 0 and strictly increase")
         if not np.allclose(deltas, deltas[0], rtol=1e-10, atol=0.0):
             raise ValueError("sampled schedule requires a uniform grid")
-        for k in (0, grid.size // 2, grid.size - 1):
-            linalg.require_hermitian(table[k], f"sample {k}")
-        obj = cls._bare()
-        obj.dim = table.shape[1]
-        obj.period = cls._check_period(period)
-        obj.label = label
-        obj._kind = "sampled"
-        obj._grid = grid
-        obj._table = 0.5 * (table + np.conj(np.swapaxes(table, 1, 2)))
-        if obj.period is not None:
-            if not np.isclose(obj.period, grid[-1], rtol=1e-12):
+        for k, sample in enumerate(table):
+            linalg.require_hermitian(sample, f"sample {k}")
+        period = cls._check_period(period)
+        table = 0.5 * (table + np.conj(np.swapaxes(table, 1, 2)))
+        if period is not None:
+            if not np.isclose(period, grid[-1], rtol=1e-12):
                 raise ValueError(
                     "periodic sampled schedule must be tabulated over "
                     "exactly one period")
-            wrap = frob(obj._table[-1] - obj._table[0])
-            if wrap > 1e-10 * max(frob(obj._table[0]), 1e-300):
+            wrap = frob(table[-1] - table[0])
+            if wrap > 1e-10 * max(frob(table[0]), 1e-300):
                 raise ValueError(
                     f"samples at t=0 and t=period differ by {wrap:.3e}")
-        return obj
+        return cls._make(lambda t: _interp(grid, table, period, t),
+                         table.shape[1], period, label)
 
     # ------------------------------------------------------------------ #
     # validation helpers
@@ -225,63 +214,54 @@ class HamiltonianSchedule:
 
     @property
     def is_constant(self) -> bool:
-        return self._kind == "constant"
-
-    @property
-    def kind(self) -> str:
-        return self._kind
+        return self.base is not None and self.profile is None
 
     def base_eig(self):
         """Cached eigendecomposition of the constant/profile base matrix."""
-        if self._matrix is None:
+        if self.base is None:
             raise ValueError("schedule has no base matrix")
         if self._eig is None:
-            self._eig = linalg.eigh(self._matrix, check_hermitian=False)
+            self._eig = linalg.eigh(self.base, check_hermitian=False)
         return self._eig
 
     def sample(self, t: float) -> np.ndarray:
         """Raw Hermitian ndarray H(t) (hot-path evaluation)."""
-        if self._kind == "constant":
-            return self._matrix
-        if self._kind == "scalar_profile":
-            return float(self._profile(t)) * self._matrix
-        if self._kind == "callable":
-            return hermitize(linalg.require_hermitian(self._fn(t), f"H({t})"))
-        return self._interp(t)
-
-    def _interp(self, t: float) -> np.ndarray:
-        grid, table = self._grid, self._table
-        n_iv = grid.size - 1
-        step = grid[1] - grid[0]
-        if self.period is not None:
-            t = t % self.period
-        s = t / step
-        j0 = int(np.floor(s))
-        u = s - j0
-        if self.period is not None:
-            idx = [(j0 + off) % n_iv for off in (-1, 0, 1, 2)]
-        else:
-            if t < grid[0] - 1e-9 * step or t > grid[-1] + 1e-9 * step:
-                raise ValueError(
-                    f"t={t} outside tabulated range [0, {grid[-1]}]")
-            j0 = min(max(j0, 1), n_iv - 2)
-            u = s - j0
-            idx = [j0 - 1, j0, j0 + 1, j0 + 2]
-        w = (
-            -u * (u - 1.0) * (u - 2.0) / 6.0,
-            (u * u - 1.0) * (u - 2.0) / 2.0,
-            -u * (u + 1.0) * (u - 2.0) / 2.0,
-            u * (u * u - 1.0) / 6.0,
-        )
-        out = w[0] * table[idx[0]]
-        for c, j in zip(w[1:], idx[1:]):
-            if c != 0.0:
-                out += c * table[j]
-        return hermitize(out)
+        return self._fn(t)
 
     def __repr__(self):
-        return (f"HamiltonianSchedule(kind={self._kind!r}, dim={self.dim}, "
+        return (f"HamiltonianSchedule(dim={self.dim}, "
                 f"period={self.period}, label={self.label!r})")
+
+
+def _interp(grid: np.ndarray, table: np.ndarray, period, t: float):
+    """Cubic Lagrange interpolation of ``table`` on the uniform ``grid``."""
+    n_iv = grid.size - 1
+    step = grid[1] - grid[0]
+    if period is not None:
+        t = t % period
+    s = t / step
+    j0 = int(np.floor(s))
+    u = s - j0
+    if period is not None:
+        idx = [(j0 + off) % n_iv for off in (-1, 0, 1, 2)]
+    else:
+        if t < grid[0] - 1e-9 * step or t > grid[-1] + 1e-9 * step:
+            raise ValueError(
+                f"t={t} outside tabulated range [0, {grid[-1]}]")
+        j0 = min(max(j0, 1), n_iv - 2)
+        u = s - j0
+        idx = [j0 - 1, j0, j0 + 1, j0 + 2]
+    w = (
+        -u * (u - 1.0) * (u - 2.0) / 6.0,
+        (u * u - 1.0) * (u - 2.0) / 2.0,
+        -u * (u + 1.0) * (u - 2.0) / 2.0,
+        u * (u * u - 1.0) / 6.0,
+    )
+    out = w[0] * table[idx[0]]
+    for c, j in zip(w[1:], idx[1:]):
+        if c != 0.0:
+            out += c * table[j]
+    return hermitize(out)
 
 
 def grid_index(grid: np.ndarray, t: float) -> int:
@@ -411,15 +391,12 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
     ToleranceNotMet
         If an interval still exceeds ``tol`` after maximal splitting.
     """
+    if schedule.is_constant:
+        return _spectral_path(schedule.base_eig(), grid[keep]), 0.0, 0.0
+
     dim = schedule.dim
     samples = np.empty((keep.size, dim, dim), dtype=complex)
     samples[0] = np.eye(dim)
-    if schedule.is_constant:
-        w, v = schedule.base_eig()
-        for row, k in enumerate(keep[1:], start=1):
-            samples[row] = linalg.spectral_exp(w, v, grid[k])
-        return samples, 0.0, 0.0
-
     keep_set = {int(k): row for row, k in enumerate(keep)}
     u = np.eye(dim, dtype=complex)
     eye = np.eye(dim)
@@ -438,6 +415,21 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         if row is not None:
             samples[row] = u
     return samples, err_max, drift_max
+
+
+def _spectral_path(eig, times: np.ndarray) -> np.ndarray:
+    """``exp(-i F_k B)`` for each ``F_k`` of ``times`` (``times[0] = 0``).
+
+    ``eig = (w, v)`` is the eigendecomposition of ``B``; row 0 is the
+    identity.
+    """
+    w, v = eig
+    dim = v.shape[0]
+    out = np.empty((times.size, dim, dim), dtype=complex)
+    out[0] = np.eye(dim)
+    for row in range(1, times.size):
+        out[row] = linalg.spectral_exp(w, v, times[row])
+    return out
 
 
 def _resolve_store(grid: np.ndarray, store) -> np.ndarray:
@@ -554,22 +546,18 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
                     f"at grid point t={t:.9g}")
 
     # zero schedule -> exact identity transformation, bit-identical samples
-    if y.is_constant and not np.any(y.sample(0.0)):
+    if y.is_constant and not np.any(y.base):
         return UnitaryPath(grid, path.samples,
                            tol_achieved=path.tol_achieved,
                            drift_max=path.drift_max)
 
-    if y.kind == "scalar_profile":
+    if y.profile is not None:
         # V(t) = exp(-i F(t) Y0): exact up to the quadrature of F
         from scipy.integrate import cumulative_simpson
-        f_vals = np.array([float(y._profile(t)) for t in grid])
+        f_vals = np.array([float(y.profile(t)) for t in grid])
         f_cum = np.concatenate(
             ([0.0], cumulative_simpson(f_vals, x=grid)))
-        w, vec = y.base_eig()
-        v_samples = np.empty_like(path.samples)
-        v_samples[0] = np.eye(path.dim)
-        for k in range(1, grid.size):
-            v_samples[k] = linalg.spectral_exp(w, vec, f_cum[k])
+        v_samples = _spectral_path(y.base_eig(), f_cum)
         err_max = v_drift = 0.0
     else:
         v_samples, err_max, v_drift = propagate(y, grid, tol,

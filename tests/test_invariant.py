@@ -224,12 +224,15 @@ class TestLvnResidual:
         with pytest.raises(GridTooCoarse):
             lvn_residual(inv, HamiltonianSchedule.constant(np.eye(2)))
 
-    @pytest.mark.parametrize("rows", [8, 10])
+    @pytest.mark.parametrize("shape", [(8, 2, 2), (10, 2, 2), (9, 2), (9,)],
+                             ids=["8", "10", "9x2", "9"])
     @pytest.mark.parametrize("kind", ["array", "generator"])
-    def test_defect_rejects_row_count_mismatch(self, rows, kind):
+    def test_defect_rejects_row_count_mismatch(self, shape, kind):
+        # wrong row counts, and rows of the wrong shape that would
+        # broadcast against the 2 x 2 bracket
         grid = np.linspace(0, 1, 9)
         inv = InvariantPath(grid, np.stack([np.eye(2, dtype=complex)] * 9))
-        didt = np.zeros((rows, 2, 2), dtype=complex)
+        didt = np.zeros(shape, dtype=complex)
         if kind == "generator":
             didt = (row for row in didt)
         with pytest.raises(DimensionMismatch):

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invphase.errors import SymmetryViolation, ToleranceNotMet
-from invphase.linalg import OperatorMatrix, expm_igen, frob
+from invphase import linalg
+from invphase.errors import (
+    NonHermitianInput,
+    SymmetryViolation,
+    ToleranceNotMet,
+)
+from invphase.linalg import OperatorMatrix, expm_igen, frob, hermitize
 from invphase.propagator import (
     HamiltonianSchedule,
     UnitaryPath,
@@ -34,7 +39,6 @@ class TestSchedule:
             HamiltonianSchedule.from_callable(fn, 2, period=1.0)
 
     def test_callable_must_be_hermitian(self):
-        from invphase.errors import NonHermitianInput
         bad = lambda t: np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianInput):
             HamiltonianSchedule.from_callable(bad, 2)
@@ -69,6 +73,148 @@ class TestSchedule:
         base = np.diag([1.0, 3.0])
         sched = HamiltonianSchedule.scalar_profile(np.sin, base)
         assert np.allclose(sched.sample(0.7), np.sin(0.7) * base)
+        assert sched.profile is np.sin and not sched.is_constant
+        assert np.array_equal(sched.base, base)
+        assert not sched.base.flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param([[0.0, 1.0], [0.0, 0.0]], id="non-hermitian"),
+        pytest.param([[np.nan, 0.0], [0.0, 1.0]], id="non-finite"),
+    ])
+    def test_sampled_checks_every_sample(self, bad):
+        # index 1 is none of the first, middle and last samples
+        grid = np.linspace(0.0, 1.0, 9)
+        table = np.stack([np.eye(2, dtype=complex)] * 9)
+        table[1] = bad
+        with pytest.raises(NonHermitianInput, match="sample 1:"):
+            HamiltonianSchedule.from_samples(grid, table)
+
+
+_ENTRIES = np.array([0.0, -0.0, 1.0, -0.5, 0.75, 2.0])
+
+
+def _signed_zero_hermitian(rng, dim):
+    """Exactly Hermitian matrix whose entries include signed zeros."""
+    def draw():
+        pick = _ENTRIES[rng.integers(_ENTRIES.size, size=(dim, dim))]
+        return np.where(rng.random((dim, dim)) < 0.5, pick,
+                        rng.normal(size=(dim, dim)))
+    re, im = draw(), draw()
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    h = np.empty((dim, dim), dtype=complex)
+    h.real = np.where(upper, re, re.T)
+    h.imag = np.where(upper, im, -im.T)
+    np.fill_diagonal(h.imag, 0.0 * im.diagonal())
+    return h
+
+
+def _reference_interp(grid, table, period, t):
+    """Cubic Lagrange evaluation as the string-dispatched schedule did it."""
+    n_iv = grid.size - 1
+    step = grid[1] - grid[0]
+    if period is not None:
+        t = t % period
+    s = t / step
+    j0 = int(np.floor(s))
+    u = s - j0
+    if period is not None:
+        idx = [(j0 + off) % n_iv for off in (-1, 0, 1, 2)]
+    else:
+        if t < grid[0] - 1e-9 * step or t > grid[-1] + 1e-9 * step:
+            raise ValueError(
+                f"t={t} outside tabulated range [0, {grid[-1]}]")
+        j0 = min(max(j0, 1), n_iv - 2)
+        u = s - j0
+        idx = [j0 - 1, j0, j0 + 1, j0 + 2]
+    w = (
+        -u * (u - 1.0) * (u - 2.0) / 6.0,
+        (u * u - 1.0) * (u - 2.0) / 2.0,
+        -u * (u + 1.0) * (u - 2.0) / 2.0,
+        u * (u * u - 1.0) / 6.0,
+    )
+    out = w[0] * table[idx[0]]
+    for c, j in zip(w[1:], idx[1:]):
+        if c != 0.0:
+            out += c * table[j]
+    return hermitize(out)
+
+
+def _reference_sample(kind, parts, t):
+    """``sample(t)`` as the string-dispatched schedule computed it."""
+    if kind == "constant":
+        return parts["matrix"]
+    if kind == "scalar_profile":
+        return float(parts["profile"](t)) * parts["matrix"]
+    if kind == "callable":
+        return hermitize(linalg.require_hermitian(parts["fn"](t), f"H({t})"))
+    return _reference_interp(parts["grid"], parts["table"], parts["period"],
+                             t)
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestScheduleStructure:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["constant", "callable", "scalar_profile",
+                                 "sampled", "sampled_periodic"]),
+           dim=st.integers(1, 6), n_pts=st.integers(4, 24),
+           t_max=st.sampled_from([1.0, 0.3, 2 * np.pi]),
+           seed=st.integers(0, 2**32 - 1),
+           offsets=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=6))
+    def test_sample_matches_string_dispatch(self, kind, dim, n_pts, t_max,
+                                            seed, offsets):
+        rng = np.random.default_rng(seed)
+        a = _signed_zero_hermitian(rng, dim)
+        b = _signed_zero_hermitian(rng, dim)
+        grid = np.linspace(0.0, t_max, n_pts)
+        periodic = kind in ("sampled_periodic", "scalar_profile")
+        period = t_max if periodic else None
+        parts = {}
+        if kind == "constant":
+            sched = HamiltonianSchedule.constant(a)
+        elif kind == "callable":
+            parts["fn"] = lambda t: np.cos(t) * a + t * b
+            sched = HamiltonianSchedule.from_callable(parts["fn"], dim)
+        elif kind == "scalar_profile":
+            parts["profile"] = lambda t: np.cos(2 * np.pi * t / t_max)
+            sched = HamiltonianSchedule.scalar_profile(
+                parts["profile"], a, period=period)
+        else:
+            table = np.stack([np.cos(t) * a + np.sin(3 * t) * b
+                              for t in grid])
+            if periodic:
+                table[-1] = table[0]
+            sched = HamiltonianSchedule.from_samples(grid, table,
+                                                     period=period)
+            parts.update(grid=grid, period=period,
+                         table=0.5 * (table + np.conj(np.swapaxes(table, 1,
+                                                                  2))))
+        if kind in ("constant", "scalar_profile"):
+            parts["matrix"] = hermitize(a)
+            assert _same_bits(sched.base, parts["matrix"])
+            for x, y in zip(sched.base_eig(),
+                            linalg.eigh(parts["matrix"],
+                                        check_hermitian=False)):
+                assert _same_bits(x, y)
+        else:
+            assert sched.base is None
+            with pytest.raises(ValueError):
+                sched.base_eig()
+        assert sched.is_constant == (kind == "constant")
+        assert sched.profile is parts.get("profile")
+
+        # every grid point (exact zero Lagrange weights), the end points
+        # and inner points; periodic tables also before 0 and past a period
+        inner = [t_max * (0.5 + x / 5.0) for x in offsets]
+        ts = [*grid, *inner]
+        if kind == "sampled_periodic" or not kind.startswith("sampled"):
+            ts += [t_max * x for x in offsets] + [-t_max, 3 * t_max]
+        for t in ts:
+            assert _same_bits(sched.sample(t),
+                              _reference_sample(kind, parts, t)), t
 
 
 class TestEvolve:
