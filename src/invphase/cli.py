@@ -45,7 +45,6 @@ work counters instead).  Exit codes: 0 all checks pass, 1 a check failed,
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import itertools
 import json
@@ -348,6 +347,15 @@ def _fmt(value) -> str:
     return format(float(value) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
 
 
+def _phase_rows(grid, levels, delta, gamma, fidelity) -> list:
+    """``phases.csv`` rows, one per grid point and level label; ``delta``,
+    ``gamma`` and ``fidelity`` are ``(points, levels)`` arrays."""
+    total = wrap_angle(delta + gamma)
+    return [(_fmt(t), str(n), _fmt(delta[i, j]), _fmt(gamma[i, j]),
+             _fmt(total[i, j]), _fmt(fidelity[i, j]))
+            for i, t in enumerate(grid) for j, n in enumerate(levels)]
+
+
 def _write_csv(path, header, rows) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -407,25 +415,15 @@ def _oscillator_phases(config, report):
     grid = np.linspace(0.0, config.t_max, config.steps + 1)
 
     a_series, e_series = _w_column_series(params, fock_kt, grid, N_LEVELS)
-    delta = -np.concatenate(
-        (np.zeros((1, N_LEVELS)),
-         cumulative_simpson(e_series, x=grid, axis=0)))
-    gamma = np.concatenate(
-        (np.zeros((1, N_LEVELS)),
-         cumulative_simpson(a_series, x=grid, axis=0)))
+    delta = -cumulative_simpson(e_series, x=grid, axis=0, initial=0)
+    gamma = cumulative_simpson(a_series, x=grid, axis=0, initial=0)
 
     k_diag = np.diag(fock_k.K.array).real
     _, vecs = fock_k.cached_eig("I0", fock_k.I0)
     weights = (np.abs(vecs[:, :N_LEVELS]) ** 2).astype(complex)
     fidelity = np.abs(np.exp(-1j * np.outer(grid, k_diag)) @ weights)
 
-    csv_rows = []
-    for i, t in enumerate(grid):
-        for n in range(N_LEVELS):
-            csv_rows.append((_fmt(t), str(n), _fmt(delta[i, n]),
-                             _fmt(gamma[i, n]),
-                             _fmt(wrap_angle(delta[i, n] + gamma[i, n])),
-                             _fmt(fidelity[i, n])))
+    csv_rows = _phase_rows(grid, range(N_LEVELS), delta, gamma, fidelity)
 
     rows = []
     for state in oscillator.cyclic_basis_evolution(params, fock_k,
@@ -587,17 +585,12 @@ def _generic_phases(config, report, tol):
     w0 = frame.initial()
     levels = [n for n in range(frame.n_blocks)
               if frame.degeneracies[n] == 1][:N_LEVELS]
-    csv_rows = []
-    for i, t in enumerate(grid):
-        u_t = u_path.samples[i]
-        for n in levels:
-            col = w0[:, frame.block_slice(n)][:, 0]
-            amp = np.vdot(col, u_t @ col)
-            d_val = record.delta_angle[n][i]
-            g_val = record.gamma_angle[n][i]
-            csv_rows.append((_fmt(t), str(n), _fmt(d_val), _fmt(g_val),
-                             _fmt(wrap_angle(d_val + g_val)),
-                             _fmt(abs(amp))))
+    cols = [w0[:, frame.block_slice(n)][:, 0] for n in levels]
+    fidelity = np.array([[abs(np.vdot(col, u_t @ col)) for col in cols]
+                         for u_t in u_path.samples])
+    csv_rows = _phase_rows(
+        grid, levels, np.array([record.delta_angle[n] for n in levels]).T,
+        np.array([record.gamma_angle[n] for n in levels]).T, fidelity)
 
     # 4th-order dI/dt: the h^2 error of a 2nd-order one alone exceeds
     # RESIDUAL_TOL on correct cranked runs at 1024-4096 steps
@@ -657,8 +650,7 @@ def sweep(config: ScenarioConfig) -> tuple:
         entry.update({k: float(v) for k, v in zip(axes, combo)})
         points.append((entry, config.n_trunc))
 
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        results = list(pool.map(_sweep_point, points))
+    results = [_sweep_point(point) for point in points]
 
     report = RunReport(label=config.label, kind=config.kind)
     header = ("M", "Omega", "m", "omega", "mu", "nu", "delta0_T",

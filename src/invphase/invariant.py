@@ -141,8 +141,7 @@ class InvariantPath:
         w0 = np.linalg.eigvalsh(hermitize(self.samples[0]))
         worst = 0.0
         for _, chunk in _row_chunks(self.samples[1:]):
-            w = np.linalg.eigvalsh(
-                0.5 * (chunk + chunk.conj().swapaxes(-1, -2)))
+            w = np.linalg.eigvalsh(hermitize(chunk))
             worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
         return worst
 
@@ -304,15 +303,6 @@ def _per_point(grid: np.ndarray, rows):
         ) from exc
 
 
-def _unitary_fractional_powers(u: np.ndarray, fractions: np.ndarray):
-    """Powers u**f for a small unitary u, via its complex Schur form."""
-    t, q = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diag(t))
-    return [
-        (q * np.exp(1j * phases * f)) @ q.conj().T for f in fractions
-    ]
-
-
 def eigenframe(invariant: InvariantPath,
                enforce_periodic: bool = False) -> InvariantFrame:
     """Smooth single-valued eigenframe of an invariant path.
@@ -324,8 +314,10 @@ def eigenframe(invariant: InvariantPath,
     to the parallel-transport convention ``<v_k|v_{k+1}>`` real positive.
     When ``enforce_periodic`` is set and the invariant is periodic, the
     per-block holonomy accumulated over the loop is redistributed
-    uniformly (step ``k`` multiplied by the holonomy to the power ``k/K``)
-    so the frame closes exactly while staying smooth.
+    uniformly (step ``k`` multiplied by the holonomy to the power ``k/K``,
+    taken from the holonomy's complex Schur form ``Q T Q^H`` as
+    ``Q exp(i arg(diag T) k/K) Q^H``) so the frame closes exactly while
+    staying smooth.
 
     Raises
     ------
@@ -402,10 +394,10 @@ def eigenframe(invariant: InvariantPath,
                 frames[:, :, st] *= np.exp(1j * theta * ks / n_iv)[:, None]
             else:
                 hol = frames[-1][:, sl].conj().T @ frames[0][:, sl]
-                hol = linalg.polar_unitary(hol)
-                powers = _unitary_fractional_powers(hol, ks / n_iv)
-                for k in range(n_pts):
-                    frames[k][:, sl] = frames[k][:, sl] @ powers[k]
+                tri, q = scipy.linalg.schur(linalg.polar_unitary(hol),
+                                            output="complex")
+                frames[:, :, sl] = frames[:, :, sl] @ linalg.spectral_exp(
+                    -np.angle(np.diag(tri)), q, ks / n_iv)
             frames[-1][:, sl] = frames[0][:, sl]  # close exactly
         periodic = True
 

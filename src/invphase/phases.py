@@ -223,14 +223,10 @@ def abelian_phases(record: PhaseRecord, n: int = None) -> PhaseRecord:
             record.require_nondegenerate(m)
         elif record.degeneracies[m] != 1:
             continue
-        e_series = record.E[m][:, 0, 0].real
-        a_series = record.A[m][:, 0, 0].real
-        delta = -np.concatenate(
-            ([0.0], cumulative_simpson(e_series, x=record.grid)))
-        gamma = np.concatenate(
-            ([0.0], cumulative_simpson(a_series, x=record.grid)))
-        record.delta_angle[m] = delta
-        record.gamma_angle[m] = gamma
+        record.delta_angle[m] = -cumulative_simpson(
+            record.E[m][:, 0, 0].real, x=record.grid, initial=0)
+        record.gamma_angle[m] = cumulative_simpson(
+            record.A[m][:, 0, 0].real, x=record.grid, initial=0)
     return record
 
 

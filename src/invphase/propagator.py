@@ -35,6 +35,7 @@ Design notes
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 
 from . import linalg
 from .errors import (
@@ -86,7 +87,9 @@ class HamiltonianSchedule:
     Parameters validated on construction: every tabulated sample, and every
     sample a callable returns, is Hermitian (defect at most
     ``1e-12 * max(1, max|H|)``), and when a ``period`` is declared,
-    ``||H(t+T) - H(t)||_F <= 1e-10 * ||H(t)||_F`` on probe points.
+    ``||H(t+T) - H(t)||_F`` is at most ``1e-10`` times the largest
+    ``||H||_F`` among the probed samples (the whole table of a sampled
+    schedule), so a schedule that vanishes at a probe point still passes.
     """
 
     def __init__(self):
@@ -170,14 +173,15 @@ class HamiltonianSchedule:
         for k, sample in enumerate(table):
             linalg.require_hermitian(sample, f"sample {k}")
         period = cls._check_period(period)
-        table = 0.5 * (table + np.conj(np.swapaxes(table, 1, 2)))
+        table = hermitize(table)
         if period is not None:
             if not np.isclose(period, grid[-1], rtol=1e-12):
                 raise ValueError(
                     "periodic sampled schedule must be tabulated over "
                     "exactly one period")
             wrap = frob(table[-1] - table[0])
-            if wrap > 1e-10 * max(frob(table[0]), 1e-300):
+            scale = float(np.linalg.norm(table, axis=(1, 2)).max())
+            if wrap > 1e-10 * max(scale, 1e-300):
                 raise ValueError(
                     f"samples at t=0 and t=period differ by {wrap:.3e}")
         return cls._make(lambda t: _interp(grid, table, period, t),
@@ -199,10 +203,11 @@ class HamiltonianSchedule:
     def _check_periodicity(self):
         if self.period is None:
             return
-        for t in (0.0, 0.31 * self.period, 0.77 * self.period):
-            a = self.sample(t)
-            b = self.sample(t + self.period)
-            ref = max(frob(a), 1e-300)
+        times = (0.0, 0.31 * self.period, 0.77 * self.period)
+        pairs = [(self.sample(t), self.sample(t + self.period))
+                 for t in times]
+        ref = max(max(frob(m) for pair in pairs for m in pair), 1e-300)
+        for t, (a, b) in zip(times, pairs):
             if frob(b - a) > 1e-10 * ref:
                 raise ValueError(
                     f"declared period {self.period} violated at t={t}: "
@@ -392,7 +397,9 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         If an interval still exceeds ``tol`` after maximal splitting.
     """
     if schedule.is_constant:
-        return _spectral_path(schedule.base_eig(), grid[keep]), 0.0, 0.0
+        samples = linalg.spectral_exp(*schedule.base_eig(), grid[keep])
+        samples[0] = np.eye(schedule.dim)
+        return samples, 0.0, 0.0
 
     dim = schedule.dim
     samples = np.empty((keep.size, dim, dim), dtype=complex)
@@ -415,21 +422,6 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         if row is not None:
             samples[row] = u
     return samples, err_max, drift_max
-
-
-def _spectral_path(eig, times: np.ndarray) -> np.ndarray:
-    """``exp(-i F_k B)`` for each ``F_k`` of ``times`` (``times[0] = 0``).
-
-    ``eig = (w, v)`` is the eigendecomposition of ``B``; row 0 is the
-    identity.
-    """
-    w, v = eig
-    dim = v.shape[0]
-    out = np.empty((times.size, dim, dim), dtype=complex)
-    out[0] = np.eye(dim)
-    for row in range(1, times.size):
-        out[row] = linalg.spectral_exp(w, v, times[row])
-    return out
 
 
 def _resolve_store(grid: np.ndarray, store) -> np.ndarray:
@@ -552,12 +544,11 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
                            drift_max=path.drift_max)
 
     if y.profile is not None:
-        # V(t) = exp(-i F(t) Y0): exact up to the quadrature of F
-        from scipy.integrate import cumulative_simpson
+        # V(t) = exp(-i F(t) Y0): exact up to the quadrature of F; row 0
+        # of the product is set to the identity below
         f_vals = np.array([float(y.profile(t)) for t in grid])
-        f_cum = np.concatenate(
-            ([0.0], cumulative_simpson(f_vals, x=grid)))
-        v_samples = _spectral_path(y.base_eig(), f_cum)
+        v_samples = linalg.spectral_exp(
+            *y.base_eig(), cumulative_simpson(f_vals, x=grid, initial=0))
         err_max = v_drift = 0.0
     else:
         v_samples, err_max, v_drift = propagate(y, grid, tol,

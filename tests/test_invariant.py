@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from invphase import invariant
@@ -26,7 +27,8 @@ from invphase.invariant import (
     symmetry_check,
     transport,
 )
-from invphase.linalg import comm_norm, expm_igen, frob, hermitize
+from invphase.linalg import (comm_norm, expm_igen, frob, hermitize,
+                             polar_unitary)
 from invphase.propagator import (HamiltonianSchedule, UnitaryPath, evolve,
                                  uniform_spacing)
 
@@ -274,7 +276,66 @@ class TestLvnResidual:
         assert max(peaks) < 0.25 * path.samples.nbytes
 
 
+def reference_closure(frame):
+    """The per-grid-point periodic closure loop, applied to an open frame:
+    each block times its holonomy to the power ``k/K`` at step ``k``."""
+    frames = frame.frames.copy()
+    n_iv = frames.shape[0] - 1
+    ks = np.arange(n_iv + 1)
+    for n in range(frame.n_blocks):
+        sl = frame.block_slice(n)
+        if sl.stop - sl.start == 1:
+            col = sl.start
+            theta = float(np.angle(np.vdot(frames[-1][:, col],
+                                           frames[0][:, col])))
+            frames[:, :, col] *= np.exp(1j * theta * ks / n_iv)[:, None]
+        else:
+            hol = polar_unitary(frames[-1][:, sl].conj().T @ frames[0][:, sl])
+            tri, q = scipy.linalg.schur(hol, output="complex")
+            phases = np.angle(np.diag(tri))
+            for k, f in enumerate(ks / n_iv):
+                power = (q * np.exp(1j * phases * f)) @ q.conj().T
+                frames[k][:, sl] = frames[k][:, sl] @ power
+        frames[-1][:, sl] = frames[0][:, sl]
+    return frames
+
+
+@st.composite
+def degenerate_periodic_paths(draw):
+    """``I(t) = e^{-iKt} I0 e^{iKt}`` over one period ``2 pi`` of an
+    integer-spectrum crank ``K``, with ``I0`` having a repeated level."""
+    sizes = [draw(st.integers(2, 3))] + draw(
+        st.lists(st.integers(1, 3), max_size=2))
+    dim = sum(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pts = draw(st.integers(24, 80))
+
+    def basis():
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return np.linalg.qr(g)[0]
+
+    q = basis()
+    k = (q * rng.integers(-1, 2, size=dim)) @ q.conj().T
+    levels = np.repeat(1.5 * np.arange(len(sizes)) + rng.random(), sizes)
+    q = basis()
+    i0 = (q * rng.permutation(levels)) @ q.conj().T
+    grid = np.linspace(0.0, 2 * np.pi, n_pts)
+    samples = []
+    for t in grid:
+        e = expm_igen(k, t)
+        samples.append(e @ i0 @ e.conj().T)
+    return InvariantPath(grid, np.array(samples))
+
+
 class TestEigenframe:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(path=degenerate_periodic_paths())
+    def test_periodic_closure_matches_per_point_loop(self, path):
+        closed = eigenframe(path, enforce_periodic=True)
+        assert closed.periodic and np.any(closed.degeneracies > 1)
+        ref = reference_closure(eigenframe(path))
+        assert closed.frames.tobytes() == ref.tobytes()
+
     def test_constant_diagonal(self):
         grid = np.linspace(0, 1, 8)
         i0 = np.diag([1.0, 2.0, 3.0]).astype(complex)

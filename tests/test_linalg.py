@@ -397,3 +397,70 @@ class TestHelpers:
 
     def test_frob(self):
         assert np.isclose(linalg.frob(np.eye(3)), np.sqrt(3))
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _reference_spectral_path(w, v, times):
+    """The per-time loop that built ``exp(-i F_k B)`` before
+    ``spectral_exp`` took an array of times (row 0 is the identity)."""
+    out = np.empty((times.size,) + v.shape, dtype=complex)
+    out[0] = np.eye(v.shape[0])
+    for row in range(1, times.size):
+        out[row] = (v * np.exp(-1j * w * times[row])) @ v.conj().T
+    return out
+
+
+class TestStackedHelpers:
+    """Array-valued ``spectral_exp`` and stacked ``hermitize`` give the bits
+    of the loops they replace."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           degenerate=st.booleans(),
+           times=st.lists(st.floats(-40.0, 40.0), max_size=10))
+    def test_spectral_exp_on_times_matches_loops(self, dim, seed, degenerate,
+                                                 times):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if degenerate:   # integer levels, most of them repeated
+            q, _ = np.linalg.qr(g)
+            a = (q * rng.integers(-2, 3, size=dim)) @ q.conj().T
+        else:
+            a = g + g.conj().T
+        w, v = eigh(linalg.hermitize(a))
+        times = np.array([0.0, -0.0, *times, -2.5])
+        got = linalg.spectral_exp(w, v, times)
+        ref = _reference_spectral_path(w, v, times)
+        assert _same_bits(got[1:], ref[1:])
+        per_time = np.array([linalg.spectral_exp(w, v, float(t))
+                             for t in times])
+        assert _same_bits(got, per_time)
+        grid = linalg.spectral_exp(w, v, times.reshape(1, -1))
+        assert _same_bits(grid, per_time[None])
+
+    def test_spectral_exp_of_zero_dim_time_is_one_matrix(self):
+        w, v = eigh(np.array([[1.0, 2.0], [2.0, -1.0]]))
+        for t in (np.array(0.7), 1, np.float32(0.5)):
+            assert _same_bits(linalg.spectral_exp(w, v, t),
+                              linalg.spectral_exp(w, v, float(t)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lead=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+           dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_hermitize_stack_matches_per_matrix_loop(self, lead, dim, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, dim, dim)
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack[rng.random(shape) < 0.2] *= -0.0     # signed zeros
+        ref = np.empty_like(stack)
+        for idx in np.ndindex(*lead):
+            ref[idx] = 0.5 * (stack[idx] + stack[idx].conj().T)
+        assert _same_bits(linalg.hermitize(stack), ref)
+
+    def test_hermitize_rejects_non_square_stack(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.hermitize(np.zeros((3, 1, 2), dtype=complex))

@@ -38,6 +38,34 @@ class TestSchedule:
         with pytest.raises(ValueError):
             HamiltonianSchedule.from_callable(fn, 2, period=1.0)
 
+    @pytest.mark.parametrize("form", ["scalar_profile", "callable",
+                                      "samples"])
+    def test_periodic_schedule_vanishing_at_zero_accepted(self, form):
+        # H(0) = 0: the defect is measured against the largest probed
+        # ||H||_F, not against ||H(0)||_F (rounding read as 3.5e284)
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        grid = np.linspace(0.0, 1.0, 9)
+        if form == "scalar_profile":
+            HamiltonianSchedule.scalar_profile(
+                lambda t: np.sin(2 * np.pi * t), x, period=1.0)
+        elif form == "callable":
+            HamiltonianSchedule.from_callable(
+                lambda t: np.sin(t) * x, 2, period=2 * np.pi)
+        else:
+            HamiltonianSchedule.from_samples(
+                grid, [np.sin(2 * np.pi * t) * x for t in grid], period=1.0)
+
+    def test_wrong_periods_still_rejected(self):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="declared period 0.7"):
+            HamiltonianSchedule.scalar_profile(
+                lambda t: np.sin(2 * np.pi * t), x, period=0.7)
+        grid = np.linspace(0.0, 1.0, 9)
+        table = np.array([np.cos(2 * np.pi * t) * x for t in grid])
+        table[-1] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="differ"):
+            HamiltonianSchedule.from_samples(grid, table, period=1.0)
+
     def test_callable_must_be_hermitian(self):
         bad = lambda t: np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianInput):
