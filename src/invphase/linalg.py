@@ -72,14 +72,13 @@ def frob(a) -> float:
 
 def hermitize(a) -> np.ndarray:
     """Hermitian part (A + A^dagger)/2 of a matrix, or of every matrix of
-    a ``(..., d, d)`` ndarray stack."""
-    if isinstance(a, np.ndarray) and a.ndim > 2:
-        if a.shape[-1] != a.shape[-2]:
-            raise DimensionMismatch(
-                f"expected a stack of square matrices, got shape {a.shape}")
-        return 0.5 * (a + a.conj().swapaxes(-1, -2))
-    arr = as_matrix(a)
-    return 0.5 * (arr + arr.conj().T)
+    a ``(..., d, d)`` stack, as a complex ndarray."""
+    arr = np.asarray(a.array if isinstance(a, OperatorMatrix) else a,
+                     dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(
+            f"expected square matrices, got shape {arr.shape}")
+    return 0.5 * (arr + arr.conj().swapaxes(-1, -2))
 
 
 def herm_defect(a) -> float:
@@ -298,15 +297,14 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
 def spectral_exp(w, v, t) -> np.ndarray:
     """``exp(-1j * t * A)`` from the eigendecomposition ``A = v diag(w) v^H``.
 
-    ``t`` is a real scalar, or an array of times: the exponentials are then
-    stacked along leading axes of ``t``'s shape, each with the bits of its
-    scalar call.  ``v`` must be unitary (columns orthonormal); every result
-    is then unitary to machine precision for any real ``t``.
+    ``t`` is a real scalar or an array of times; one exponential per time
+    is stacked along the leading axes of ``t``'s shape (none for a scalar).
+    ``v`` must be unitary (columns orthonormal); every result is then
+    unitary to machine precision for any real ``t``.
     """
-    if isinstance(t, float):             # one time, as in every integrator step
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-    phases = np.exp(-1j * w * np.asarray(t, dtype=float)[..., None])
-    return (v * phases[..., None, :]) @ v.conj().T
+    if not isinstance(t, float):         # a float needs no broadcast axes
+        t = np.asarray(t, dtype=float)[..., None, None]
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def comm(a, b) -> np.ndarray:

@@ -404,13 +404,18 @@ def _same_bits(a, b):
             and a.tobytes() == b.tobytes())
 
 
+def _reference_spectral_exp(w, v, t):
+    """The one-time ``spectral_exp`` before it took an array of times."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
 def _reference_spectral_path(w, v, times):
     """The per-time loop that built ``exp(-i F_k B)`` before
     ``spectral_exp`` took an array of times (row 0 is the identity)."""
     out = np.empty((times.size,) + v.shape, dtype=complex)
     out[0] = np.eye(v.shape[0])
     for row in range(1, times.size):
-        out[row] = (v * np.exp(-1j * w * times[row])) @ v.conj().T
+        out[row] = _reference_spectral_exp(w, v, times[row])
     return out
 
 
@@ -436,17 +441,19 @@ class TestStackedHelpers:
         got = linalg.spectral_exp(w, v, times)
         ref = _reference_spectral_path(w, v, times)
         assert _same_bits(got[1:], ref[1:])
-        per_time = np.array([linalg.spectral_exp(w, v, float(t))
+        per_time = np.array([_reference_spectral_exp(w, v, float(t))
                              for t in times])
+        assert all(_same_bits(linalg.spectral_exp(w, v, float(t)), ref_t)
+                   for t, ref_t in zip(times, per_time))
         assert _same_bits(got, per_time)
         grid = linalg.spectral_exp(w, v, times.reshape(1, -1))
         assert _same_bits(grid, per_time[None])
 
     def test_spectral_exp_of_zero_dim_time_is_one_matrix(self):
         w, v = eigh(np.array([[1.0, 2.0], [2.0, -1.0]]))
-        for t in (np.array(0.7), 1, np.float32(0.5)):
+        for t in (0.7, np.array(0.7), 1, np.float32(0.5)):
             assert _same_bits(linalg.spectral_exp(w, v, t),
-                              linalg.spectral_exp(w, v, float(t)))
+                              _reference_spectral_exp(w, v, float(t)))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(lead=st.lists(st.integers(0, 4), min_size=1, max_size=2),
@@ -462,5 +469,15 @@ class TestStackedHelpers:
         assert _same_bits(linalg.hermitize(stack), ref)
 
     def test_hermitize_rejects_non_square_stack(self):
-        with pytest.raises(DimensionMismatch):
-            linalg.hermitize(np.zeros((3, 1, 2), dtype=complex))
+        for shape in ((3, 1, 2), (2,), ()):
+            with pytest.raises(DimensionMismatch):
+                linalg.hermitize(np.zeros(shape, dtype=complex))
+
+    def test_hermitize_of_real_stack_or_wrapper_is_complex(self):
+        real = np.arange(8.0).reshape(2, 2, 2)
+        got = linalg.hermitize(real)
+        assert got.dtype == complex
+        assert _same_bits(got[1], linalg.hermitize(real[1]))
+        wrapped = OperatorMatrix(np.array([[1.0, 2j], [-2j, 3.0]]))
+        assert _same_bits(linalg.hermitize(wrapped),
+                          linalg.hermitize(wrapped.array))
