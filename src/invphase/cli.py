@@ -197,8 +197,8 @@ def load_config(path, *, steps=None, truncation=None) -> ScenarioConfig:
             if mat.shape[0] != dim:
                 raise ConfigError(tpath + ".matrix dim differs from "
                                   "earlier terms")
-            entry = {"matrix": mat,
-                     "const": float(term.get("const", 0.0))}
+            entry = {"matrix": mat, "const": (_number(term, "const", tpath)
+                                              if "const" in term else 0.0)}
             for osc_key in ("cos", "sin"):
                 pair = term.get(osc_key)
                 if pair is not None:
@@ -774,12 +774,8 @@ def main():
 
 
 _SHARED_OPTIONS = (
-    click.option("--steps", type=int, default=None,
-                 help="Override grid.steps."),
     click.option("--truncation", type=int, default=None,
                  help="Override truncation.N."),
-    click.option("--tol", type=float, default=1e-10,
-                 help="Integrator local-error budget."),
     click.option("--out-dir", type=click.Path(file_okay=False),
                  default=None, help="Redirect artifacts into a directory."),
     click.option("--json", "as_json", is_flag=True,
@@ -795,8 +791,11 @@ def _with_shared(fn):
 
 @main.command("run")
 @click.argument("config_path", type=click.Path())
+@click.option("--steps", type=int, default=None, help="Override grid.steps.")
 @_with_shared
-def run_cmd(config_path, steps, truncation, tol, out_dir, as_json):
+@click.option("--tol", type=float, default=1e-10,
+              help="Integrator local-error budget.")
+def run_cmd(config_path, steps, truncation, out_dir, as_json, tol):
     """Run the scenario described by CONFIG_PATH."""
     def body():
         config = load_config(config_path, steps=steps,
@@ -809,11 +808,10 @@ def run_cmd(config_path, steps, truncation, tol, out_dir, as_json):
 @main.command("sweep")
 @click.argument("config_path", type=click.Path())
 @_with_shared
-def sweep_cmd(config_path, steps, truncation, tol, out_dir, as_json):
+def sweep_cmd(config_path, truncation, out_dir, as_json):
     """Run only the parameter sweep of CONFIG_PATH."""
     def body():
-        config = load_config(config_path, steps=steps,
-                             truncation=truncation)
+        config = load_config(config_path, truncation=truncation)
         report, payload = sweep(config)
         csv_path, report_path = _resolve_paths(config, out_dir)
         _write_csv(csv_path, *payload)

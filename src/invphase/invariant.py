@@ -34,8 +34,8 @@ from .errors import (
     SymmetryViolation,
 )
 from .linalg import frob, hermitize
-from .propagator import (HamiltonianSchedule, UnitaryPath, grid_index,
-                         uniform_spacing)
+from .propagator import (HamiltonianSchedule, UnitaryPath,
+                         _commutator_defects, grid_index, uniform_spacing)
 
 __all__ = [
     "InvariantPath",
@@ -204,18 +204,21 @@ class InvariantFrame:
 
         Raises ``ComputeError``/``OverlapTooSmall`` on violation.
         """
-        dim = self.dim
-        eye = np.eye(dim)
-        lam = np.repeat(self.eigenvalues, self.degeneracies)
-        for k, w in enumerate(self.frames):
-            if frob(w.conj().T @ w - eye) > 1e-10 * dim:
-                raise ComputeError(f"frame not orthonormal at index {k}")
-            if invariant is not None:
-                i_k = invariant.samples[k]
-                res = frob(i_k @ w - w * lam)
-                if res > 1e-8 * max(frob(i_k), 1e-300):
-                    raise ComputeError(
-                        f"eigen-residual {res:.3e} too large at index {k}")
+        w = self.frames
+        gram = w.conj().swapaxes(1, 2) @ w - np.eye(self.dim)
+        bad = np.linalg.norm(gram, axis=(1, 2)) > 1e-10 * self.dim
+        res = bound = np.zeros(bad.size)
+        if invariant is not None:
+            s = invariant.samples
+            lam = np.repeat(self.eigenvalues, self.degeneracies)
+            res = np.linalg.norm(s @ w - w * lam, axis=(1, 2))
+            bound = 1e-8 * np.maximum(np.linalg.norm(s, axis=(1, 2)), 1e-300)
+        k = int(np.argmax(bad | (res > bound)))  # 0 when nothing fails
+        if bad[k]:
+            raise ComputeError(f"frame not orthonormal at index {k}")
+        if res[k] > bound[k]:
+            raise ComputeError(
+                f"eigen-residual {res[k]:.3e} too large at index {k}")
         if self.min_overlap < overlap_floor:
             raise OverlapTooSmall(
                 f"cross-step overlap {self.min_overlap:.4f} < {overlap_floor}")
@@ -413,17 +416,15 @@ def symmetry_check(x: HamiltonianSchedule, invariant: InvariantPath,
     ``SymmetryViolation`` (naming the offending grid point) beyond
     ``rel_tol * ||X(t)||_F``.
     """
-    worst = 0.0
-    for k, t in enumerate(invariant.grid):
-        xt = x.sample(t)
-        scale = max(frob(xt), 1e-300)
-        defect = linalg.comm_norm(invariant.samples[k], xt) / scale
-        worst = max(worst, defect)
-        if defect > rel_tol:
-            raise SymmetryViolation(
-                f"[I(t), X(t)] relative norm {defect:.3e} > {rel_tol:.1e} "
-                f"at grid point t={t:.9g}")
-    return worst
+    grid = invariant.grid
+    defects = _commutator_defects(invariant.samples,
+                                  np.array([x.sample(t) for t in grid]))
+    k = int(np.argmax(defects > rel_tol))
+    if defects[k] > rel_tol:
+        raise SymmetryViolation(
+            f"[I(t), X(t)] relative norm {defects[k]:.3e} > {rel_tol:.1e} "
+            f"at grid point t={grid[k]:.9g}")
+    return float(defects.max())
 
 
 def build_geq(h: HamiltonianSchedule, x: HamiltonianSchedule,
@@ -479,16 +480,13 @@ def frame_derivative(frames: np.ndarray, h: float,
     n_pts = frames.shape[0]
     if n_pts < 5:
         raise GridTooCoarse("4th-order differentiation needs >= 5 points")
-    out = np.empty_like(frames)
+    out = np.zeros_like(frames)
     if periodic:
         n_iv = n_pts - 1  # frames[n_iv] == frames[0]
-        for k in range(n_pts):
-            acc = np.zeros_like(frames[0])
-            for c, off in zip(_D1_INTERIOR, range(-2, 3)):
-                if c != 0.0:
-                    acc += c * frames[(k + off) % n_iv]
-            out[k] = acc / h
-        return out
+        for c, off in zip(_D1_INTERIOR, range(-2, 3)):
+            if c != 0.0:
+                out += frames[(np.arange(n_pts) + off) % n_iv] * c
+        return out / h
     out[2:-2] = (frames[:-4] - 8 * frames[1:-3] + 8 * frames[3:-1]
                  - frames[4:]) / (12 * h)
     for pos, (coeffs, base) in _D1_EDGE.items():
@@ -519,17 +517,11 @@ def hstar(frame: InvariantFrame) -> HamiltonianSchedule:
     if grid.size < 5:
         raise GridTooCoarse("hstar needs at least 5 grid points")
     h = uniform_spacing(grid)
-    wdot = frame_derivative(frame.frames, h, frame.periodic)
-    n_pts = grid.size
-    samples = np.empty_like(frame.frames)
-    worst_residual = 0.0
-    scale = 0.0
-    for k in range(n_pts):
-        raw = 1j * (wdot[k] @ frame.frames[k].conj().T)
-        herm = hermitize(raw)
-        worst_residual = max(worst_residual, frob(raw - herm))
-        scale = max(scale, frob(herm))
-        samples[k] = herm
+    raw = (frame_derivative(frame.frames, h, frame.periodic)
+           @ frame.frames.conj().swapaxes(1, 2)) * 1j
+    samples = hermitize(raw)
+    worst_residual = float(np.linalg.norm(raw - samples, axis=(1, 2)).max())
+    scale = float(np.linalg.norm(samples, axis=(1, 2)).max())
     if worst_residual > 1e-6 * scale + 1e-12:
         raise NonHermitianInput(
             f"anti-Hermitian residual {worst_residual:.3e} exceeds "
@@ -575,14 +567,13 @@ def gauge_transform(frame: InvariantFrame, z) -> tuple:
                 f"gauge array shape {z_samples.shape} does not match "
                 f"frames {frame.frames.shape}")
     lam = np.repeat(frame.eigenvalues, frame.degeneracies)
-    i0_diag = np.diag(lam)
-    for k, zk in enumerate(z_samples):
-        defect = linalg.comm_norm(zk, i0_diag)
-        if defect > 1e-8 * max(frob(zk), 1e-300) * max(
-                float(np.max(np.abs(lam))), 1.0):
-            raise SymmetryViolation(
-                f"gauge Z(t) mixes invariant eigenblocks at grid index {k} "
-                f"(t={frame.grid[k]:.6g})")
+    defects = _commutator_defects(np.diag(lam), z_samples)
+    bound = 1e-8 * max(float(np.max(np.abs(lam))), 1.0)
+    k = int(np.argmax(defects > bound))
+    if defects[k] > bound:
+        raise SymmetryViolation(
+            f"gauge Z(t) mixes invariant eigenblocks at grid index {k} "
+            f"(t={frame.grid[k]:.6g})")
     primed = np.einsum("kij,kjl->kil", frame.frames, z_samples)
     closes = frob(primed[-1] - primed[0]) <= 1e-8 * np.sqrt(frame.dim)
     new_frame = InvariantFrame(frame.grid, frame.eigenvalues,

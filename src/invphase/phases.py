@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from . import linalg
 from .errors import (
     ComputeError,
     DegenerateEigenvalue,
@@ -34,8 +33,8 @@ from .errors import (
 )
 from .invariant import InvariantFrame, frame_derivative
 from .linalg import expm_igen, frob, hermitize
-from .propagator import (HamiltonianSchedule, UnitaryPath, grid_index,
-                         propagate, uniform_spacing)
+from .propagator import (HamiltonianSchedule, UnitaryPath, _closes,
+                         grid_index, propagate, uniform_spacing)
 
 __all__ = [
     "PhaseRecord",
@@ -144,25 +143,18 @@ def project(frame: InvariantFrame, schedule: HamiltonianSchedule
         raise GridTooCoarse("project needs at least 5 grid points")
     if schedule.dim != frame.dim:
         raise DimensionMismatch("frame and schedule dims differ")
-    h = uniform_spacing(grid)
-    vdot = frame_derivative(frame.frames, h, frame.periodic)
-    n_pts = grid.size
-    E = [np.empty((n_pts, d, d), dtype=complex)
-         for d in frame.degeneracies]
-    A = [np.empty((n_pts, d, d), dtype=complex)
-         for d in frame.degeneracies]
-    a_residual = 0.0
-    slices = [frame.block_slice(n) for n in range(frame.n_blocks)]
-    for k in range(n_pts):
-        w = frame.frames[k]
-        hw = schedule.sample(grid[k]) @ w
-        aw = 1j * (w.conj().T @ vdot[k])
-        for n, sl in enumerate(slices):
-            E[n][k] = hermitize(w[:, sl].conj().T @ hw[:, sl])
-            raw = aw[sl, sl]
-            herm = hermitize(raw)
-            a_residual = max(a_residual, frob(raw - herm))
-            A[n][k] = herm
+    w = frame.frames
+    # temporaries on the left, so `* 1j` reuses their memory
+    aw = (w.conj().swapaxes(1, 2)
+          @ frame_derivative(w, uniform_spacing(grid), frame.periodic)) * 1j
+    hw = np.array([schedule.sample(t) for t in grid]) @ w
+    E, A, a_residual = [], [], 0.0
+    for n in range(frame.n_blocks):
+        sl = frame.block_slice(n)
+        E.append(hermitize(w[:, :, sl].conj().swapaxes(1, 2) @ hw[:, :, sl]))
+        A.append(hermitize(aw[:, sl, sl]))
+        a_residual = max(a_residual, float(np.linalg.norm(
+            aw[:, sl, sl] - A[n], axis=(1, 2)).max()))
     return PhaseRecord(frame, E, A, a_residual)
 
 
@@ -186,11 +178,7 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
     for n in range(record.n_blocks):
         delta = record.Delta[n]
         # periodic interpolation only when the series itself closes
-        period = None
-        if record.frame.periodic:
-            scale = max(float(np.linalg.norm(delta[0])), 1e-300)
-            if np.linalg.norm(delta[-1] - delta[0]) <= 1e-10 * max(scale, 1.0):
-                period = grid[-1]
+        period = grid[-1] if record.frame.periodic and _closes(delta) else None
         sched = HamiltonianSchedule.from_samples(
             grid, delta, period=period, label=f"Delta^{n}")
         u, err, drift = propagate(sched, grid, tol, np.arange(grid.size))
@@ -271,19 +259,14 @@ def reconstruct_U(frame: InvariantFrame, record: PhaseRecord) -> UnitaryPath:
     """
     if record.u is None:
         raise IncompleteRecord("u series missing: run solve_un first")
-    grid = frame.grid
-    n_pts = grid.size
-    dim = frame.dim
-    w0h = frame.initial().conj().T
-    samples = np.empty((n_pts, dim, dim), dtype=complex)
-    slices = [frame.block_slice(n) for n in range(frame.n_blocks)]
-    for k in range(n_pts):
-        block = np.zeros((dim, dim), dtype=complex)
-        for n, sl in enumerate(slices):
-            block[sl, sl] = record.u[n][k]
-        samples[k] = frame.frames[k] @ block @ w0h
-    samples[0] = np.eye(dim)
-    return UnitaryPath(grid, samples,
+    u = np.zeros_like(frame.frames)
+    for n in range(frame.n_blocks):
+        sl = frame.block_slice(n)
+        u[:, sl, sl] = record.u[n]
+    u = frame.frames @ u  # drops the block stack before the next product
+    samples = u @ frame.initial().conj().T
+    samples[0] = np.eye(frame.dim)
+    return UnitaryPath(frame.grid, samples,
                        tol_achieved=record.u_tol_achieved or 0.0,
                        drift_max=record.u_drift_max or 0.0)
 

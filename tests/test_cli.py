@@ -372,6 +372,24 @@ class TestCommandLine:
         assert len(lines) == 4
         assert (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("const", ["abc", [1], True],
+                             ids=["string", "list", "bool"])
+    def test_validate_rejects_non_numeric_const(self, tmp_path, const):
+        path = write_config(tmp_path, system={"schedule": {"terms": [
+            {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": const}]}})
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert "terms[0].const must be a number" in result.output
+
+    @pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--steps", "64"]],
+                             ids=["tol", "steps"])
+    def test_sweep_has_no_integrator_options(self, tmp_path, flag):
+        path = write_config(
+            tmp_path, sweep={"m": {"start": 1.5, "stop": 2.5, "count": 3}})
+        result = CliRunner().invoke(cli.main, ["sweep", str(path), *flag])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
     def test_steps_flag_changes_grid(self, tmp_path):
         path = write_config(tmp_path, tasks=["phases"])
         runner = CliRunner()

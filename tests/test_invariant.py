@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from invphase.invariant import (
     transport,
 )
 from invphase.linalg import (comm_norm, expm_igen, frob, hermitize,
-                             polar_unitary)
-from invphase.propagator import (HamiltonianSchedule, UnitaryPath, evolve,
+                             polar_unitary, spectral_exp)
+from invphase.propagator import (HamiltonianSchedule, UnitaryPath,
+                                 compose_geq, evolve,
                                  uniform_spacing)
 
 
@@ -524,6 +526,119 @@ class TestHstar:
         inv = InvariantPath(grid, np.stack([i0] * 4))
         with pytest.raises(GridTooCoarse):
             hstar(eigenframe(inv))
+
+
+def reference_periodic_derivative(frames, h):
+    """The per-grid-point wraparound stencil loop of ``frame_derivative``."""
+    n_iv = frames.shape[0] - 1
+    coeffs = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+    out = np.empty_like(frames)
+    for k in range(frames.shape[0]):
+        acc = np.zeros_like(frames[0])
+        for c, off in zip(coeffs, range(-2, 3)):
+            if c != 0.0:
+                acc += c * frames[(k + off) % n_iv]
+        out[k] = acc / h
+    return out
+
+
+def reference_hstar_samples(frame):
+    """``hstar`` samples as the per-grid-point loop formed them."""
+    wdot = invariant.frame_derivative(
+        frame.frames, uniform_spacing(frame.grid), frame.periodic)
+    samples = np.empty_like(frame.frames)
+    for k in range(frame.grid.size):
+        samples[k] = hermitize(1j * (wdot[k] @ frame.frames[k].conj().T))
+    return samples
+
+
+class TestStackedFrameAlgebra:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_pts=st.integers(5, 20), rows=st.integers(1, 8),
+           cols=st.integers(1, 8), h=st.sampled_from([0.1, 1 / 3, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_periodic_derivative_matches_per_point_loop(self, n_pts, rows,
+                                                        cols, h, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_pts, rows, cols)
+        frames = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        frames.real[rng.random(shape) < 0.1] = -0.0
+        frames[-1] = frames[0]
+        out = invariant.frame_derivative(frames, h, periodic=True)
+        assert out.tobytes() == reference_periodic_derivative(
+            frames, h).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 8), n_pts=st.sampled_from([129, 257]),
+           periodic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_hstar_samples_match_per_point_loop(self, dim, n_pts, periodic,
+                                                seed):
+        # smooth unitary frames e^{-iKt} V with spec K in {-1, 0, 1}
+        rng = np.random.default_rng(seed)
+        q, v = (np.linalg.qr(rng.normal(size=(dim, dim))
+                             + 1j * rng.normal(size=(dim, dim)))[0]
+                for _ in range(2))
+        grid = np.linspace(0.0, 2 * np.pi, n_pts)
+        spec = rng.integers(-1, 2, size=dim).astype(float)
+        frames = spectral_exp(spec, q, grid) @ v
+        if periodic:
+            frames[-1] = frames[0]
+        frame = InvariantFrame(grid, np.arange(dim, dtype=float),
+                               np.ones(dim, dtype=int), frames, periodic, 1.0)
+        captured = []
+        build = HamiltonianSchedule.from_samples.__func__
+
+        def spy(cls, grid, samples, **kw):
+            captured.append(samples)
+            return build(cls, grid, samples, **kw)
+
+        with mock.patch.object(HamiltonianSchedule, "from_samples",
+                               classmethod(spy)):
+            hstar(frame)
+        assert captured[0].tobytes() == reference_hstar_samples(
+            frame).tobytes()
+
+
+class TestFirstFailingPoint:
+    """Each whole-grid check names the first failing grid point."""
+
+    grid = np.linspace(0.0, 1.0, 9)
+    lam = np.array([1.0, 2.0, 3.0])
+    mix = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
+
+    def _invariant(self, bad=()):
+        samples = np.stack([np.diag(self.lam).astype(complex)] * 9)
+        for k in bad:
+            samples[k] += 1e-3 * (self.mix - np.diag([0, 0, 1]))
+        return InvariantPath(self.grid, samples)
+
+    def _frame(self, bad=()):
+        frames = np.stack([np.eye(3, dtype=complex)] * 9)
+        for k in bad:
+            frames[k] *= 2.0
+        return InvariantFrame(self.grid, self.lam, [1, 1, 1], frames,
+                              False, 1.0)
+
+    def test_validate_orthonormality_first_at_same_index(self):
+        with pytest.raises(ComputeError, match="eigen-residual .* index 3$"):
+            self._frame(bad=[5]).validate(self._invariant(bad=[3, 6]))
+        with pytest.raises(ComputeError, match="not orthonormal at index 3$"):
+            self._frame(bad=[3, 5]).validate(self._invariant(bad=[3]))
+
+    def test_commutator_checks_name_first_point(self):
+        t3 = self.grid[3]
+        x = HamiltonianSchedule.from_callable(
+            lambda t: np.diag(self.lam) + (t > t3 - 1e-12) * self.mix, 3)
+        with pytest.raises(SymmetryViolation, match=f"t={t3:.9g}$"):
+            symmetry_check(x, self._invariant())
+        path = evolve(HamiltonianSchedule.constant(np.diag(self.lam)), 1.0,
+                      steps=8)
+        with pytest.raises(SymmetryViolation, match=f"t={t3:.9g}$"):
+            compose_geq(path, x, invariant0=np.diag(self.lam))
+        z = np.stack([np.eye(3, dtype=complex)] * 9)
+        z[[3, 6]] = self.mix
+        with pytest.raises(SymmetryViolation, match="grid index 3 "):
+            gauge_transform(self._frame(), z)
 
 
 class TestGaugeTransform:
