@@ -48,6 +48,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -92,6 +93,8 @@ def _number(obj, key, path, *, integer=False, minimum=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key} must be finite")
     if integer and int(value) != value:
         raise ConfigError(f"{path}.{key} must be an integer")
     if minimum is not None and value < minimum:
@@ -107,10 +110,9 @@ def _hermitian_matrix(value, path):
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise ConfigError(f"{path} must be a square matrix of dim >= 2")
     try:
-        require_hermitian(arr, "matrix")
+        return require_hermitian(arr, "matrix")
     except NonHermitianInput as exc:
         raise ConfigError(f"{path} must be Hermitian: {exc}") from None
-    return arr
 
 
 @dataclass(frozen=True)
@@ -202,14 +204,13 @@ def load_config(path, *, steps=None, truncation=None) -> ScenarioConfig:
             for osc_key in ("cos", "sin"):
                 pair = term.get(osc_key)
                 if pair is not None:
-                    if (not isinstance(pair, list) or len(pair) != 2
-                            or any(isinstance(v, bool)
-                                   or not isinstance(v, (int, float))
-                                   for v in pair)):
+                    if not isinstance(pair, list) or len(pair) != 2:
                         raise ConfigError(
                             f"{tpath}.{osc_key} must be [amplitude, "
                             "frequency]")
-                    entry[osc_key] = (float(pair[0]), float(pair[1]))
+                    named = dict(zip(("amplitude", "frequency"), pair))
+                    entry[osc_key] = tuple(
+                        _number(named, k, f"{tpath}.{osc_key}") for k in named)
             parsed_terms.append(entry)
         parsed = {"terms": parsed_terms, "dim": dim}
 
@@ -479,7 +480,7 @@ def _oscillator_validate(config, report):
     phases_t = np.exp(-1j * np.outer(lvn_grid, kd))
     samples = np.einsum("ti,ij,tj->tij", phases_t, fock_k.I0.array,
                         phases_t.conj())
-    path = invariant.InvariantPath(lvn_grid, samples, source="analytic")
+    path = invariant.InvariantPath(lvn_grid, samples)
     sched = propagator.HamiltonianSchedule.constant(fock_k.K.array,
                                                     label="K")
     residual = invariant.lvn_residual(path, sched).max()

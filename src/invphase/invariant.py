@@ -76,22 +76,17 @@ class InvariantPath:
         Strictly increasing times.
     samples : ndarray, shape (len(grid), dim, dim)
         ``I(t)`` per grid point (Hermitian).
-    source : str
-        ``"transported"`` (built from a unitary path) or ``"analytic"``.
     """
 
-    def __init__(self, grid, samples, source="analytic"):
+    def __init__(self, grid, samples):
         grid = np.asarray(grid, dtype=float)
         samples = np.asarray(samples, dtype=complex)
         if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
             raise DimensionMismatch("grid and samples are inconsistent")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must strictly increase")
-        if source not in ("transported", "analytic"):
-            raise ValueError(f"unknown source tag {source!r}")
         self.grid = grid
         self.samples = samples
-        self.source = source
         for start, chunk in _row_chunks(samples):
             finite = np.isfinite(chunk).all(axis=(1, 2))
             if not finite.all():
@@ -102,12 +97,8 @@ class InvariantPath:
         # per-point validation happens inside eigenframe().
         w0 = None
         for k in (0, samples.shape[0] // 2, samples.shape[0] - 1):
-            a = samples[k]
-            scale = max(1.0, float(np.max(np.abs(a))))
-            if linalg.herm_defect(a) > 1e-10 * scale:
-                raise NonHermitianInput(
-                    f"invariant sample at t={grid[k]:.6g} is not Hermitian")
-            w = np.linalg.eigvalsh(hermitize(a))
+            w = np.linalg.eigvalsh(linalg.require_hermitian(
+                samples[k], f"invariant sample at t={grid[k]:.6g}"))
             if w0 is None:
                 w0 = w
             elif np.any(np.abs(w - w0) > SPECTRUM_DRIFT * (1 + np.abs(w0))):
@@ -146,8 +137,7 @@ class InvariantPath:
         return worst
 
     def __repr__(self):
-        return (f"InvariantPath(dim={self.dim}, points={len(self)}, "
-                f"source={self.source!r})")
+        return f"InvariantPath(dim={self.dim}, points={len(self)})"
 
 
 class InvariantFrame:
@@ -229,14 +219,19 @@ class InvariantFrame:
 
 
 def transport(path: UnitaryPath, i0) -> InvariantPath:
-    """Transport an initial invariant: ``I(t_k) = U(t_k) I(0) U(t_k)^+``."""
-    arr = hermitize(i0)
+    """Transport an initial invariant: ``I(t_k) = U(t_k) I(0) U(t_k)^+``.
+
+    ``I(0)`` passes :func:`invphase.linalg.require_hermitian` (so a
+    non-Hermitian one raises ``NonHermitianInput``) and its Hermitian part
+    is transported.
+    """
+    arr = linalg.require_hermitian(i0, "I0")
     if arr.shape[0] != path.dim:
         raise DimensionMismatch(
             f"I0 has dim {arr.shape[0]}, path has dim {path.dim}")
     u = path.samples
     samples = np.einsum("kij,jl,kml->kim", u, arr, u.conj(), optimize=True)
-    return InvariantPath(path.grid, samples, source="transported")
+    return InvariantPath(path.grid, samples)
 
 
 def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
@@ -336,7 +331,9 @@ def eigenframe(invariant: InvariantPath,
     n_pts = grid.size
     dim = invariant.dim
 
-    w0, v0 = linalg.eigh(s[0], check_hermitian=False)
+    # transported samples are Hermitian only to rounding: take the
+    # Hermitian part of each one that is decomposed
+    w0, v0 = linalg.eigh(hermitize(s[0]), check_hermitian=False)
     thresh = DEGENERACY_GAP * max(frob(s[0]), 1.0)
     bounds = linalg.cluster_bounds(w0, thresh)
     starts, sizes = bounds[:-1].tolist(), np.diff(bounds).tolist()
@@ -347,7 +344,7 @@ def eigenframe(invariant: InvariantPath,
     min_overlap = 1.0
 
     for k in range(1, n_pts):
-        w, v = linalg.eigh(s[k], check_hermitian=False)
+        w, v = linalg.eigh(hermitize(s[k]), check_hermitian=False)
         bounds_k = linalg.cluster_bounds(w, thresh)
         if not np.array_equal(bounds_k, bounds):
             raise DegeneracyCrossing(

@@ -81,28 +81,25 @@ def hermitize(a) -> np.ndarray:
     return 0.5 * (arr + arr.conj().swapaxes(-1, -2))
 
 
-def herm_defect(a) -> float:
-    """max |A - A^dagger| entrywise, the absolute hermiticity defect."""
-    arr = as_matrix(a)
-    return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-
-
 def require_hermitian(a, what: str) -> np.ndarray:
-    """Square complex ndarray of ``a``, checked to be Hermitian.
+    """Hermitian part ``(A + A^H)/2`` of ``a``, checked first: the one
+    Hermiticity gate of the package.
 
     Raises :class:`NonHermitianInput` when an entry is not finite or
-    ``max|A - A^H| > 1e-12 * max(1, max|A|)``.
+    ``max|A - A^H| > 1e-12 * max(1, max|A|)``.  The result has the bits of
+    :func:`hermitize`, so an exactly Hermitian input keeps its values.
     """
     arr = as_matrix(a)
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     if not np.isfinite(scale):           # max|A| is NaN or inf
         raise NonHermitianInput(f"{what}: entries are not all finite")
     scale = max(1.0, scale)
-    defect = herm_defect(arr)
+    adj = arr.conj().T
+    defect = float(np.max(np.abs(arr - adj))) if arr.size else 0.0
     if defect > 1e-12 * scale:
         raise NonHermitianInput(
             f"{what}: max|A - A^H| = {defect:.3e} > 1e-12 * {scale:.3e}")
-    return arr
+    return 0.5 * (arr + adj)
 
 
 class OperatorMatrix:
@@ -120,7 +117,8 @@ class OperatorMatrix:
         ``"hermitian"`` and/or ``"unitary"``.  Each claimed flag is
         validated on construction:
 
-        * hermitian : finite, ``max|A - A^H| <= 1e-12 * max(1, max|A|)``
+        * hermitian : finite, ``max|A - A^H| <= 1e-12 * max(1, max|A|)``;
+          ``.array`` is then the Hermitian part ``(A + A^H)/2``
         * unitary   : ``||A^H A - 1||_F <= 1e-10 * dim``
 
     Raises
@@ -136,14 +134,15 @@ class OperatorMatrix:
     _KNOWN_FLAGS = frozenset({"hermitian", "unitary"})
 
     def __init__(self, array, flags=()):
-        arr = as_matrix(array).copy()
-        arr.setflags(write=False)
         flagset = frozenset(flags)
         unknown = flagset - self._KNOWN_FLAGS
         if unknown:
             raise ValueError(f"unknown OperatorMatrix flags: {sorted(unknown)}")
         if "hermitian" in flagset:
-            require_hermitian(arr, "OperatorMatrix hermitian flag")
+            arr = require_hermitian(array, "OperatorMatrix hermitian flag")
+        else:
+            arr = as_matrix(array).copy()
+        arr.setflags(write=False)
         if "unitary" in flagset:
             gram = arr.conj().T @ arr
             defect = float(np.linalg.norm(gram - np.eye(arr.shape[0])))
@@ -226,8 +225,11 @@ def eigh(a, *, check_hermitian: bool = True):
     a : array_like or OperatorMatrix
         Hermitian matrix.
     check_hermitian : bool
-        If True (default), reject inputs whose hermiticity defect exceeds
-        ``1e-12 * max(1, max|A|)``.
+        If True (default), pass ``a`` through :func:`require_hermitian` and
+        decompose its Hermitian part.  If False, ``a`` is decomposed as
+        given: the caller passes an exactly Hermitian matrix
+        (``A == A^H`` entrywise, e.g. a :func:`require_hermitian` or
+        :func:`hermitize` result, or a real combination of such).
 
     Returns
     -------
@@ -246,8 +248,7 @@ def eigh(a, *, check_hermitian: bool = True):
     ConvergenceFailure
         If LAPACK does not converge.
     """
-    h = hermitize(require_hermitian(a, "eigh input") if check_hermitian
-                  else as_matrix(a))
+    h = require_hermitian(a, "eigh input") if check_hermitian else as_matrix(a)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -275,22 +276,22 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
         Hermitian generator.
     s : float
         Real scale (e.g. a time step).
+    check_hermitian : bool
+        As for :func:`eigh`: if False, ``a`` must be exactly Hermitian.
 
     Returns
     -------
     ndarray
         The unitary ``exp(-1j*s*A)``.
     """
-    arr = as_matrix(a)
+    arr = (require_hermitian(a, "expm_igen generator") if check_hermitian
+           else as_matrix(a))
     s = float(s)
     # fast path: exactly diagonal input (zero off-diagonal, finite diagonal)
     d = arr.diagonal()
     if np.count_nonzero(arr) == np.count_nonzero(d) and np.isfinite(d).all():
-        if check_hermitian and np.max(np.abs(d.imag), initial=0.0) > 1e-12 * max(
-                1.0, float(np.max(np.abs(d))) if d.size else 0.0):
-            raise NonHermitianInput("diagonal generator has complex diagonal")
         return np.diag(np.exp(-1j * s * d.real))
-    w, v = eigh(arr, check_hermitian=check_hermitian)
+    w, v = eigh(arr, check_hermitian=False)
     return spectral_exp(w, v, s)
 
 

@@ -274,13 +274,11 @@ def reconstruct_U(frame: InvariantFrame, record: PhaseRecord) -> UnitaryPath:
 class PhaseSplit:
     """Cyclic-phase decomposition of one invariant eigenstate.
 
-    Angles are radians; ``total_unit``/``dynamical_unit``/``geometric_unit``
-    are the corresponding complex units ``exp(i * angle)``.  ``dynamical``
-    is the unwrapped ``delta_n(T)``; ``geometric`` is ``total - dynamical``
-    reduced to the principal branch; ``fidelity`` is the return probability
-    ``|<lam_n,a;0|U(T)|lam_n,a;0>|``; ``cross_check`` is the principal-
-    branch distance between ``geometric`` and the frame-integral
-    ``gamma_n(T)``.
+    Angles are radians.  ``dynamical`` is the unwrapped ``delta_n(T)``;
+    ``geometric`` is ``total - dynamical`` reduced to the principal branch;
+    ``fidelity`` is the return probability ``|<lam_n,a;0|U(T)|lam_n,a;0>|``;
+    ``cross_check`` is the principal-branch distance between ``geometric``
+    and the frame-integral ``gamma_n(T)``.
     """
 
     __slots__ = ("n", "a", "total", "dynamical", "geometric", "fidelity",
@@ -295,18 +293,6 @@ class PhaseSplit:
         self.geometric = geometric
         self.fidelity = fidelity
         self.cross_check = cross_check
-
-    @property
-    def total_unit(self):
-        return np.exp(1j * self.total)
-
-    @property
-    def dynamical_unit(self):
-        return None if self.dynamical is None else np.exp(1j * self.dynamical)
-
-    @property
-    def geometric_unit(self):
-        return None if self.geometric is None else np.exp(1j * self.geometric)
 
     def __repr__(self):
         return (f"PhaseSplit(n={self.n}, a={self.a}, total={self.total:.9g}, "

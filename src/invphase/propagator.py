@@ -44,7 +44,7 @@ from .errors import (
     SymmetryViolation,
     ToleranceNotMet,
 )
-from .linalg import expm_igen, frob, hermitize
+from .linalg import expm_igen, frob
 
 __all__ = [
     "HamiltonianSchedule",
@@ -116,17 +116,15 @@ class HamiltonianSchedule:
     @classmethod
     def constant(cls, matrix, *, label="constant"):
         """Schedule for a time-independent Hermitian ``matrix``."""
-        arr = hermitize(linalg.require_hermitian(matrix, "constant matrix"))
+        arr = linalg.require_hermitian(matrix, "constant matrix")
         arr.setflags(write=False)
         return cls._make(lambda t: arr, arr.shape[0], None, label, base=arr)
 
     @classmethod
     def from_callable(cls, fn, dim, *, period=None, label="callable"):
         """Schedule wrapping ``fn(t) -> (dim, dim) Hermitian array``."""
-        def checked(t):
-            return hermitize(linalg.require_hermitian(fn(t), f"H({t})"))
-
-        obj = cls._make(checked, dim, cls._check_period(period), label)
+        obj = cls._make(lambda t: linalg.require_hermitian(fn(t), f"H({t})"),
+                        dim, cls._check_period(period), label)
         probe = obj.sample(0.0)
         if probe.shape != (obj.dim, obj.dim):
             raise DimensionMismatch(
@@ -139,7 +137,7 @@ class HamiltonianSchedule:
     def scalar_profile(cls, profile, base, *, period=None,
                        label="scalar-profile"):
         """Schedule ``H(t) = profile(t) * base`` with Hermitian ``base``."""
-        arr = hermitize(linalg.require_hermitian(base, "profile base"))
+        arr = linalg.require_hermitian(base, "profile base")
         arr.setflags(write=False)
         obj = cls._make(lambda t: float(profile(t)) * arr, arr.shape[0],
                         cls._check_period(period), label,
@@ -158,22 +156,22 @@ class HamiltonianSchedule:
         arbitrary ``t`` is reduced modulo the period.
         """
         grid = np.asarray(grid, dtype=float)
-        table = np.asarray(samples, dtype=complex)
+        raw = np.asarray(samples, dtype=complex)
         if grid.ndim != 1 or grid.size < 4:
             raise GridTooCoarse(
                 "sampled schedule needs at least 4 grid points")
-        if table.shape[0] != grid.size:
+        if raw.shape[0] != grid.size:
             raise DimensionMismatch(
-                f"{table.shape[0]} samples for {grid.size} grid points")
+                f"{raw.shape[0]} samples for {grid.size} grid points")
         deltas = np.diff(grid)
         if grid[0] != 0.0 or np.any(deltas <= 0):
             raise ValueError("grid must start at 0 and strictly increase")
         if not np.allclose(deltas, deltas[0], rtol=1e-10, atol=0.0):
             raise ValueError("sampled schedule requires a uniform grid")
-        for k, sample in enumerate(table):
-            linalg.require_hermitian(sample, f"sample {k}")
+        table = np.empty_like(raw)       # per sample: no stack temporaries
+        for k, sample in enumerate(raw):
+            table[k] = linalg.require_hermitian(sample, f"sample {k}")
         period = cls._check_period(period)
-        table = hermitize(table)
         if period is not None:
             if not np.isclose(period, grid[-1], rtol=1e-12):
                 raise ValueError(

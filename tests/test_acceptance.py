@@ -191,7 +191,7 @@ def test_criterion_05_invariant_residual(params):
         phases = np.exp(-1j * np.outer(grid, kd))
         samples = np.einsum("ti,ij,tj->tij", phases, fock.I0.array,
                             phases.conj())
-        path = InvariantPath(grid, samples, source="analytic")
+        path = InvariantPath(grid, samples)
         res_h[steps] = lvn_residual(path, sched_h).max()
         res_k[steps] = lvn_residual(path, sched_k).max()
         if steps == 4096:

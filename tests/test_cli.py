@@ -381,6 +381,26 @@ class TestCommandLine:
         assert result.exit_code == 2
         assert "terms[0].const must be a number" in result.output
 
+    @pytest.mark.parametrize("overrides, where", [
+        ({"grid": {"t_max": math.pi, "steps": math.inf}}, "grid.steps"),
+        ({"grid": {"t_max": math.nan, "steps": 256}}, "grid.t_max"),
+        ({"truncation": {"N": -math.inf}}, "truncation.N"),
+        ({"system": {"schedule": {"terms": [
+            {"matrix": [[1.0, 0.0], [0.0, -1.0]], "cos": [math.nan, 1.0]}]}}},
+         "system.schedule.terms[0].cos.amplitude"),
+        ({"sweep": {"Omega": {"start": math.nan, "stop": 3.5, "count": 2}}},
+         "sweep.Omega.start"),
+    ], ids=["steps-inf", "t_max-nan", "N-minus-inf", "cos-nan",
+            "sweep-start-nan"])
+    def test_validate_rejects_non_finite_numbers(self, tmp_path, overrides,
+                                                 where):
+        # json reads the literals NaN, Infinity and -Infinity
+        path = write_config(tmp_path, **overrides)
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        result = CliRunner().invoke(cli.main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert f"{where} must be finite" in result.output
+
     @pytest.mark.parametrize("flag", [["--tol", "1e-9"], ["--steps", "64"]],
                              ids=["tol", "steps"])
     def test_sweep_has_no_integrator_options(self, tmp_path, flag):

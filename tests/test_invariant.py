@@ -133,7 +133,6 @@ class TestTransport:
         path = UnitaryPath(grid, eye)
         i0 = np.diag([1.0, 2.0, 3.0])
         inv = transport(path, i0)
-        assert inv.source == "transported"
         for s in inv.samples:
             assert np.allclose(s, i0, atol=1e-15)
 
@@ -151,6 +150,20 @@ class TestTransport:
         path = UnitaryPath(grid, np.stack([np.eye(2, dtype=complex)] * 3))
         with pytest.raises(DimensionMismatch):
             transport(path, np.eye(3))
+
+    def test_non_hermitian_i0_rejected_and_hermitian_i0_kept(self):
+        # I0 goes through the Hermiticity gate: a non-Hermitian one is
+        # rejected, not Hermitized, and a Hermitian one keeps its bits
+        grid = np.linspace(0, 1, 3)
+        path = UnitaryPath(grid, np.stack([np.eye(2, dtype=complex)] * 3))
+        with pytest.raises(NonHermitianInput, match="I0"):
+            transport(path, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _, _, _, path, _ = cranked_setup(dim=4, steps=64)
+        i0 = random_hermitian(4, 8)              # exactly Hermitian
+        u = path.samples
+        assert np.array_equal(
+            transport(path, i0).samples,
+            np.einsum("kij,jl,kml->kim", u, i0, u.conj(), optimize=True))
 
     def test_spectrum_drift_rejected(self):
         grid = np.linspace(0, 1, 3)
@@ -170,6 +183,17 @@ class TestInvariantPath:
         samples[k, i, j] = value
         with pytest.raises(NonHermitianInput, match=f"t={grid[k]:.6g} "):
             InvariantPath(grid, samples)
+
+    def test_spot_sample_defect_above_gate_bound_named(self):
+        # the spot samples go through the 1e-12 Hermiticity gate: a relative
+        # defect of 1e-11 at the middle one is rejected and its t named
+        path, _ = analytic_path(3, 9, seed=5)
+        samples = path.samples.copy()
+        k = 4
+        samples[k, 0, 1] += 1e-11 * max(1.0, np.max(np.abs(samples[k])))
+        with pytest.raises(NonHermitianInput,
+                           match=rf"t={path.grid[k]:.6g}: max\|A - A\^H\|"):
+            InvariantPath(path.grid, samples)
 
     def test_non_finite_sample_in_later_chunk_named(self):
         dim = 8

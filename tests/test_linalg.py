@@ -225,7 +225,7 @@ def _reference_fix_phase(vecs):
 
 def _reference_eigh(a):
     """``eigh`` with the scalar cluster scan and the per-column phase loop."""
-    h = linalg.hermitize(linalg.require_hermitian(a, "eigh input"))
+    h = linalg.require_hermitian(a, "eigh input")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -246,13 +246,9 @@ def _reference_eigh(a):
 
 def _reference_expm_igen(a, s):
     """``expm_igen`` with the elementwise diagonal test."""
-    arr = np.asarray(a, dtype=complex)
+    arr = linalg.require_hermitian(a, "expm_igen generator")
     if not np.any(arr - np.diag(np.diag(arr))):
-        d = np.diag(arr)
-        if np.max(np.abs(d.imag), initial=0.0) > 1e-12 * max(
-                1.0, float(np.max(np.abs(d))) if d.size else 0.0):
-            raise NonHermitianInput("diagonal generator has complex diagonal")
-        return np.diag(np.exp(-1j * s * d.real))
+        return np.diag(np.exp(-1j * s * np.diag(arr).real))
     w, v = _reference_eigh(arr)
     return linalg.spectral_exp(w, v, s)
 
@@ -481,3 +477,72 @@ class TestStackedHelpers:
         wrapped = OperatorMatrix(np.array([[1.0, 2j], [-2j, 3.0]]))
         assert _same_bits(linalg.hermitize(wrapped),
                           linalg.hermitize(wrapped.array))
+
+
+def _signed_zero_hermitian(rng, dim):
+    """Exactly Hermitian matrix with signed zeros among its entries (the
+    diagonal's imaginary parts are +0 or -0)."""
+    pick = np.array([0.0, -0.0, 1.0, -2.5])
+    re, im = (np.where(rng.random((dim, dim)) < 0.5,
+                       pick[rng.integers(pick.size, size=(dim, dim))],
+                       rng.normal(size=(dim, dim))) for _ in range(2))
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    h = np.empty((dim, dim), dtype=complex)
+    h.real = np.where(upper, re, re.T)
+    h.imag = np.where(upper, im, -im.T)
+    np.fill_diagonal(h.imag, 0.0 * im.diagonal())
+    return h
+
+
+class TestHermitianGate:
+    """``require_hermitian`` is the one Hermiticity rule; it returns the
+    Hermitian part with the bits of ``hermitize``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]),
+           perturb=st.floats(0.0, 0.3))
+    def test_gate_is_hermitize_within_the_bound(self, dim, seed, scale,
+                                                perturb):
+        rng = np.random.default_rng(seed)
+        h = scale * _signed_zero_hermitian(rng, dim)
+        # each entry moves by at most sqrt(2) * perturb of the bound, so
+        # max|X - X^H| stays below it
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(h))))
+        x = h + perturb * bound * (rng.uniform(-1, 1, (dim, dim))
+                                   + 1j * rng.uniform(-1, 1, (dim, dim)))
+        got = linalg.require_hermitian(x, "x")
+        assert _same_bits(got, linalg.hermitize(x))
+        assert _same_bits(OperatorMatrix(x, flags=("hermitian",)).array, got)
+        # the unchecked eigh takes a Hermitian part as given
+        for p, q in zip(eigh(linalg.hermitize(x), check_hermitian=False),
+                        eigh(x)):
+            assert _same_bits(p, q)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e4]),
+           excess=st.floats(1.5, 1e6),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf,
+                                complex(0.0, np.inf)]))
+    def test_gate_rejects_defect_above_the_bound_or_non_finite(
+            self, dim, seed, scale, excess, bad):
+        rng = np.random.default_rng(seed)
+        h = scale * _signed_zero_hermitian(rng, dim)
+        i, j = rng.integers(dim, size=2)
+        bound = 1e-12 * max(1.0, float(np.max(np.abs(h))))
+        x = h.copy()
+        x[i, j] += 1j * excess * bound
+        with pytest.raises(NonHermitianInput, match=r"x: max\|A - A\^H\|"):
+            linalg.require_hermitian(x, "x")
+        x = h.copy()
+        x[i, j] = bad
+        with pytest.raises(NonHermitianInput, match="x: entries are not"):
+            linalg.require_hermitian(x, "x")
+
+    def test_expm_igen_rejects_complex_diagonal(self):
+        a = np.diag([1.0, 2.0 + 1e-6j, 3.0])
+        with pytest.raises(NonHermitianInput):
+            expm_igen(a, 0.5)
+        with pytest.raises(NonHermitianInput):
+            OperatorMatrix(a, flags=("hermitian",))

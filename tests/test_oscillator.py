@@ -257,7 +257,7 @@ class TestLvnResidual:
         kd = np.diag(fock.K.array).real
         ph = np.exp(-1j * np.outer(grid, kd))
         samples = np.einsum("ti,ij,tj->tij", ph, fock.I0.array, ph.conj())
-        return InvariantPath(grid, samples, source="analytic")
+        return InvariantPath(grid, samples)
 
     def test_residual_floor_and_refinement(self, params, small_fock):
         sched_k = HamiltonianSchedule.constant(small_fock.K.array, label="K")
