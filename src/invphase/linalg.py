@@ -39,17 +39,24 @@ __all__ = [
     "expm_igen",
     "comm",
     "comm_norm",
+    "eigvalsh",
     "frob",
+    "hermitian_defects",
     "hermitize",
     "polar_unitary",
     "require_hermitian",
     "spectral_exp",
+    "HERMITIAN_TOL",
     "TOL_FLOOR",
 ]
 
 #: No tolerance parameter below this floor is accepted (requests tighter than
 #: ~100x double-precision eps are meaningless for dense algebra).
 TOL_FLOOR = 1e-14
+
+#: The Hermiticity rule: a matrix passes when every entry is finite and
+#: ``max|A - A^H| <= HERMITIAN_TOL * max(1, max|A|)``.
+HERMITIAN_TOL = 1e-12
 
 #: Relative gap below which adjacent eigenvalues are treated as one cluster.
 _CLUSTER_GAP = 1e-9
@@ -81,25 +88,44 @@ def hermitize(a) -> np.ndarray:
     return 0.5 * (arr + arr.conj().swapaxes(-1, -2))
 
 
+def hermitian_defects(a: np.ndarray):
+    """The Hermiticity rule applied to each matrix of a ``(..., d, d)`` stack.
+
+    Returns ``(bad, defect, scale)``, one value per matrix:
+    ``defect = max|A - A^H|``, ``scale = max(1, max|A|)`` (NaN or inf when
+    an entry is not finite), and ``bad`` marks a matrix with a non-finite
+    entry or with ``defect > HERMITIAN_TOL * scale``.
+    """
+    scale = np.abs(a).max(axis=(-2, -1), initial=1.0)
+    finite = np.isfinite(scale)
+    if np.count_nonzero(finite) < finite.size:   # keep inf - inf out
+        a = np.where(np.isfinite(a), a, 0)
+    # A - A^H in one contiguous temporary: the transposing pass is the
+    # conjugation, and the subtraction runs in place
+    diff = np.conjugate(a.swapaxes(-1, -2), out=np.empty_like(a))
+    np.subtract(a, diff, out=diff)
+    defect = np.abs(diff).max(axis=(-2, -1), initial=0.0)
+    return ~finite | (defect > HERMITIAN_TOL * scale), defect, scale
+
+
 def require_hermitian(a, what: str) -> np.ndarray:
     """Hermitian part ``(A + A^H)/2`` of ``a``, checked first: the one
     Hermiticity gate of the package.
 
-    Raises :class:`NonHermitianInput` when an entry is not finite or
+    Raises :class:`NonHermitianInput` when ``a`` breaks the rule of
+    :func:`hermitian_defects`: an entry is not finite or
     ``max|A - A^H| > 1e-12 * max(1, max|A|)``.  The result has the bits of
     :func:`hermitize`, so an exactly Hermitian input keeps its values.
     """
     arr = as_matrix(a)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if not np.isfinite(scale):           # max|A| is NaN or inf
-        raise NonHermitianInput(f"{what}: entries are not all finite")
-    scale = max(1.0, scale)
-    adj = arr.conj().T
-    defect = float(np.max(np.abs(arr - adj))) if arr.size else 0.0
-    if defect > 1e-12 * scale:
+    bad, defect, scale = hermitian_defects(arr)
+    if bad:
+        if not np.isfinite(scale):       # max|A| is NaN or inf
+            raise NonHermitianInput(f"{what}: entries are not all finite")
         raise NonHermitianInput(
-            f"{what}: max|A - A^H| = {defect:.3e} > 1e-12 * {scale:.3e}")
-    return 0.5 * (arr + adj)
+            f"{what}: max|A - A^H| = {defect:.3e} > "
+            f"{HERMITIAN_TOL:g} * {scale:.3e}")
+    return 0.5 * (arr + arr.conj().T)
 
 
 class OperatorMatrix:
@@ -255,13 +281,64 @@ def eigh(a, *, check_hermitian: bool = True):
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
 
     # canonicalize within near-degenerate clusters
-    thresh = _CLUSTER_GAP * max(float(np.linalg.norm(h)), 1.0)
+    # ||h||_F from the spectrum: sqrt(sum w^2) for Hermitian h
+    thresh = _CLUSTER_GAP * max(float(np.sqrt(w @ w)), 1.0)
     bounds = cluster_bounds(w, thresh)
     if bounds.size <= w.size:            # some cluster has two or more members
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if stop - start > 1:
                 v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
     return w, _fix_phase(v)
+
+
+def _component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Connected component of each vertex of a symmetric boolean
+    adjacency matrix, labelled by the component's smallest vertex index.
+
+    Min-label propagation with pointer jumping: each round a vertex takes
+    the smallest label among itself and its neighbours, then the label of
+    that label.  Every label stays a vertex of the same component that is
+    no larger than the vertex, so the fixed point is the component minimum.
+    """
+    d = adjacency.shape[0]
+    label = np.arange(d)
+    while True:
+        nxt = np.where(adjacency, label, d).min(axis=1, initial=d)
+        nxt = np.minimum(label, nxt)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+
+
+def eigvalsh(a) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix of a
+    ``(..., d, d)`` stack, solved block by block.
+
+    The blocks are the connected components of the stack's union nonzero
+    pattern, so the partition is exact for every matrix of the stack.  A
+    single component is one ``np.linalg.eigvalsh(hermitize(a))`` call, the
+    bits of the dense solve.  Otherwise each block of two or more indices
+    is gathered, Hermitized and solved by one stacked call, a 1 x 1 block's
+    eigenvalue is its real diagonal entry, and the concatenated eigenvalues
+    are sorted.
+    """
+    arr = np.asarray(a, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(
+            f"expected square matrices, got shape {arr.shape}")
+    d = arr.shape[-1]
+    pattern = (arr != 0).reshape(-1, d, d).any(axis=0)
+    label = _component_labels(pattern | pattern.T)
+    if not label.any():                  # one component (or d == 0)
+        return np.linalg.eigvalsh(hermitize(arr))
+    sizes = np.bincount(label, minlength=d)
+    single = np.flatnonzero(sizes[label] == 1)
+    parts = [arr[..., single, single].real]
+    for root in np.flatnonzero(sizes > 1).tolist():
+        idx = np.flatnonzero(label == root)
+        parts.append(np.linalg.eigvalsh(hermitize(arr[..., idx[:, None], idx])))
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
 
 
 def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:

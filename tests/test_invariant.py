@@ -195,6 +195,19 @@ class TestInvariantPath:
                            match=rf"t={path.grid[k]:.6g}: max\|A - A\^H\|"):
             InvariantPath(path.grid, samples)
 
+    def test_defect_at_mid_chunk_sample_named(self):
+        # every sample goes through the Hermiticity rule, not only the
+        # first, middle and last ones (here samples 0, c + 4 and 2c + 8)
+        dim = 8
+        c = chunk_rows(dim)
+        path, _ = analytic_path(dim, 2 * c + 9, seed=7)
+        samples = path.samples.copy()
+        k = c + c // 2
+        samples[k, 2, 5] += 1e-9
+        with pytest.raises(NonHermitianInput,
+                           match=rf"t={path.grid[k]:.6g}: max\|A - A\^H\|"):
+            InvariantPath(path.grid, samples)
+
     def test_non_finite_sample_in_later_chunk_named(self):
         dim = 8
         k = 2 * chunk_rows(dim) + 5
@@ -211,6 +224,23 @@ class TestInvariantPath:
         drift = path.spectrum_drift()
         assert drift == reference_spectrum_drift(path)
         assert (drift == 0.0) == (len(path) == 1)
+
+    def test_spectrum_drift_sees_coupling_in_one_mid_chunk_sample(self):
+        # I0 without even/odd coupling keeps two parity blocks at every t;
+        # one sample in the middle of a chunk couples them, and only that
+        # chunk's own union pattern shows it
+        dim = 8
+        c = chunk_rows(dim)
+        path, _ = analytic_path(dim, 4 * c + 1, seed=6)
+        parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0
+        samples = path.samples * parity
+        k = 1 + c + c // 2          # chunks of spectrum_drift run over [1:]
+        samples[k, 0, 1] += 0.5
+        samples[k, 1, 0] += 0.5
+        inv = InvariantPath(path.grid, samples)
+        drift = inv.spectrum_drift()
+        assert drift > 1e-8
+        assert drift == pytest.approx(reference_spectrum_drift(inv), rel=1e-9)
 
 
 class TestLvnResidual:

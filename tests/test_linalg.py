@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from invphase import linalg
 from invphase.errors import (
@@ -477,6 +478,84 @@ class TestStackedHelpers:
         wrapped = OperatorMatrix(np.array([[1.0, 2j], [-2j, 3.0]]))
         assert _same_bits(linalg.hermitize(wrapped),
                           linalg.hermitize(wrapped.array))
+
+
+@st.composite
+def adjacency_masks(draw):
+    """Symmetric boolean adjacency matrices: random graphs of up to 40
+    vertices, or disjoint paths with their vertices shuffled (long chains
+    take min-label propagation the most rounds)."""
+    dim = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mask = rng.random((dim, dim)) < draw(st.floats(0.0, 0.3))
+    else:
+        order = rng.permutation(dim)
+        mask = np.zeros((dim, dim), dtype=bool)
+        link = rng.random(dim - 1) < 0.9          # a few breaks
+        mask[order[:-1][link], order[1:][link]] = True
+    return mask | mask.T
+
+
+@st.composite
+def block_stacks(draw):
+    """Stacks of 1 to 4 Hermitian matrices that share one block-diagonal
+    pattern, blocks of 1 to 6 indices (singletons included), with the
+    indices shuffled."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = sum(sizes)
+    a = np.zeros((n, d, d), dtype=complex)
+    start = 0
+    for k in sizes:
+        g = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
+        a[:, start:start + k, start:start + k] = g + g.conj().swapaxes(1, 2)
+        start += k
+    perm = rng.permutation(d)
+    return a[:, perm][:, :, perm]
+
+
+class TestBlockEigvalsh:
+    """``linalg.eigvalsh`` solves each connected block of the union nonzero
+    pattern and gives the spectrum of the dense solve."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mask=adjacency_masks())
+    def test_labels_match_connected_components(self, mask):
+        labels = linalg._component_labels(mask)
+        _, ref = connected_components(mask, directed=False)
+        # the label of each vertex is the smallest vertex of its component
+        smallest = np.array([np.flatnonzero(ref == r)[0] for r in ref])
+        assert np.array_equal(labels, smallest)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=block_stacks())
+    def test_matches_dense_on_permuted_block_stacks(self, a):
+        dense = np.linalg.eigvalsh(a)
+        tol = 1e-13 * (1 + np.linalg.norm(a, 2, axis=(1, 2)))[:, None]
+        assert np.all(np.abs(linalg.eigvalsh(a) - dense) <= tol)
+        assert np.all(np.abs(linalg.eigvalsh(a[0]) - dense[0]) <= tol[0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 9])
+    def test_one_component_is_the_dense_solve(self, dim):
+        # a dense stack, and a tridiagonal one (connected through a chain)
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        chain = np.triu(np.tril(a, 1), -1)
+        for x in (a, chain, chain[1]):
+            assert _same_bits(linalg.eigvalsh(x),
+                              np.linalg.eigvalsh(linalg.hermitize(x)))
+
+    def test_singletons_are_the_real_diagonal(self):
+        # components {0}, {1, 3}, {2}; the singleton at 0 drops the
+        # imaginary part of its diagonal entry, as hermitize does
+        a = np.diag([3.0 + 2e-9j, -1.0, 0.0, 2.0])
+        a[1, 3] = a[3, 1] = 0.5
+        w = linalg.eigvalsh(np.stack([a, np.zeros((4, 4))]))
+        pair = np.linalg.eigvalsh(a[1::2, 1::2])
+        assert _same_bits(w[0], np.sort(np.concatenate([[3.0, 0.0], pair])))
+        assert _same_bits(w[1], np.zeros(4))
 
 
 def _signed_zero_hermitian(rng, dim):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,21 @@ class TestSchedule:
         table[1] = bad
         with pytest.raises(NonHermitianInput, match="sample 1:"):
             HamiltonianSchedule.from_samples(grid, table)
+
+    def test_periodic_table_costs_one_table(self):
+        # the wrap check takes the largest norm row by row: the peak is the
+        # constructor's own copy of the table plus per-sample temporaries
+        grid = np.linspace(0.0, 1.0, 129)
+        x = random_hermitian(48, 4)
+        table = np.cos(2 * np.pi * grid)[:, None, None] * x
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            HamiltonianSchedule.from_samples(grid, table, period=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * table.nbytes
 
 
 _ENTRIES = np.array([0.0, -0.0, 1.0, -0.5, 0.75, 2.0])
