@@ -58,6 +58,11 @@ __all__ = [
 class CrankedSystem:
     """Constant data of a cranked Hamiltonian ``e^{-iKt} H0 e^{iKt}``.
 
+    The inputs are gated here, where outside data enters; everything built
+    from them (:func:`cranked_H`, :func:`cranked_I`, :func:`cranked_U`) is
+    Hermitian or unitary by construction and is returned as a read-only
+    copy without further checks.
+
     Parameters
     ----------
     h0 : array_like or OperatorMatrix
@@ -68,8 +73,9 @@ class CrankedSystem:
     Attributes
     ----------
     h0, k, i0 : OperatorMatrix
-        Validated Hermitian operators; ``i0 = h0 - k`` is the initial
-        invariant.
+        Read-only Hermitian operators: ``h0`` and ``k`` are the Hermitian
+        parts that :func:`invphase.linalg.require_hermitian` returns for
+        the inputs; ``i0 = h0 - k`` is the initial invariant.
     dim : int
         Shared matrix dimension.
 
@@ -82,13 +88,12 @@ class CrankedSystem:
     """
 
     def __init__(self, h0, k):
-        self.h0 = OperatorMatrix(h0, flags=("hermitian",))
-        self.k = OperatorMatrix(k, flags=("hermitian",))
+        self.h0 = OperatorMatrix(linalg.require_hermitian(h0, "H0"))
+        self.k = OperatorMatrix(linalg.require_hermitian(k, "K"))
         if self.h0.dim != self.k.dim:
             raise DimensionMismatch(
                 f"H0 has dim {self.h0.dim}, K has dim {self.k.dim}")
-        self.i0 = OperatorMatrix(self.h0.array - self.k.array,
-                                 flags=("hermitian",))
+        self.i0 = OperatorMatrix(self.h0.array - self.k.array)
         self._k_eig = None
         self._i0_eig = None
 
@@ -119,7 +124,7 @@ class CrankedSystem:
 
 def cranked_H(sys: CrankedSystem, t: float) -> OperatorMatrix:
     """Cranked Hamiltonian ``H(t) = e^{-iKt} H0 e^{iKt}`` (Hermitian)."""
-    return OperatorMatrix(sys.rotate(sys.h0.array, t), flags=("hermitian",))
+    return OperatorMatrix(sys.rotate(sys.h0.array, t))
 
 
 def cranked_I(sys: CrankedSystem, t: float) -> OperatorMatrix:
@@ -129,7 +134,7 @@ def cranked_I(sys: CrankedSystem, t: float) -> OperatorMatrix:
     ``H(t)`` and the constant crank ``K``, and its spectrum equals that of
     ``I0`` for every ``t`` (unitary conjugation).
     """
-    return OperatorMatrix(sys.rotate(sys.i0.array, t), flags=("hermitian",))
+    return OperatorMatrix(sys.rotate(sys.i0.array, t))
 
 
 def cranked_U(sys: CrankedSystem, t: float) -> OperatorMatrix:
@@ -139,7 +144,7 @@ def cranked_U(sys: CrankedSystem, t: float) -> OperatorMatrix:
     spectral exponentials, so the result is unitary to machine precision.
     """
     t = float(t)
-    return OperatorMatrix(sys._expk(t) @ sys._expi0(t), flags=("unitary",))
+    return OperatorMatrix(sys._expk(t) @ sys._expi0(t))
 
 
 def geq_member(sys: CrankedSystem, ytilde: HamiltonianSchedule,
@@ -219,8 +224,7 @@ def generalized_cranked(k, h0, g, h, t: float) -> OperatorMatrix:
     gt = float(g(float(t)))
     ht = float(h(float(t)))
     e = expm_igen(karr, gt, check_hermitian=False)
-    return OperatorMatrix(ht * hermitize(e @ h0arr @ e.conj().T),
-                          flags=("hermitian",))
+    return OperatorMatrix(ht * hermitize(e @ h0arr @ e.conj().T))
 
 
 def _as_profile(value):

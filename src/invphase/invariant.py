@@ -83,6 +83,9 @@ class InvariantPath:
         samples = np.asarray(samples, dtype=complex)
         if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
             raise DimensionMismatch("grid and samples are inconsistent")
+        if grid.size == 0:
+            raise DimensionMismatch(
+                "empty grid: a path needs at least one point")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must strictly increase")
         self.grid = grid

@@ -2,9 +2,11 @@
 
 All operators live in a fixed orthonormal basis.  Inside the package they
 are plain dense complex ``numpy`` arrays; :class:`OperatorMatrix` is the
-edge type that validates an operator where it enters or leaves the public
-API, and :func:`as_matrix` unwraps either form.  The module provides
-exactly-unitary matrix exponentials of Hermitian generators, a
+read-only copy the public API hands out, and :func:`as_matrix` unwraps
+either form.  Operators the package builds are Hermitian or unitary by
+construction and are not checked; outside data passes the one
+Hermiticity gate, :func:`require_hermitian`, where it enters.  The module
+provides exactly-unitary matrix exponentials of Hermitian generators, a
 deterministic Hermitian eigensolver (ascending eigenvalues, canonical
 eigenvector choice inside degenerate clusters), commutator norms, and a
 handful of small helpers (Hermitization, polar re-unitarization) used by
@@ -129,54 +131,34 @@ def require_hermitian(a, what: str) -> np.ndarray:
 
 
 class OperatorMatrix:
-    """Immutable dense operator with validated structural flags.
+    """Read-only dense operator: the edge type of the public API.
 
-    The edge type of the public API: functions that hand an operator to a
-    caller return one, and the package's own loops work on plain ndarrays.
+    Functions that hand an operator to a caller return one; the package's
+    own loops work on plain ndarrays.  The wrapper holds a read-only
+    complex copy and checks nothing beyond the square shape.  The
+    operators the package builds are Hermitian or unitary by construction
+    (unitary conjugates of Hermitian matrices, products of exponentials of
+    Hermitian generators); outside data is gated by
+    :func:`require_hermitian` where it enters the package.
 
     Parameters
     ----------
     array : array_like
-        Square complex matrix; it is copied, so the caller's array stays
+        Square matrix; it is copied as complex, so the caller's array stays
         writeable and later writes to it do not reach ``.array``.
-    flags : iterable of str, optional
-        ``"hermitian"`` and/or ``"unitary"``.  Each claimed flag is
-        validated on construction:
-
-        * hermitian : finite, ``max|A - A^H| <= 1e-12 * max(1, max|A|)``;
-          ``.array`` is then the Hermitian part ``(A + A^H)/2``
-        * unitary   : ``||A^H A - 1||_F <= 1e-10 * dim``
 
     Raises
     ------
-    NonHermitianInput
-        If ``"hermitian"`` is claimed but the bound fails.
-    ValueError
-        If another claimed flag fails validation or is unknown.
+    DimensionMismatch
+        If ``array`` is not a square matrix.
     """
 
-    __slots__ = ("_array", "_flags")
+    __slots__ = ("_array",)
 
-    _KNOWN_FLAGS = frozenset({"hermitian", "unitary"})
-
-    def __init__(self, array, flags=()):
-        flagset = frozenset(flags)
-        unknown = flagset - self._KNOWN_FLAGS
-        if unknown:
-            raise ValueError(f"unknown OperatorMatrix flags: {sorted(unknown)}")
-        if "hermitian" in flagset:
-            arr = require_hermitian(array, "OperatorMatrix hermitian flag")
-        else:
-            arr = as_matrix(array).copy()
+    def __init__(self, array):
+        arr = as_matrix(array).copy()
         arr.setflags(write=False)
-        if "unitary" in flagset:
-            gram = arr.conj().T @ arr
-            defect = float(np.linalg.norm(gram - np.eye(arr.shape[0])))
-            if defect > 1e-10 * arr.shape[0]:
-                raise ValueError(
-                    f"unitary flag claimed but ||A^H A - 1||_F = {defect:.3e}")
         self._array = arr
-        self._flags = flagset
 
     @property
     def array(self) -> np.ndarray:
@@ -184,18 +166,12 @@ class OperatorMatrix:
         return self._array
 
     @property
-    def flags(self) -> frozenset:
-        """Validated structural flags."""
-        return self._flags
-
-    @property
     def dim(self) -> int:
         """Matrix dimension."""
         return self._array.shape[0]
 
     def __repr__(self):
-        return (f"OperatorMatrix(dim={self.dim}, "
-                f"flags={sorted(self._flags)})")
+        return f"OperatorMatrix(dim={self.dim})"
 
 
 def _canonical_cluster_basis(vecs: np.ndarray) -> np.ndarray:

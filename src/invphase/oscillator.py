@@ -221,8 +221,10 @@ class FockSpace:
     """Truncated Fock-space operator set for one oscillator family.
 
     Built by :func:`build_fock`.  Attributes (all ``OperatorMatrix`` unless
-    noted; these are the operators the public API hands out, validated once
-    here, while the package's loops read their ``.array``):
+    noted; these are the read-only copies the public API hands out, while
+    the package's loops read their ``.array``; every one is Hermitian by
+    construction, from real band formulas and ``i`` times antisymmetric
+    ones, so none is checked):
 
     * ``N`` (int): truncation dimension; ``N_int`` (int): interior block
       used for operator-identity checks; ``basis`` (str): ``"ktilde"`` or
@@ -260,15 +262,18 @@ class FockSpace:
         x, p, x2, p2, xpx = _natural_operators(N, mr, wr)
         self._x2, self._p2, self._xpx = x2, p2, xpx
 
+        # hermitize makes the -0.0 real parts of the imaginary band
+        # matrices p and -xpx +0.0: LAPACK's eigenvectors depend on the signs
+        p = linalg.hermitize(p)
         s = np.sqrt(params.mtilde * params.wtilde)
-        self.x = OperatorMatrix(x, flags=("hermitian",))
-        self.p = OperatorMatrix(p, flags=("hermitian",))
-        self.X = OperatorMatrix(s * x, flags=("hermitian",))
-        self.P = OperatorMatrix(p / s, flags=("hermitian",))
+        self.x = OperatorMatrix(x)
+        self.p = OperatorMatrix(p)
+        self.X = OperatorMatrix(s * x)
+        self.P = OperatorMatrix(p / s)
 
         idx = np.arange(N, dtype=float)
         band = np.sqrt((idx[:-2] + 1.0) * (idx[:-2] + 2.0))
-        k2 = -xpx / 4.0          # -(XP + PX)/4 is scale invariant
+        k2 = linalg.hermitize(-xpx / 4.0)  # -(XP + PX)/4 is scale invariant
         if basis == "ktilde":
             # X, P are the natural quadratures here: build the generators
             # from their own band formulas so the structural zeros (the K1
@@ -290,12 +295,12 @@ class FockSpace:
             h0 = p2 / (2.0 * params.M) + \
                 (params.M * params.Omega**2 / 2.0) * x2
             i0 = h0 - k_op
-        self.K1 = OperatorMatrix(k1, flags=("hermitian",))
-        self.K2 = OperatorMatrix(k2, flags=("hermitian",))
-        self.K3 = OperatorMatrix(k3, flags=("hermitian",))
-        self.K = OperatorMatrix(k_op, flags=("hermitian",))
-        self.H0 = OperatorMatrix(h0, flags=("hermitian",))
-        self.I0 = OperatorMatrix(i0, flags=("hermitian",))
+        self.K1 = OperatorMatrix(k1)
+        self.K2 = OperatorMatrix(k2)
+        self.K3 = OperatorMatrix(k3)
+        self.K = OperatorMatrix(k_op)
+        self.H0 = OperatorMatrix(h0)
+        self.I0 = OperatorMatrix(i0)
         self._eig_cache = {}
 
     def interior(self, a) -> np.ndarray:
@@ -321,14 +326,18 @@ def build_fock(params: OscillatorParams, N: int,
 
 def gho_H(params: OscillatorParams, fock: FockSpace, t: float
           ) -> OperatorMatrix:
-    """Generalized-harmonic-oscillator Hamiltonian ``H(t)`` (period T)."""
+    """Generalized-harmonic-oscillator Hamiltonian ``H(t)`` (period T).
+
+    A real combination of the exactly Hermitian ``p^2``, ``xp + px`` and
+    ``x^2``, so Hermitian by construction; returned as a read-only copy
+    and not checked.
+    """
     phase = 2.0 * params.omega * float(t)
     cp = params.a + params.b * np.cos(phase)
     cm = params.c * np.sin(phase)
     cx = params.d + params.e * np.cos(phase)
     return OperatorMatrix(
-        0.5 * (cp * fock._p2 + cm * fock._xpx + cx * fock._x2),
-        flags=("hermitian",))
+        0.5 * (cp * fock._p2 + cm * fock._xpx + cx * fock._x2))
 
 
 def gho_I(params: OscillatorParams, fock: FockSpace, t: float
@@ -339,8 +348,7 @@ def gho_I(params: OscillatorParams, fock: FockSpace, t: float
     cm = params.c * np.sin(phase)
     cx = params.d - params.m * params.omega**2 + params.e * np.cos(phase)
     return OperatorMatrix(
-        0.5 * (cp * fock._p2 + cm * fock._xpx + cx * fock._x2),
-        flags=("hermitian",))
+        0.5 * (cp * fock._p2 + cm * fock._xpx + cx * fock._x2))
 
 
 def hyperbolic_coords(params: OscillatorParams, t: float) -> tuple:
@@ -400,8 +408,7 @@ def w_operator(fock: FockSpace, theta_bar: float, phi_bar: float
     cosh tb K3`` and ``I[theta_bar, phi_bar] = W I0 W^+`` on the interior
     block.
     """
-    return OperatorMatrix(w_columns(fock, theta_bar, phi_bar, fock.N),
-                          flags=("unitary",))
+    return OperatorMatrix(w_columns(fock, theta_bar, phi_bar, fock.N))
 
 
 def w_columns(fock: FockSpace, theta_bar: float, phi_bar: float,

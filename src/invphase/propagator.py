@@ -318,6 +318,9 @@ class UnitaryPath:
         samples = np.asarray(samples, dtype=complex)
         if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
             raise DimensionMismatch("grid and samples are inconsistent")
+        if grid.size == 0:
+            raise DimensionMismatch(
+                "empty grid: a path needs at least one point")
         if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must start at 0 and strictly increase")
         dim = samples.shape[1]

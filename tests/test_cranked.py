@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invphase.cranked import (
     CrankedSystem,
@@ -50,10 +51,20 @@ class TestCrankedSystem:
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         good = np.eye(2)
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(NonHermitianInput, match=r"H0: max\|A - A\^H\|"):
             CrankedSystem(bad, good)
-        with pytest.raises(NonHermitianInput):
+        with pytest.raises(NonHermitianInput, match=r"K: max\|A - A\^H\|"):
             CrankedSystem(good, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        a = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        a[1, 1] = bad
+        good = np.eye(3)
+        with pytest.raises(NonHermitianInput, match="H0: entries are not"):
+            CrankedSystem(a, good)
+        with pytest.raises(NonHermitianInput, match="K: entries are not"):
+            CrankedSystem(good, a)
 
     def test_caller_arrays_stay_writeable(self):
         h0 = np.diag([1.0, 2.0]).astype(complex)
@@ -70,7 +81,7 @@ class TestCrankedSystem:
     def test_i0_field(self, sys6):
         assert np.allclose(sys6.i0.array,
                            sys6.h0.array - sys6.k.array, atol=1e-15)
-        assert "hermitian" in sys6.i0.flags
+        assert np.array_equal(sys6.i0.array, sys6.i0.array.conj().T)
         assert sys6.dim == 6
 
 
@@ -195,6 +206,47 @@ class TestGeqMember:
         y = HamiltonianSchedule.constant(np.zeros((3, 3)))
         with pytest.raises(DimensionMismatch):
             geq_member(sys6, y, T_CYCLE, steps=16)
+
+
+@st.composite
+def hermitian_matrices(draw, dim):
+    """Hermitian ``dim x dim`` matrices, dense or sparse, real or complex."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        a = a + 1j * rng.normal(size=(dim, dim))
+    if draw(st.booleans()):
+        a = a * (rng.random((dim, dim)) < 0.4)
+    return draw(st.sampled_from([0.01, 1.0, 100.0])) * (a + a.conj().T)
+
+
+@st.composite
+def cranked_systems(draw):
+    dim = draw(st.integers(1, 8))
+    return draw(hermitian_matrices(dim)), draw(hermitian_matrices(dim))
+
+
+class TestByConstruction:
+    """The closed forms are Hermitian or unitary by construction, and
+    ``OperatorMatrix`` does not check them: ``H(t)``, ``I(t)`` and the
+    generalized crank equal their conjugate transposes exactly, and
+    ``U(t)`` is unitary to the rounding bound
+    ``||U^H U - 1||_F <= 1e-10 dim``."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system=cranked_systems(), t=st.floats(-20.0, 20.0),
+           amp=st.floats(-3.0, 3.0), offset=st.floats(-2.0, 2.0))
+    def test_hermitian_and_unitary(self, system, t, amp, offset):
+        h0, k = system
+        sys = CrankedSystem(h0, k)
+        hermitian = (
+            cranked_H(sys, t), cranked_I(sys, t),
+            generalized_cranked(k, h0, lambda s: amp * np.sin(s),
+                                lambda s: offset + np.cos(s), t))
+        for op in hermitian:
+            assert np.array_equal(op.array, op.array.conj().T)
+        u = cranked_U(sys, t).array
+        assert frob(u.conj().T @ u - np.eye(sys.dim)) <= 1e-10 * sys.dim
 
 
 class TestGeneralizedCranked:

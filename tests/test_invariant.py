@@ -174,6 +174,10 @@ class TestTransport:
 
 
 class TestInvariantPath:
+    def test_empty_path_rejected(self):
+        with pytest.raises(DimensionMismatch, match="empty grid"):
+            InvariantPath(np.array([]), np.zeros((0, 2, 2)))
+
     @pytest.mark.parametrize("k, i, j, value", [
         (2, 0, 0, np.nan), (2, 0, 1, np.nan), (2, 1, 1, np.inf),
         (0, 2, 2, np.nan), (8, 1, 2, complex(0, np.inf))])

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from invphase.cranked import CrankedSystem, cranked_H, geq_member
@@ -213,6 +214,40 @@ class TestFockSpace:
         first = fock_k.cached_eig("I0", fock_k.I0)
         second = fock_k.cached_eig("I0", fock_k.I0)
         assert first[1] is second[1]
+
+
+@st.composite
+def oscillator_params(draw):
+    """Parameters inside the domain (m > M, M Omega^2 > m omega^2) and off
+    the degenerate mu = 1 / nu = 1 line."""
+    M = draw(st.floats(0.3, 3.0))
+    m = M * draw(st.floats(1.1, 4.0))
+    omega = draw(st.floats(0.3, 3.0))
+    Omega = omega * np.sqrt(m / M) * draw(st.floats(1.1, 3.0))
+    params = derive_params(M, Omega, m, omega)
+    assume(abs(params.mu - 1.0) > 1e-3 and abs(params.nu - 1.0) > 1e-3)
+    return params
+
+
+class TestByConstruction:
+    """The operators are Hermitian or unitary by construction, and
+    ``OperatorMatrix`` does not check them: every Hermitian one equals
+    its conjugate transpose exactly, and ``W`` is unitary to the rounding
+    bound ``||W^H W - 1||_F <= 1e-10 dim``."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(params=oscillator_params(), n=st.integers(16, 40),
+           t=st.floats(-10.0, 10.0))
+    def test_hermitian_and_unitary(self, params, n, t):
+        for basis in ("k", "ktilde"):       # W needs the ktilde basis
+            fock = build_fock(params, n, basis)
+            ops = [getattr(fock, name) for name in
+                   ("x", "p", "X", "P", "K1", "K2", "K3", "K", "H0", "I0")]
+            ops += [gho_H(params, fock, t), gho_I(params, fock, t)]
+            for op in ops:
+                assert np.array_equal(op.array, op.array.conj().T)
+        w = w_operator(fock, *hyperbolic_coords(params, t)).array
+        assert frob(w.conj().T @ w - np.eye(n)) <= 1e-10 * n
 
 
 class TestGhoSchedule:

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from invphase import linalg
 from invphase.errors import (
+    DimensionMismatch,
     NonHermitianInput,
     SymmetryViolation,
     ToleranceNotMet,
 )
-from invphase.linalg import OperatorMatrix, expm_igen, frob, hermitize
+from invphase.linalg import expm_igen, frob, hermitize
 from invphase.propagator import (
     HamiltonianSchedule,
     UnitaryPath,
@@ -337,7 +338,7 @@ class TestEvolve:
         path = evolve(sched, 3.0, steps=256, tol=tol)
         assert path.drift_max <= 10 * tol
         for s in path.samples:
-            OperatorMatrix(s, flags=("unitary",))  # validates the flag
+            assert frob(s.conj().T @ s - np.eye(4)) <= 1e-10 * 4
 
     def test_store_subset(self):
         sched = HamiltonianSchedule.constant(np.diag([1.0, 2.0]))
@@ -487,6 +488,10 @@ class TestLoopCheck:
 
 
 class TestUnitaryPath:
+    def test_empty_path_rejected(self):
+        with pytest.raises(DimensionMismatch, match="empty grid"):
+            UnitaryPath(np.array([]), np.zeros((0, 2, 2)))
+
     def test_identity_required_at_zero(self):
         grid = np.array([0.0, 1.0])
         bad = np.stack([2 * np.eye(2), np.eye(2)]).astype(complex)
