@@ -29,6 +29,20 @@ class TestOperatorMatrix:
         assert m.dim == 2
         assert np.array_equal(m.array, np.diag([2.0, -1.0]))
 
+    def test_hermitian_flag_rejected(self):
+        # the wrapper takes no flags; a non-Hermitian operator it holds is
+        # refused by the Hermiticity gate where it enters
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(TypeError):
+            OperatorMatrix(a, flags=("hermitian",))
+        m = OperatorMatrix(a)
+        with pytest.raises(NonHermitianInput, match=r"^A: max\|A - A\^H\|"):
+            linalg.require_hermitian(m, "A")
+        with pytest.raises(NonHermitianInput):
+            eigh(m)
+        with pytest.raises(NonHermitianInput):
+            expm_igen(m)
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             OperatorMatrix(np.zeros((2, 3)))
