@@ -617,18 +617,17 @@ def _generic_phases(config, report, tol):
 # sweep
 
 
-def _sweep_point(args):
-    base, n_trunc = args
+def _sweep_point(entry, n_trunc):
     try:
-        params = oscillator.derive_params(**base)
+        params = oscillator.derive_params(**entry)
     except (ValueError, InvphaseError):
-        return base, "skipped-invalid", None
+        return entry, "skipped-invalid", None
     if abs(params.mu - 1.0) < 1e-9 or abs(params.nu - 1.0) < 1e-9:
-        return base, "skipped-degenerate", None
+        return entry, "skipped-degenerate", None
     delta, gamma = oscillator.closed_form_phases(params, 0, params.T)
     fock = oscillator.build_fock(params, n_trunc, "k")
     state = oscillator.cyclic_basis_evolution(params, fock, 0)[0]
-    return base, "ok", (params, delta, gamma, state.total_phase)
+    return entry, "ok", (params, delta, gamma, state.total_phase)
 
 
 def sweep(config: ScenarioConfig) -> tuple:
@@ -645,13 +644,11 @@ def sweep(config: ScenarioConfig) -> tuple:
     axes = sorted(config.sweep)
     grids = [np.linspace(config.sweep[k][0], config.sweep[k][1],
                          int(config.sweep[k][2])) for k in axes]
-    points = []
+    results = []
     for combo in itertools.product(*grids):
         entry = dict(config.system)
         entry.update({k: float(v) for k, v in zip(axes, combo)})
-        points.append((entry, config.n_trunc))
-
-    results = [_sweep_point(point) for point in points]
+        results.append(_sweep_point(entry, config.n_trunc))
 
     report = RunReport(label=config.label, kind=config.kind)
     header = ("M", "Omega", "m", "omega", "mu", "nu", "delta0_T",
@@ -691,7 +688,7 @@ def sweep(config: ScenarioConfig) -> tuple:
         CheckRow("sweep-gamma0-monotone-in-shape",
                  float(min(monotone, 0.0)), 0.0, 1e-10, "closed-form"),
     ])
-    report.work["sweep_points"] = len(points)
+    report.work["sweep_points"] = len(results)
     report.work["sweep_valid_points"] = len(ok_rows)
     return report, (header, csv_rows)
 

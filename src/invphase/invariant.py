@@ -35,7 +35,8 @@ from .errors import (
 )
 from .linalg import frob, hermitize
 from .propagator import (HamiltonianSchedule, UnitaryPath,
-                         _commutator_defects, grid_index, uniform_spacing)
+                         _commutator_defects, _path_arrays, grid_index,
+                         uniform_spacing)
 
 __all__ = [
     "InvariantPath",
@@ -79,13 +80,7 @@ class InvariantPath:
     """
 
     def __init__(self, grid, samples):
-        grid = np.asarray(grid, dtype=float)
-        samples = np.asarray(samples, dtype=complex)
-        if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
-            raise DimensionMismatch("grid and samples are inconsistent")
-        if grid.size == 0:
-            raise DimensionMismatch(
-                "empty grid: a path needs at least one point")
+        grid, samples = _path_arrays(grid, samples)
         if np.any(np.diff(grid) <= 0):
             raise ValueError("grid must strictly increase")
         self.grid = grid

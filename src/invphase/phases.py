@@ -222,7 +222,11 @@ def nonabelian_holonomy(record: PhaseRecord, T: float = None) -> PhaseRecord:
     """Non-Abelian holonomy ``Gamma^n(T) = T-exp(i int_0^T A^n dt)``.
 
     Discretized with midpoint sampling: per step, the exponential of
-    ``i (A_k + A_{k+1})/2 * dt``, composed in time order.  Fills
+    ``i (A_k + A_{k+1})/2 * dt``, composed in time order.  This is the one
+    time-ordered exponential that does not go through
+    :func:`invphase.propagator.propagate`: the product uses the stored
+    samples as they are, while ``propagate`` would need an interpolated
+    schedule and several exponentials per interval.  Fills
     ``record.Gamma_T`` and returns the record.
     """
     grid = record.grid

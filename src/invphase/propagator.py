@@ -6,10 +6,12 @@ spectrally so every factor is exactly unitary), estimates the local error by
 step-doubling, composes evolution operators of geometrically equivalent
 systems, and detects evolution loops ``U(t) = c * identity``.
 
-One kernel, :func:`propagate`, computes every time-ordered exponential of
-the package: the evolution operator of :func:`evolve`, the symmetry factor
-``V`` of :func:`compose_geq` and the block evolutions ``u^n`` of
-:func:`invphase.phases.solve_un`.
+One kernel, :func:`propagate`, computes the evolution operator of
+:func:`evolve`, the symmetry factor ``V`` of :func:`compose_geq` and the
+block evolutions ``u^n`` of :func:`invphase.phases.solve_un`.  The one other
+time-ordered exponential of the package is the holonomy of
+:func:`invphase.phases.nonabelian_holonomy`, a second-order midpoint product
+over the stored grid.
 
 Design notes
 ------------
@@ -27,7 +29,7 @@ Design notes
   re-unitarized (polar factor) when ``||U U^H - 1||_F > 1e-12``; the largest
   defect seen is reported as ``drift_max``.
 * Constant schedules bypass the stepper: ``U(t) = exp(-i t H)`` from a
-  single cached eigendecomposition.
+  single eigendecomposition.
 * No interpolation between stored grid points is offered; consumers sample
   on the grid.
 """
@@ -35,7 +37,6 @@ Design notes
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import linalg
 from .errors import (
@@ -79,10 +80,10 @@ class HamiltonianSchedule:
       the table spans one declared period).
 
     Each constructor builds the evaluation function once; :meth:`sample`
-    only calls it.  The structure the kernels exploit is plain data:
-    ``base`` is the read-only matrix of a constant or scalar-profile
-    schedule (``None`` otherwise) and ``profile`` the scalar ``f`` of a
-    scalar-profile schedule (``None`` otherwise).
+    only calls it.  The one structure a kernel exploits is plain data:
+    ``base`` is the read-only matrix of a constant schedule and ``None``
+    for every other schedule, a scalar profile included, which
+    :func:`propagate` steps like any callable.
 
     Parameters validated on construction: every tabulated sample, and every
     sample a callable returns, is Hermitian (defect at most
@@ -98,15 +99,13 @@ class HamiltonianSchedule:
             ".scalar_profile / .from_samples")
 
     @classmethod
-    def _make(cls, fn, dim, period, label, base=None, profile=None):
+    def _make(cls, fn, dim, period, label, base=None):
         obj = object.__new__(cls)
         obj._fn = fn
         obj.dim = int(dim)
         obj.period = period
         obj.label = label
         obj.base = base
-        obj.profile = profile
-        obj._eig = None             # cached (w, v) of base
         return obj
 
     # ------------------------------------------------------------------ #
@@ -136,12 +135,14 @@ class HamiltonianSchedule:
     @classmethod
     def scalar_profile(cls, profile, base, *, period=None,
                        label="scalar-profile"):
-        """Schedule ``H(t) = profile(t) * base`` with Hermitian ``base``."""
+        """Schedule ``H(t) = profile(t) * base`` with Hermitian ``base``.
+
+        ``base`` is gated once; a real multiple of it is Hermitian, so the
+        samples need no further check.
+        """
         arr = linalg.require_hermitian(base, "profile base")
-        arr.setflags(write=False)
         obj = cls._make(lambda t: float(profile(t)) * arr, arr.shape[0],
-                        cls._check_period(period), label,
-                        base=arr, profile=profile)
+                        cls._check_period(period), label)
         float(profile(0.0))  # must be real scalar
         obj._check_periodicity()
         return obj
@@ -216,15 +217,7 @@ class HamiltonianSchedule:
 
     @property
     def is_constant(self) -> bool:
-        return self.base is not None and self.profile is None
-
-    def base_eig(self):
-        """Cached eigendecomposition of the constant/profile base matrix."""
-        if self.base is None:
-            raise ValueError("schedule has no base matrix")
-        if self._eig is None:
-            self._eig = linalg.eigh(self.base, check_hermitian=False)
-        return self._eig
+        return self.base is not None
 
     def sample(self, t: float) -> np.ndarray:
         """Raw Hermitian ndarray H(t) (hot-path evaluation)."""
@@ -297,6 +290,26 @@ def uniform_spacing(grid: np.ndarray) -> float:
     return float(deltas[0])
 
 
+def _path_arrays(grid, samples):
+    """``(grid, samples)`` of a sampled path as float and complex arrays.
+
+    Raises :class:`DimensionMismatch` unless ``grid`` is a non-empty 1-D
+    array and ``samples`` one square, non-empty matrix per grid point.
+    """
+    grid = np.asarray(grid, dtype=float)
+    samples = np.asarray(samples, dtype=complex)
+    if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
+        raise DimensionMismatch("grid and samples are inconsistent")
+    if grid.size == 0:
+        raise DimensionMismatch(
+            "empty grid: a path needs at least one point")
+    if samples.shape[1] != samples.shape[2] or samples.shape[1] == 0:
+        raise DimensionMismatch(
+            f"samples must be non-empty square matrices, got shape "
+            f"{samples.shape[1:]}")
+    return grid, samples
+
+
 class UnitaryPath:
     """Evolution operator sampled on a time grid.
 
@@ -314,13 +327,7 @@ class UnitaryPath:
     """
 
     def __init__(self, grid, samples, tol_achieved=0.0, drift_max=0.0):
-        grid = np.asarray(grid, dtype=float)
-        samples = np.asarray(samples, dtype=complex)
-        if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
-            raise DimensionMismatch("grid and samples are inconsistent")
-        if grid.size == 0:
-            raise DimensionMismatch(
-                "empty grid: a path needs at least one point")
+        grid, samples = _path_arrays(grid, samples)
         if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must start at 0 and strictly increase")
         dim = samples.shape[1]
@@ -412,7 +419,8 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         If an interval still exceeds ``tol`` after maximal splitting.
     """
     if schedule.is_constant:
-        samples = linalg.spectral_exp(*schedule.base_eig(), grid[keep])
+        samples = linalg.spectral_exp(
+            *linalg.eigh(schedule.base, check_hermitian=False), grid[keep])
         samples[0] = np.eye(schedule.dim)
         return samples, 0.0, 0.0
 
@@ -520,10 +528,9 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
     tol : float
         Local-error budget for the ``V`` integration.
 
-    ``V`` comes from :func:`propagate` on ``path.grid`` (spectral for a
-    constant ``Y``, stepped under the drift policy otherwise), except for a
-    scalar-profile ``Y(t) = f(t) Y0``, where ``V(t) = exp(-i F(t) Y0)`` with
-    ``F`` the cumulative Simpson integral of ``f``.
+    ``V`` comes from :func:`propagate` on ``path.grid`` for every ``Y``:
+    spectral for a constant ``Y``, stepped under the error budget and the
+    drift policy otherwise (a scalar profile ``f(t) Y0`` included).
 
     Returns
     -------
@@ -556,17 +563,8 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
                            tol_achieved=path.tol_achieved,
                            drift_max=path.drift_max)
 
-    if y.profile is not None:
-        # V(t) = exp(-i F(t) Y0): exact up to the quadrature of F; row 0
-        # of the product is set to the identity below
-        f_vals = np.array([float(y.profile(t)) for t in grid])
-        v_samples = linalg.spectral_exp(
-            *y.base_eig(), cumulative_simpson(f_vals, x=grid, initial=0))
-        err_max = v_drift = 0.0
-    else:
-        v_samples, err_max, v_drift = propagate(y, grid, tol,
-                                                np.arange(grid.size))
-
+    v_samples, err_max, v_drift = propagate(y, grid, tol,
+                                            np.arange(grid.size))
     out = np.einsum("kij,kjl->kil", path.samples, v_samples)
     out[0] = np.eye(path.dim)
     return UnitaryPath(grid, out,

@@ -178,6 +178,13 @@ class TestInvariantPath:
         with pytest.raises(DimensionMismatch, match="empty grid"):
             InvariantPath(np.array([]), np.zeros((0, 2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 0, 0)],
+                             ids=["non-square", "0x0"])
+    def test_non_square_or_empty_samples_rejected(self, shape):
+        grid = np.arange(shape[0], dtype=float)
+        with pytest.raises(DimensionMismatch, match="square"):
+            InvariantPath(grid, np.zeros(shape))
+
     @pytest.mark.parametrize("k, i, j, value", [
         (2, 0, 0, np.nan), (2, 0, 1, np.nan), (2, 1, 1, np.inf),
         (0, 2, 2, np.nan), (8, 1, 2, complex(0, np.inf))])
