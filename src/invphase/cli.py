@@ -55,13 +55,13 @@ from pathlib import Path
 
 import click
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from . import cranked, invariant, oscillator, propagator
 from .errors import (ComputeError, ConfigError, InvphaseError, IoError,
                      NonHermitianInput)
 from .linalg import frob, require_hermitian
 from .phases import abelian_phases, project, wrap_angle
+from .quadrature import cumulative_simpson, simpson
 
 N_LEVELS = 6          # phase series cover n = 0 .. 5
 PHASE_TOL = 1e-6      # total-phase and gamma-estimator agreement
@@ -416,8 +416,8 @@ def _oscillator_phases(config, report):
     grid = np.linspace(0.0, config.t_max, config.steps + 1)
 
     a_series, e_series = _w_column_series(params, fock_kt, grid, N_LEVELS)
-    delta = -cumulative_simpson(e_series, x=grid, axis=0, initial=0)
-    gamma = cumulative_simpson(a_series, x=grid, axis=0, initial=0)
+    delta = -cumulative_simpson(e_series, x=grid, axis=0)
+    gamma = cumulative_simpson(a_series, x=grid, axis=0)
 
     k_diag = np.diag(fock_k.K.array).real
     _, vecs = fock_k.cached_eig("I0", fock_k.I0)

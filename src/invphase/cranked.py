@@ -37,12 +37,12 @@ with ``K_n = <lam_n;0| K |lam_n;0>`` and ``Y~_n = <lam_n;0| Y~ |lam_n;0>``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import linalg
 from .errors import DimensionMismatch
 from .linalg import OperatorMatrix, expm_igen, hermitize
 from .propagator import HamiltonianSchedule, UnitaryPath, compose_geq, evolve
+from .quadrature import simpson
 
 __all__ = [
     "CrankedSystem",

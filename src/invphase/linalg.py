@@ -79,14 +79,20 @@ def frob(a) -> float:
     return float(np.linalg.norm(as_matrix(a)))
 
 
-def hermitize(a) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2 of a matrix, or of every matrix of
-    a ``(..., d, d)`` stack, as a complex ndarray."""
+def _as_stack(a) -> np.ndarray:
+    """Complex ``(..., d, d)`` ndarray of an array_like or OperatorMatrix."""
     arr = np.asarray(a.array if isinstance(a, OperatorMatrix) else a,
                      dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatch(
             f"expected square matrices, got shape {arr.shape}")
+    return arr
+
+
+def hermitize(a) -> np.ndarray:
+    """Hermitian part (A + A^dagger)/2 of a matrix, or of every matrix of
+    a ``(..., d, d)`` stack, as a complex ndarray."""
+    arr = _as_stack(a)
     return 0.5 * (arr + arr.conj().swapaxes(-1, -2))
 
 
@@ -318,15 +324,19 @@ def eigvalsh(a) -> np.ndarray:
 
 
 def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
-    """Unitary exponential ``exp(-1j * s * A)`` of a Hermitian generator.
+    """Unitary exponential ``exp(-1j * s * A)`` of a Hermitian generator,
+    or of each generator of a ``(k, d, d)`` stack.
 
     Uses the spectral decomposition of ``A`` so the result is unitary to
-    machine precision for any real ``s``.
+    machine precision for any real ``s``.  A matrix goes through
+    :func:`eigh`; a stack takes one stacked ``np.linalg.eigh`` call and one
+    stacked :func:`spectral_exp`, without canonical eigenvectors, which an
+    exponential does not depend on.
 
     Parameters
     ----------
     a : array_like or OperatorMatrix
-        Hermitian generator.
+        Hermitian generator, or a ``(k, d, d)`` stack of them.
     s : float
         Real scale (e.g. a time step).
     check_hermitian : bool
@@ -335,11 +345,33 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
     Returns
     -------
     ndarray
-        The unitary ``exp(-1j*s*A)``.
+        The unitary ``exp(-1j*s*A)``, or the stack of them.
+
+    Raises
+    ------
+    NonHermitianInput
+        If the hermiticity check fails (for a stack: on any matrix).
+    ConvergenceFailure
+        If LAPACK does not converge.
     """
+    s = float(s)
+    if np.ndim(a) == 3:
+        arr = _as_stack(a)
+        if check_hermitian:
+            bad, _, _ = hermitian_defects(arr)
+            if bad.any():
+                raise NonHermitianInput(
+                    f"expm_igen generator {int(np.argmax(bad))} of the stack "
+                    f"is not Hermitian")
+            arr = hermitize(arr)
+        try:
+            w, v = np.linalg.eigh(arr)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(
+                f"eigh failed to converge: {exc}") from exc
+        return spectral_exp(w, v, s)
     arr = (require_hermitian(a, "expm_igen generator") if check_hermitian
            else as_matrix(a))
-    s = float(s)
     # fast path: exactly diagonal input (zero off-diagonal, finite diagonal)
     d = arr.diagonal()
     if np.count_nonzero(arr) == np.count_nonzero(d) and np.isfinite(d).all():
@@ -353,12 +385,14 @@ def spectral_exp(w, v, t) -> np.ndarray:
 
     ``t`` is a real scalar or an array of times; one exponential per time
     is stacked along the leading axes of ``t``'s shape (none for a scalar).
-    ``v`` must be unitary (columns orthonormal); every result is then
-    unitary to machine precision for any real ``t``.
+    For a scalar ``t``, ``w`` and ``v`` may also be stacks ``(k, d)`` and
+    ``(k, d, d)`` of decompositions, one exponential each.  ``v`` must be
+    unitary (columns orthonormal); every result is then unitary to machine
+    precision for any real ``t``.
     """
     if not isinstance(t, float):   # a float (each integrator step) skips ~1 us
-        t = np.asarray(t, dtype=float)[..., None, None]
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+        t = np.asarray(t, dtype=float)[..., None]
+    return (v * np.exp(-1j * w * t)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def comm(a, b) -> np.ndarray:
@@ -375,7 +409,7 @@ def comm_norm(a, b) -> float:
 
 
 def polar_unitary(a) -> np.ndarray:
-    """Nearest unitary to ``a`` in Frobenius norm (polar factor via SVD)."""
-    arr = as_matrix(a)
-    u, _, vh = np.linalg.svd(arr)
+    """Nearest unitary to ``a`` in Frobenius norm (polar factor via SVD),
+    or to each matrix of a ``(..., d, d)`` stack."""
+    u, _, vh = np.linalg.svd(_as_stack(a))
     return u @ vh

@@ -21,7 +21,6 @@ The geometric quantities depend only on the frame: ``A^n`` never references
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     ComputeError,
@@ -35,6 +34,7 @@ from .invariant import InvariantFrame, frame_derivative
 from .linalg import expm_igen, frob, hermitize
 from .propagator import (HamiltonianSchedule, UnitaryPath, _closes,
                          grid_index, propagate, uniform_spacing)
+from .quadrature import cumulative_simpson
 
 __all__ = [
     "PhaseRecord",
@@ -212,9 +212,9 @@ def abelian_phases(record: PhaseRecord, n: int = None) -> PhaseRecord:
         elif record.degeneracies[m] != 1:
             continue
         record.delta_angle[m] = -cumulative_simpson(
-            record.E[m][:, 0, 0].real, x=record.grid, initial=0)
+            record.E[m][:, 0, 0].real, x=record.grid)
         record.gamma_angle[m] = cumulative_simpson(
-            record.A[m][:, 0, 0].real, x=record.grid, initial=0)
+            record.A[m][:, 0, 0].real, x=record.grid)
     return record
 
 

@@ -24,10 +24,21 @@ Design notes
   ``H`` this collapses to ``exp(-i h H)`` exactly.
 * Local error per step is ``||step_coarse - step_fine||_F`` (unitarily
   invariant, so no reference propagator is needed); the fine value is kept.
-  Intervals whose estimate exceeds ``tol`` are split recursively.
+  Intervals whose estimate exceeds ``tol`` are split recursively, and each
+  half takes the parent's fine half-step as its coarse step.
 * Drift policy: after each interval the accumulated product is
   re-unitarized (polar factor) when ``||U U^H - 1||_F > 1e-12``; the largest
   defect seen is reported as ``drift_max``.
+* Block partition: each schedule fixes, when it is built, the connected
+  blocks of a nonzero pattern that covers its samples (``blocks``; none
+  for one component).  Commutator-free exponential integrators keep any
+  structure the generator keeps (Blanes, Casas, Oteo & Ros, Phys. Rep.
+  470 (2009) 151), so the kernel steps each block size as one stack, with
+  the same CF4 method.  Error estimate and drift are the whole-matrix
+  Frobenius norms ``sqrt(sum_b x_b^2)``, so ``tol`` keeps its meaning.  A
+  coupling is never dropped: a callable schedule checks every sample
+  against its partition, and the first sample outside it collapses the
+  partition to one component and restarts the integration densely.
 * Constant schedules bypass the stepper: ``U(t) = exp(-i t H)`` from a
   single eigendecomposition.
 * No interpolation between stored grid points is offered; consumers sample
@@ -35,6 +46,8 @@ Design notes
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -80,10 +93,22 @@ class HamiltonianSchedule:
       the table spans one declared period).
 
     Each constructor builds the evaluation function once; :meth:`sample`
-    only calls it.  The one structure a kernel exploits is plain data:
-    ``base`` is the read-only matrix of a constant schedule and ``None``
-    for every other schedule, a scalar profile included, which
-    :func:`propagate` steps like any callable.
+    only calls it.  The structure a kernel exploits is plain data:
+
+    * ``base`` is the read-only matrix of a constant schedule and ``None``
+      for every other schedule, a scalar profile included, which
+      :func:`propagate` steps like any callable;
+    * ``blocks`` is the block partition, fixed on construction from the
+      symmetrized union nonzero pattern of the table (:meth:`from_samples`,
+      exact: interpolants combine table rows), of ``base``
+      (:meth:`scalar_profile`, exact) or of the probes
+      (:meth:`from_callable`: ``t = 0`` and the periodicity probes).  It
+      holds, for each block size ``n`` in ascending order, a ``(k, n, n)``
+      array of the flat indices ``i * dim + j`` of the ``k`` blocks of that
+      size; it is ``None`` for one component and for a constant schedule.
+      A callable schedule checks every sample to be exactly zero outside
+      its partition; a sample that is not sets ``blocks`` to ``None`` for
+      good, so no coupling is ever dropped.
 
     Parameters validated on construction: every tabulated sample, and every
     sample a callable returns, is Hermitian (defect at most
@@ -106,7 +131,23 @@ class HamiltonianSchedule:
         obj.period = period
         obj.label = label
         obj.base = base
+        obj.blocks = None
         return obj
+
+    def _partition(self, pattern):
+        """Fix ``blocks`` from a boolean nonzero ``pattern`` that covers
+        every sample; returns each index's component label (``None``, and
+        nothing stored, for one component)."""
+        comp = linalg._component_labels(pattern | pattern.T)
+        if not comp.any():               # one component (or dim 0)
+            return None
+        flat = np.arange(self.dim * self.dim).reshape(self.dim, self.dim)
+        by_size = {}
+        for root in np.unique(comp).tolist():
+            idx = np.flatnonzero(comp == root)
+            by_size.setdefault(idx.size, []).append(flat[np.ix_(idx, idx)])
+        self.blocks = tuple(np.array(by_size[n]) for n in sorted(by_size))
+        return comp
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -121,15 +162,34 @@ class HamiltonianSchedule:
 
     @classmethod
     def from_callable(cls, fn, dim, *, period=None, label="callable"):
-        """Schedule wrapping ``fn(t) -> (dim, dim) Hermitian array``."""
-        obj = cls._make(lambda t: linalg.require_hermitian(fn(t), f"H({t})"),
-                        dim, cls._check_period(period), label)
+        """Schedule wrapping ``fn(t) -> (dim, dim) Hermitian array``.
+
+        The partition is the union pattern of the probes the constructor
+        makes (``t = 0`` and the periodicity probes).  Every later sample
+        is checked to be zero outside it; the first one that is not
+        collapses the partition to one component for good.
+        """
+        outside = None
+
+        def sample(t):
+            nonlocal outside
+            h = linalg.require_hermitian(fn(t), f"H({t})")
+            if outside is not None and np.count_nonzero(h.take(outside)):
+                obj.blocks = outside = None   # never drop a coupling
+            return h
+
+        obj = cls._make(sample, dim, cls._check_period(period), label)
         probe = obj.sample(0.0)
         if probe.shape != (obj.dim, obj.dim):
             raise DimensionMismatch(
                 f"callable returned shape {probe.shape}, "
                 f"expected ({dim}, {dim})")
-        obj._check_periodicity()
+        pattern = probe != 0
+        for m in obj._check_periodicity():
+            pattern |= m != 0
+        comp = obj._partition(pattern)
+        if comp is not None:
+            outside = np.flatnonzero(comp[:, None] != comp)
         return obj
 
     @classmethod
@@ -145,6 +205,7 @@ class HamiltonianSchedule:
                         cls._check_period(period), label)
         float(profile(0.0))  # must be real scalar
         obj._check_periodicity()
+        obj._partition(arr != 0)
         return obj
 
     @classmethod
@@ -170,8 +231,10 @@ class HamiltonianSchedule:
         if not np.allclose(deltas, deltas[0], rtol=1e-10, atol=0.0):
             raise ValueError("sampled schedule requires a uniform grid")
         table = np.empty_like(raw)       # per sample: no stack temporaries
+        pattern = np.zeros(raw.shape[1:], dtype=bool)
         for k, sample in enumerate(raw):
             table[k] = linalg.require_hermitian(sample, f"sample {k}")
+            pattern |= table[k] != 0
         period = cls._check_period(period)
         if period is not None:
             if not np.isclose(period, grid[-1], rtol=1e-12):
@@ -182,8 +245,10 @@ class HamiltonianSchedule:
                 raise ValueError(
                     "samples at t=0 and t=period differ by "
                     f"{frob(table[-1] - table[0]):.3e}")
-        return cls._make(lambda t: _interp(grid, table, period, t),
-                         table.shape[1], period, label)
+        obj = cls._make(lambda t: _interp(grid, table, period, t),
+                        table.shape[1], period, label)
+        obj._partition(pattern)          # interpolants combine table rows
+        return obj
 
     # ------------------------------------------------------------------ #
     # validation helpers
@@ -199,8 +264,10 @@ class HamiltonianSchedule:
         return period
 
     def _check_periodicity(self):
+        """Probe ``H(t)`` and ``H(t + period)`` at three times; returns the
+        six probed samples (none without a period)."""
         if self.period is None:
-            return
+            return []
         times = (0.0, 0.31 * self.period, 0.77 * self.period)
         pairs = [(self.sample(t), self.sample(t + self.period))
                  for t in times]
@@ -210,6 +277,7 @@ class HamiltonianSchedule:
                 raise ValueError(
                     f"declared period {self.period} violated at t={t}: "
                     f"relative defect {frob(b - a) / ref:.3e}")
+        return [m for pair in pairs for m in pair]
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -358,21 +426,46 @@ class UnitaryPath:
                 f"t_max={self.grid[-1]:.6g}, tol={self.tol_achieved:.3e})")
 
 
-def _cf4_step(schedule, t0: float, h: float) -> np.ndarray:
-    """One commutator-free 4th-order step over [t0, t0+h] (exactly unitary)."""
-    h1 = schedule.sample(t0 + _GAUSS_C1 * h)
-    h2 = schedule.sample(t0 + _GAUSS_C2 * h)
-    right = expm_igen(_CF4_A1 * h1 + _CF4_A2 * h2, h, check_hermitian=False)
-    left = expm_igen(_CF4_A2 * h1 + _CF4_A1 * h2, h, check_hermitian=False)
-    return left @ right
+def _parts(matrix: np.ndarray, blocks) -> tuple:
+    """A dense matrix as the kernel's parts: the matrix itself, or one
+    ``(k, n, n)`` stack per block size, gathered by ``blocks``."""
+    if blocks is None:
+        return (matrix,)
+    return tuple(matrix.take(idx) for idx in blocks)
 
 
-def _adaptive_step(schedule, t0, h, tol, depth=0):
-    """Step-doubled CF4 over [t0, t0+h]: returns (transfer, error-estimate)."""
-    coarse = _cf4_step(schedule, t0, h)
-    fine = _cf4_step(schedule, t0 + 0.5 * h, 0.5 * h) @ _cf4_step(
-        schedule, t0, 0.5 * h)
-    err = frob(coarse - fine)
+def _products(left: tuple, right: tuple) -> tuple:
+    return tuple(a @ b for a, b in zip(left, right))
+
+
+def _frob_parts(parts) -> float:
+    """Frobenius norm of the block-diagonal matrix the parts make up."""
+    return math.hypot(*(np.linalg.norm(p) for p in parts))
+
+
+def _cf4_step(schedule, blocks, t0: float, h: float) -> tuple:
+    """One commutator-free 4th-order step over [t0, t0+h] (exactly unitary),
+    as parts."""
+    h1 = _parts(schedule.sample(t0 + _GAUSS_C1 * h), blocks)
+    h2 = _parts(schedule.sample(t0 + _GAUSS_C2 * h), blocks)
+    return tuple(
+        expm_igen(_CF4_A2 * x1 + _CF4_A1 * x2, h, check_hermitian=False)
+        @ expm_igen(_CF4_A1 * x1 + _CF4_A2 * x2, h, check_hermitian=False)
+        for x1, x2 in zip(h1, h2))
+
+
+def _adaptive_step(schedule, blocks, t0, h, tol, coarse=None, depth=0):
+    """Step-doubled CF4 over [t0, t0+h]: returns (transfer, error-estimate).
+
+    ``coarse`` is the CF4 step over the whole interval when the caller
+    already has it: a split passes each half its own fine half-step.
+    """
+    if coarse is None:
+        coarse = _cf4_step(schedule, blocks, t0, h)
+    first = _cf4_step(schedule, blocks, t0, 0.5 * h)
+    second = _cf4_step(schedule, blocks, t0 + 0.5 * h, 0.5 * h)
+    fine = _products(second, first)
+    err = _frob_parts(c - f for c, f in zip(coarse, fine))
     if err <= tol:
         return fine, err
     if depth >= _MAX_SPLIT_DEPTH:
@@ -380,9 +473,11 @@ def _adaptive_step(schedule, t0, h, tol, depth=0):
             f"local error {err:.3e} > tol {tol:.3e} at t={t0:.6g} after "
             f"{_MAX_SPLIT_DEPTH} interval splits (schedule too stiff or "
             f"grid too coarse)")
-    tl, el = _adaptive_step(schedule, t0, 0.5 * h, tol, depth + 1)
-    tr, er = _adaptive_step(schedule, t0 + 0.5 * h, 0.5 * h, tol, depth + 1)
-    return tr @ tl, max(el, er)
+    tl, el = _adaptive_step(schedule, blocks, t0, 0.5 * h, tol, first,
+                            depth + 1)
+    tr, er = _adaptive_step(schedule, blocks, t0 + 0.5 * h, 0.5 * h, tol,
+                            second, depth + 1)
+    return _products(tr, tl), max(el, er)
 
 
 def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
@@ -395,6 +490,13 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
     step-doubled CF4 step per interval ``[grid[k], grid[k+1]]`` (split
     recursively until the estimate meets ``tol``), and the running product
     is re-unitarized whenever ``||U U^H - 1||_F > 1e-12``.
+
+    A schedule with ``blocks`` is stepped block by block: ``U`` is then
+    exactly block-diagonal, and the error estimate and the unitarity
+    defect are the Frobenius norms of the whole matrix,
+    ``sqrt(sum_b x_b^2)``.  When a sample leaves the partition (the
+    schedule collapses it), the integration restarts from ``t = 0`` on the
+    whole matrix.
 
     Parameters
     ----------
@@ -425,25 +527,33 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         return samples, 0.0, 0.0
 
     dim = schedule.dim
-    samples = np.empty((keep.size, dim, dim), dtype=complex)
+    blocks = schedule.blocks
+    samples = np.zeros((keep.size, dim, dim), dtype=complex)
     samples[0] = np.eye(dim)
     keep_set = {int(k): row for row, k in enumerate(keep)}
-    u = np.eye(dim, dtype=complex)
-    eye = np.eye(dim)
+    u = _parts(np.eye(dim, dtype=complex), blocks)
+    eyes = [np.eye(p.shape[-1]) for p in u]
     err_max = 0.0
     drift_max = 0.0
     for k in range(grid.size - 1):
         h = grid[k + 1] - grid[k]
-        transfer, err = _adaptive_step(schedule, grid[k], h, tol)
-        u = transfer @ u
+        transfer, err = _adaptive_step(schedule, blocks, grid[k], h, tol)
+        if schedule.blocks is not blocks:    # a coupling outside the blocks
+            return propagate(schedule, grid, tol, keep)
+        u = _products(transfer, u)
         err_max = max(err_max, err)
-        drift = frob(u @ u.conj().T - eye)
+        drift = _frob_parts(p @ p.conj().swapaxes(-1, -2) - eye
+                            for p, eye in zip(u, eyes))
         drift_max = max(drift_max, drift)
         if drift > 1e-12:
-            u = linalg.polar_unitary(u)
+            u = tuple(linalg.polar_unitary(p) for p in u)
         row = keep_set.get(k + 1)
         if row is not None:
-            samples[row] = u
+            if blocks is None:
+                samples[row] = u[0]
+            else:
+                for idx, p in zip(blocks, u):
+                    np.put(samples[row], idx, p)
     return samples, err_max, drift_max
 
 

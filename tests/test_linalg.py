@@ -606,3 +606,40 @@ class TestHermitianGate:
         a = np.diag([1.0, 2.0 + 1e-6j, 3.0])
         with pytest.raises(NonHermitianInput):
             expm_igen(a, 0.5)
+
+
+class TestStackedExpm:
+    """``expm_igen`` of a ``(k, d, d)`` stack: one stacked eigensolve."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 5), dim=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), s=st.floats(-3.0, 3.0),
+           degenerate=st.booleans())
+    def test_stack_matches_matrix_calls(self, k, dim, seed, s, degenerate):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(
+            size=(k, dim, dim))
+        if degenerate:   # integer levels, most of them repeated
+            q = np.linalg.qr(g)[0]
+            w = rng.integers(-2, 3, size=(k, 1, dim)).astype(float)
+            stack = linalg.hermitize((q * w) @ q.conj().swapaxes(1, 2))
+        else:
+            stack = linalg.hermitize(g) / dim
+        got = expm_igen(stack, s, check_hermitian=False)
+        assert got.shape == stack.shape
+        for a, u in zip(stack, got):
+            assert linalg.frob(u - expm_igen(a, s)) <= 1e-13
+            assert _same_bits(expm_igen(a, s), _reference_expm_igen(a, s))
+        assert _same_bits(expm_igen(stack, s), got)   # gate keeps the bits
+
+    def test_stack_gate_rejects_any_non_hermitian_member(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(NonHermitianInput, match="generator 1"):
+            expm_igen(stack, 0.5)
+
+    def test_stack_convergence_failure_is_wrapped(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+        monkeypatch.setattr(linalg.np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure):
+            expm_igen(np.stack([np.eye(2)] * 3), 0.5)

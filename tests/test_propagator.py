@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invphase import propagator
 from invphase.errors import (
     DimensionMismatch,
     NonHermitianInput,
@@ -14,7 +15,6 @@ from invphase.linalg import expm_igen, frob, hermitize
 from invphase.propagator import (
     HamiltonianSchedule,
     UnitaryPath,
-    _adaptive_step,
     compose_geq,
     evolve,
     loop_check,
@@ -441,16 +441,52 @@ class TestComposeGeq:
         assert "t=" in str(exc.value)
 
 
+def _reference_cf4_step(schedule, t0, h):
+    """One dense CF4 step, as the kernel took it before block stepping."""
+    h1 = schedule.sample(t0 + propagator._GAUSS_C1 * h)
+    h2 = schedule.sample(t0 + propagator._GAUSS_C2 * h)
+    a1, a2 = propagator._CF4_A1, propagator._CF4_A2
+    right = expm_igen(a1 * h1 + a2 * h2, h, check_hermitian=False)
+    left = expm_igen(a2 * h1 + a1 * h2, h, check_hermitian=False)
+    return left @ right
+
+
+def _reference_adaptive_step(schedule, t0, h, tol, depth=0):
+    """The dense step-doubling recursion before a split reused the parent's
+    half-steps: 3 CF4 steps at every level."""
+    coarse = _reference_cf4_step(schedule, t0, h)
+    fine = _reference_cf4_step(schedule, t0 + 0.5 * h, 0.5 * h) @ (
+        _reference_cf4_step(schedule, t0, 0.5 * h))
+    err = frob(coarse - fine)
+    if err <= tol:
+        return fine, err
+    assert depth < propagator._MAX_SPLIT_DEPTH
+    tl, el = _reference_adaptive_step(schedule, t0, 0.5 * h, tol, depth + 1)
+    tr, er = _reference_adaptive_step(schedule, t0 + 0.5 * h, 0.5 * h, tol,
+                                      depth + 1)
+    return tr @ tl, max(el, er)
+
+
 def _reference_stepping(schedule, grid, tol):
-    """Stepping loop each caller carried before the shared kernel."""
+    """The dense stepping loop with its drift policy: ``(samples, err_max,
+    drift_max)`` at every grid point, as the kernel computed them before
+    block stepping."""
+    eye = np.eye(schedule.dim)
     u = np.eye(schedule.dim, dtype=complex)
     out = [u]
+    err_max = drift_max = 0.0
     for k in range(grid.size - 1):
         h = grid[k + 1] - grid[k]
-        transfer, _ = _adaptive_step(schedule, grid[k], h, tol)
+        transfer, err = _reference_adaptive_step(schedule, grid[k], h, tol)
         u = transfer @ u
+        err_max = max(err_max, err)
+        drift = frob(u @ u.conj().T - eye)
+        drift_max = max(drift_max, drift)
+        if drift > 1e-12:
+            left, _, right = np.linalg.svd(u)
+            u = left @ right
         out.append(u)
-    return np.array(out)
+    return np.array(out), err_max, drift_max
 
 
 class TestKernel:
@@ -467,12 +503,153 @@ class TestKernel:
         y = HamiltonianSchedule.from_callable(
             lambda t: a + np.cos(t) * b, dim)
         out = compose_geq(path, y)
-        expected = path.samples @ _reference_stepping(y, path.grid, 1e-10)
+        expected = path.samples @ _reference_stepping(y, path.grid, 1e-10)[0]
         eye = np.eye(dim)
         for k in range(len(path)):
             assert frob(out.samples[k] - expected[k]) <= 1e-12
             u = out.samples[k]
             assert frob(u @ u.conj().T - eye) <= 1e-12 * dim
+
+
+def _block_hermitian(rng, sizes, perm):
+    """Hermitian matrix, dense inside the diagonal blocks of ``sizes`` and
+    zero outside them, with its indices permuted by ``perm``."""
+    dim = sum(sizes)
+    a = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for n in sizes:
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a[start:start + n, start:start + n] = (g + g.conj().T) / (2 * dim)
+        start += n
+    return a[np.ix_(perm, perm)]
+
+
+def _block_sizes(schedule):
+    return sorted(idx.shape[-1] for group in schedule.blocks for idx in group)
+
+
+def _dense(blocks, parts, dim):
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, p in zip(blocks, parts):
+        np.put(out, idx, p)
+    return out
+
+
+class TestBlockPropagation:
+    """Schedules that split into blocks are stepped block by block."""
+
+    TOL = 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+           seed=st.integers(0, 2**32 - 1),
+           form=st.sampled_from(["periodic", "aperiodic", "sampled"]),
+           omega=st.floats(0.5, 4.0), steps=st.integers(8, 40))
+    def test_block_schedule_matches_dense_kernel(self, sizes, seed, form,
+                                                 omega, steps):
+        rng = np.random.default_rng(seed)
+        dim = sum(sizes)
+        perm = rng.permutation(dim)
+        a = _block_hermitian(rng, sizes, perm)
+        b = _block_hermitian(rng, sizes, perm)
+        fn = lambda t: a + np.cos(omega * t) * b
+        t_max = 2 * np.pi / omega if form == "periodic" else 1.0
+        if form == "sampled":
+            table_grid = np.linspace(0.0, t_max, 33)
+            sched = HamiltonianSchedule.from_samples(
+                table_grid, [fn(t) for t in table_grid])
+        else:
+            sched = HamiltonianSchedule.from_callable(
+                fn, dim, period=t_max if form == "periodic" else None)
+        assert _block_sizes(sched) == sorted(sizes)
+        outside = (a == 0) & (b == 0)
+
+        path = evolve(sched, t_max, steps=steps, tol=self.TOL)
+        assert sched.blocks is not None
+        ref, _, _ = _reference_stepping(sched, path.grid, self.TOL)
+        eye = np.eye(dim)
+        for u, r in zip(path.samples, ref):
+            assert frob(u - r) <= self.TOL * steps
+            assert frob(u @ u.conj().T - eye) <= 1e-12 * dim
+            assert not np.any(u[outside])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           steps=st.integers(4, 24), periodic=st.booleans())
+    def test_one_component_schedule_keeps_dense_bits(self, dim, seed, steps,
+                                                     periodic):
+        a = random_hermitian(dim, seed) / dim
+        b = random_hermitian(dim, seed + 1) / dim
+        sched = HamiltonianSchedule.from_callable(
+            lambda t: a + np.cos(t) * b, dim,
+            period=2 * np.pi if periodic else None)
+        assert sched.blocks is None
+        path = evolve(sched, 2.0, steps=steps, tol=self.TOL)
+        ref, err, drift = _reference_stepping(sched, path.grid, self.TOL)
+        assert np.array_equal(path.samples, ref)
+        assert (path.tol_achieved, path.drift_max) == (err, drift)
+
+    @pytest.mark.parametrize("blocked", [False, True],
+                             ids=["dense", "blocks"])
+    def test_split_reuses_the_parents_half_steps(self, blocked, monkeypatch):
+        # an interval that splits to depth 2: 1 + 2 + 4 CF4 steps for the
+        # coarse values, 2 per node for the fine ones, 15 in all (21
+        # without reuse), with the bits of the recursion without reuse
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        z = np.diag([1.0, -1.0])
+        if blocked:
+            zero = np.zeros((2, 2))
+            fn = lambda t: np.block([
+                [np.cos(3 * t) * x + np.sin(t) * z, zero],
+                [zero, np.cos(2 * t) * x + z]])
+        else:
+            fn = lambda t: np.cos(3 * t) * x + np.sin(t) * z
+        sched = HamiltonianSchedule.from_callable(fn, 4 if blocked else 2)
+        assert (sched.blocks is not None) == blocked
+        t0, h = 0.2, 0.5
+        est = [[_reference_adaptive_step(sched, t0 + j * h / n, h / n,
+                                         np.inf)[1] for j in range(n)]
+               for n in (2, 4)]
+        tol = np.sqrt(min(est[0]) * max(est[1]))
+        assert max(est[1]) < tol < min(est[0])
+        ref, ref_err = _reference_adaptive_step(sched, t0, h, tol)
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return expm_igen(*args, **kwargs)
+        monkeypatch.setattr(propagator, "expm_igen", counted)
+        transfer, err = propagator._adaptive_step(sched, sched.blocks, t0, h,
+                                                  tol)
+        assert len(calls) == 2 * 15
+        if blocked:
+            assert set(calls) == {(2, 2, 2)}
+            assert frob(_dense(sched.blocks, transfer, 4) - ref) <= 1e-13
+            assert abs(err - ref_err) <= 1e-13
+        else:
+            assert np.array_equal(transfer[0], ref) and err == ref_err
+
+    @pytest.mark.parametrize("switch", ["sin", "late"])
+    def test_coupling_no_probe_sees_is_never_dropped(self, switch):
+        # the probe at t = 0 sees only the blocks of B; the off-block C
+        # enters with sin(t), or only after t = 0.5: the partition collapses
+        # and the kernel restarts on the whole matrix
+        rng = np.random.default_rng(7)
+        perm = rng.permutation(5)
+        b = _block_hermitian(rng, [2, 3], perm)
+        c = random_hermitian(5, 8) / 5
+        c[b != 0] = 0.0
+        c[np.eye(5, dtype=bool)] = 0.0
+        f = np.sin if switch == "sin" else lambda t: max(t - 0.5, 0.0) ** 3
+        sched = HamiltonianSchedule.from_callable(lambda t: b + f(t) * c, 5)
+        assert _block_sizes(sched) == [2, 3]
+        path = evolve(sched, 1.0, steps=16, tol=self.TOL)
+        assert sched.blocks is None
+        ref, err, drift = _reference_stepping(sched, path.grid, self.TOL)
+        assert np.array_equal(path.samples, ref)
+        assert (path.tol_achieved, path.drift_max) == (err, drift)
+        assert np.abs(path.final()[c != 0]).max() > 1e-6
 
 
 class TestLoopCheck:
