@@ -15,14 +15,16 @@ the propagation and invariant layers.
 Conventions
 -----------
 * hbar = 1 throughout.
-* ``eigh`` returns eigenvalues ascending; within a degenerate cluster the
-  eigenvectors are the Gram-Schmidt orthonormalization, in index order, of
-  the projections of the standard basis vectors onto the cluster eigenspace,
-  and every eigenvector's largest-magnitude component (lowest index on ties)
-  is made real and positive.  Equal inputs therefore give bit-identical
-  output.
-* ``expm_igen(A, s)`` computes ``exp(-1j*s*A)`` for Hermitian ``A`` through
-  its spectral decomposition, so the result is unitary to machine precision.
+* ``eigh`` returns eigenvalues ascending; for a matrix, within a degenerate
+  cluster the eigenvectors are the Gram-Schmidt orthonormalization, in
+  index order, of the projections of the standard basis vectors onto the
+  cluster eigenspace, and every eigenvector's largest-magnitude component
+  (lowest index on ties) is made real and positive.  Equal inputs therefore
+  give bit-identical output.  A ``(k, d, d)`` stack is decomposed by one
+  LAPACK call whose eigenvectors are kept as they are.
+* ``expm_igen(A, s)`` computes ``exp(-1j*s*A)`` for Hermitian ``A``, or for
+  each matrix of a stack, through its spectral decomposition, so the result
+  is unitary to machine precision.
 """
 
 from __future__ import annotations
@@ -225,42 +227,69 @@ def cluster_bounds(w: np.ndarray, thresh: float) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], ~close, [True])))
 
 
+def _hermitian_input(a, what: str, check: bool) -> np.ndarray:
+    """A matrix or a ``(k, d, d)`` stack as a complex ndarray, through the
+    Hermiticity gate when ``check`` (Hermitian part of each matrix)."""
+    arr = _as_stack(a)
+    if arr.ndim == 2:
+        return require_hermitian(arr, what) if check else arr
+    if arr.ndim != 3:
+        raise DimensionMismatch(
+            f"expected a matrix or a (k, d, d) stack, got shape {arr.shape}")
+    if not check:
+        return arr
+    bad, _, _ = hermitian_defects(arr)
+    if bad.any():
+        raise NonHermitianInput(
+            f"{what} {int(np.argmax(bad))} of the stack is not Hermitian")
+    return hermitize(arr)
+
+
 def eigh(a, *, check_hermitian: bool = True):
-    """Hermitian eigendecomposition with deterministic output.
+    """Hermitian eigendecomposition with deterministic output, of a matrix
+    or of each matrix of a ``(k, d, d)`` stack.
+
+    A stack takes one stacked LAPACK call and keeps LAPACK's eigenvectors:
+    orthonormal and reproducible, but not canonicalized, which a function
+    of the matrix (such as :func:`expm_igen`'s exponential) does not need.
 
     Parameters
     ----------
     a : array_like or OperatorMatrix
-        Hermitian matrix.
+        Hermitian matrix, or a ``(k, d, d)`` stack of them.
     check_hermitian : bool
-        If True (default), pass ``a`` through :func:`require_hermitian` and
-        decompose its Hermitian part.  If False, ``a`` is decomposed as
-        given: the caller passes an exactly Hermitian matrix
-        (``A == A^H`` entrywise, e.g. a :func:`require_hermitian` or
-        :func:`hermitize` result, or a real combination of such).
+        If True (default), pass ``a`` through :func:`require_hermitian` (a
+        stack: every matrix through the same rule) and decompose its
+        Hermitian part.  If False, ``a`` is decomposed as given: the caller
+        passes an exactly Hermitian matrix (``A == A^H`` entrywise, e.g. a
+        :func:`require_hermitian` or :func:`hermitize` result, or a real
+        combination of such).
 
     Returns
     -------
-    w : ndarray, shape (dim,)
+    w : ndarray, shape (dim,) or (k, dim)
         Eigenvalues in ascending order.
-    v : ndarray, shape (dim, dim)
-        Orthonormal eigenvectors as columns, canonicalized: inside each
-        near-degenerate cluster (gaps < 1e-9 max(1, ||A||_F)) the basis is
-        the deterministic projection construction, and every column's
-        largest-magnitude entry is made real positive.
+    v : ndarray, shape (dim, dim) or (k, dim, dim)
+        Orthonormal eigenvectors as columns.  For a matrix they are
+        canonicalized: inside each near-degenerate cluster (gaps
+        < 1e-9 max(1, ||A||_F)) the basis is the deterministic projection
+        construction, and every column's largest-magnitude entry is made
+        real positive.
 
     Raises
     ------
     NonHermitianInput
-        If the hermiticity check fails.
+        If the hermiticity check fails (for a stack: on any matrix).
     ConvergenceFailure
         If LAPACK does not converge.
     """
-    h = require_hermitian(a, "eigh input") if check_hermitian else as_matrix(a)
+    h = _hermitian_input(a, "eigh input", check_hermitian)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
+    if h.ndim == 3:
+        return w, v
 
     # canonicalize within near-degenerate clusters
     # ||h||_F from the spectrum: sqrt(sum w^2) for Hermitian h
@@ -305,10 +334,7 @@ def eigvalsh(a) -> np.ndarray:
     eigenvalue is its real diagonal entry, and the concatenated eigenvalues
     are sorted.
     """
-    arr = np.asarray(a, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatch(
-            f"expected square matrices, got shape {arr.shape}")
+    arr = _as_stack(a)
     d = arr.shape[-1]
     pattern = (arr != 0).reshape(-1, d, d).any(axis=0)
     label = _component_labels(pattern | pattern.T)
@@ -328,10 +354,9 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
     or of each generator of a ``(k, d, d)`` stack.
 
     Uses the spectral decomposition of ``A`` so the result is unitary to
-    machine precision for any real ``s``.  A matrix goes through
-    :func:`eigh`; a stack takes one stacked ``np.linalg.eigh`` call and one
-    stacked :func:`spectral_exp`, without canonical eigenvectors, which an
-    exponential does not depend on.
+    machine precision for any real ``s``.  An exactly diagonal matrix is
+    exponentiated entrywise; any other input takes one :func:`eigh` call
+    (one stacked LAPACK call for a stack) and one :func:`spectral_exp`.
 
     Parameters
     ----------
@@ -355,29 +380,13 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
         If LAPACK does not converge.
     """
     s = float(s)
-    if np.ndim(a) == 3:
-        arr = _as_stack(a)
-        if check_hermitian:
-            bad, _, _ = hermitian_defects(arr)
-            if bad.any():
-                raise NonHermitianInput(
-                    f"expm_igen generator {int(np.argmax(bad))} of the stack "
-                    f"is not Hermitian")
-            arr = hermitize(arr)
-        try:
-            w, v = np.linalg.eigh(arr)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(
-                f"eigh failed to converge: {exc}") from exc
-        return spectral_exp(w, v, s)
-    arr = (require_hermitian(a, "expm_igen generator") if check_hermitian
-           else as_matrix(a))
-    # fast path: exactly diagonal input (zero off-diagonal, finite diagonal)
-    d = arr.diagonal()
-    if np.count_nonzero(arr) == np.count_nonzero(d) and np.isfinite(d).all():
-        return np.diag(np.exp(-1j * s * d.real))
-    w, v = eigh(arr, check_hermitian=False)
-    return spectral_exp(w, v, s)
+    h = _hermitian_input(a, "expm_igen generator", check_hermitian)
+    if h.ndim == 2:
+        # fast path: exactly diagonal input (zero off-diagonal, finite diagonal)
+        d = h.diagonal()
+        if np.count_nonzero(h) == np.count_nonzero(d) and np.isfinite(d).all():
+            return np.diag(np.exp(-1j * s * d.real))
+    return spectral_exp(*eigh(h, check_hermitian=False), s)
 
 
 def spectral_exp(w, v, t) -> np.ndarray:

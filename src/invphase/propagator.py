@@ -34,7 +34,8 @@ Design notes
   for one component).  Commutator-free exponential integrators keep any
   structure the generator keeps (Blanes, Casas, Oteo & Ros, Phys. Rep.
   470 (2009) 151), so the kernel steps each block size as one stack, with
-  the same CF4 method.  Error estimate and drift are the whole-matrix
+  the same CF4 method; each stacked exponential is one
+  :func:`invphase.linalg.eigh` call on the stack.  Error estimate and drift are the whole-matrix
   Frobenius norms ``sqrt(sum_b x_b^2)``, so ``tol`` keeps its meaning.  A
   coupling is never dropped: a callable schedule checks every sample
   against its partition, and the first sample outside it collapses the

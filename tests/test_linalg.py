@@ -609,7 +609,7 @@ class TestHermitianGate:
 
 
 class TestStackedExpm:
-    """``expm_igen`` of a ``(k, d, d)`` stack: one stacked eigensolve."""
+    """``expm_igen`` of a ``(k, d, d)`` stack: one stacked :func:`eigh`."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(k=st.integers(1, 5), dim=st.integers(1, 12),
@@ -643,3 +643,46 @@ class TestStackedExpm:
         monkeypatch.setattr(linalg.np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceFailure):
             expm_igen(np.stack([np.eye(2)] * 3), 0.5)
+
+    def test_stack_goes_through_one_eigh_call(self, monkeypatch):
+        shapes = []
+
+        def counted(a, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, **kwargs)
+        monkeypatch.setattr(linalg, "eigh", counted)
+        stack = np.stack([np.array([[0.0, 1.0], [1.0, 0.0]])] * 3)
+        expm_igen(stack, 0.5)
+        assert shapes == [(3, 2, 2)]
+
+
+class TestStackedEigh:
+    """``eigh`` of a ``(k, d, d)`` stack: one LAPACK call, eigenvectors as
+    LAPACK returns them."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 5), dim=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_decomposes_each_matrix(self, k, dim, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(
+            size=(k, dim, dim))
+        stack = linalg.hermitize(g)
+        w, v = eigh(stack)
+        assert w.shape == (k, dim) and v.shape == (k, dim, dim)
+        assert np.all(np.diff(w, axis=1) >= 0)
+        for a, wk, vk in zip(stack, w, v):
+            assert np.abs(wk - eigh(a)[0]).max() <= 1e-12 * max(dim, 1)
+            assert linalg.frob(vk.conj().T @ vk - np.eye(dim)) <= 1e-13 * dim
+            assert linalg.frob((vk * wk) @ vk.conj().T - a) <= 1e-12 * dim
+
+    def test_stack_gate_names_the_member(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.triu(np.ones((2, 2)))])
+        with pytest.raises(NonHermitianInput, match="eigh input 2 "):
+            eigh(stack)
+        w, _ = eigh(stack, check_hermitian=False)
+        assert w.shape == (3, 2)
+
+    def test_rank_above_three_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            eigh(np.zeros((2, 2, 3, 3)))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invphase import propagator
+from invphase import linalg, propagator
 from invphase.errors import (
     DimensionMismatch,
     NonHermitianInput,
     SymmetryViolation,
     ToleranceNotMet,
 )
-from invphase.linalg import expm_igen, frob, hermitize
+from invphase.linalg import eigh, expm_igen, frob, hermitize
 from invphase.propagator import (
     HamiltonianSchedule,
     UnitaryPath,
@@ -629,6 +629,26 @@ class TestBlockPropagation:
             assert abs(err - ref_err) <= 1e-13
         else:
             assert np.array_equal(transfer[0], ref) and err == ref_err
+
+    def test_block_steps_decompose_through_linalg_eigh(self, monkeypatch):
+        # every stacked exponential is one linalg.eigh call on its stack,
+        # so whatever wraps linalg.eigh sees the block eigen work: six
+        # calls per unsplit interval, one per block size in each
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(7)
+        a = _block_hermitian(rng, [3, 3, 1], perm)
+        b = _block_hermitian(rng, [3, 3, 1], perm)
+        sched = HamiltonianSchedule.from_callable(
+            lambda t: a + np.cos(t) * b, 7)
+        shapes = []
+
+        def counted(h, **kwargs):
+            shapes.append(np.shape(h))
+            return eigh(h, **kwargs)
+        monkeypatch.setattr(linalg, "eigh", counted)
+        evolve(sched, 0.5, steps=4, tol=1.0)
+        assert sorted(set(shapes)) == [(1, 1, 1), (2, 3, 3)]
+        assert len(shapes) == 4 * 6 * 2
 
     @pytest.mark.parametrize("switch", ["sin", "late"])
     def test_coupling_no_probe_sees_is_never_dropped(self, switch):
