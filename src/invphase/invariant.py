@@ -20,6 +20,8 @@ Schrodinger equation.  This module
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 
@@ -61,66 +63,172 @@ SPECTRUM_DRIFT = 1e-8
 _CHUNK_BYTES = 1 << 21
 
 
-def _row_chunks(samples: np.ndarray):
-    """Consecutive row slices of a sample stack, ``_CHUNK_BYTES`` each."""
-    rows = max(1, _CHUNK_BYTES // max(1, samples[:1].nbytes))
-    for start in range(0, samples.shape[0], rows):
-        yield start, samples[start:start + rows]
+def _chunk_bounds(path: "InvariantPath", start: int = 0):
+    """``(k0, k1)`` of consecutive row blocks of a path from row ``start``
+    on, ``_CHUNK_BYTES`` of complex samples each."""
+    step = max(1, _CHUNK_BYTES // (16 * path.dim * path.dim))
+    n_pts = len(path)
+    for k0 in range(start, n_pts, step):
+        yield k0, min(k0 + step, n_pts)
+
+
+def _row_chunks(path: "InvariantPath", start: int = 0):
+    """``(k0, rows k0:k1)`` for each block of :func:`_chunk_bounds`."""
+    for k0, k1 in _chunk_bounds(path, start):
+        yield k0, path.rows(k0, k1)
 
 
 class InvariantPath:
     """Hermitian invariant ``I(t)`` sampled on a time grid.
 
+    A path holds either a stored stack of samples (``InvariantPath(grid,
+    samples)``) or the closed form of a diagonal-phase rotation
+    (:meth:`rotated`), whose samples are computed when they are read.
+    The diagnostics (the Hermiticity gate, :meth:`spectrum_drift`,
+    :func:`lvn_residual`, :func:`lvn_defect`, :meth:`at`,
+    :attr:`is_periodic`) read either kind through :meth:`rows`, chunk by
+    chunk, so their extra memory is O(chunk), not O(grid).
+
     Attributes
     ----------
     grid : ndarray
-        Strictly increasing times.
-    samples : ndarray, shape (len(grid), dim, dim)
-        ``I(t)`` per grid point (Hermitian).
+        Finite, strictly increasing times.
     """
 
     def __init__(self, grid, samples):
-        grid, samples = _path_arrays(grid, samples)
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must strictly increase")
-        self.grid = grid
-        self.samples = samples
-        # every sample passes the Hermiticity rule; the spectrum is
-        # spot-checked at three samples, and eigenframe() checks every one
-        for start, chunk in _row_chunks(samples):
+        self._set_source(*_path_arrays(grid, samples))
+        # every sample passes the Hermiticity rule
+        for start, chunk in _row_chunks(self):
             bad, defect, scale = linalg.hermitian_defects(chunk)
             if bad.any():
                 k = int(np.argmax(bad))
-                where = f"invariant sample at t={grid[start + k]:.6g}"
+                where = f"invariant sample at t={self.grid[start + k]:.6g}"
                 if not np.isfinite(scale[k]):
                     raise NonHermitianInput(f"{where} is not finite")
                 raise NonHermitianInput(
                     f"{where}: max|A - A^H| = {defect[k]:.3e} > "
                     f"{linalg.HERMITIAN_TOL:g} * {scale[k]:.3e}")
-        spots = [0, samples.shape[0] // 2, samples.shape[0] - 1]
-        w = linalg.eigvalsh(samples[spots])
+        self._check_spectrum()
+
+    @classmethod
+    def rotated(cls, grid, i0, k_diag) -> "InvariantPath":
+        """The path ``I(t) = e^{-iKt} I0 e^{iKt}`` of a diagonal ``K``.
+
+        In the basis where ``K = diag(k_diag)`` every sample is the
+        similarity ``D I0 D^H`` with ``D = diag(exp(-1j k_diag t))``.  The
+        path keeps ``I0`` and the phase table ``exp(-1j outer(grid,
+        k_diag))`` (``len(grid) * dim`` numbers), not the samples: each
+        read computes its rows with one ``einsum`` over them, and the rows
+        of any chunk have the bits of the whole-stack ``einsum``.
+
+        ``I0`` passes :func:`invphase.linalg.require_hermitian`.  A
+        unitary diagonal similarity keeps it Hermitian, so no per-sample
+        Hermiticity pass is made; the spectrum is spot-checked at three
+        samples as for a stored path.
+
+        Raises
+        ------
+        NonHermitianInput
+            If ``I0`` is not Hermitian or not finite, or ``k_diag`` is not
+            real and finite.
+        DimensionMismatch
+            If the grid is not a non-empty 1-D array, ``I0`` is not a
+            non-empty square matrix, or ``k_diag`` is not one value per
+            row of ``I0``.
+        ValueError
+            If the grid is not finite and strictly increasing.
+        """
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise DimensionMismatch(
+                "empty grid: a path needs at least one point"
+                if grid.size == 0 else "grid must be a 1-D array")
+        i0 = linalg.require_hermitian(i0, "I0")
+        if i0.shape[0] == 0:
+            raise DimensionMismatch("I0 must be a non-empty matrix")
+        kd = np.asarray(k_diag)
+        if kd.shape != i0.shape[:1]:
+            raise DimensionMismatch(
+                f"k_diag has shape {kd.shape}, I0 has dim {i0.shape[0]}")
+        if np.iscomplexobj(kd) and np.any(kd.imag != 0):
+            raise NonHermitianInput("k_diag: K must be real")
+        kd = kd.real.astype(float)
+        if not np.all(np.isfinite(kd)):
+            raise NonHermitianInput("k_diag: entries are not all finite")
+        path = cls.__new__(cls)
+        path._set_source(grid, i0=i0, k_diag=kd)
+        path._check_spectrum()
+        return path
+
+    def _set_source(self, grid, stack=None, *, i0=None, k_diag=None):
+        """Set the grid and the rows' source: a stored ``stack``, or ``I0``
+        and the phase table of ``k_diag``.  ``grid`` is a non-empty 1-D
+        float array; ``ValueError`` unless it is finite and strictly
+        increasing."""
+        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be finite and strictly increase")
+        self.grid = grid
+        self._stack = stack
+        self._i0 = i0
+        self._phases = (None if k_diag is None
+                        else np.exp(-1j * np.outer(grid, k_diag)))
+
+    def _check_spectrum(self) -> None:
+        """Spot check of the spectrum at the first, middle and last
+        samples; :func:`eigenframe` checks every one."""
+        spots = [0, len(self) // 2, len(self) - 1]
+        w = linalg.eigvalsh(np.concatenate([self.rows(k, k + 1)
+                                            for k in spots]))
         drift = np.abs(w - w[0]) > SPECTRUM_DRIFT * (1 + np.abs(w[0]))
         if drift.any():
             k = spots[int(np.argmax(drift.any(axis=1)))]
             raise ComputeError(
-                f"invariant spectrum drifts at t={grid[k]:.6g}: not a "
+                f"invariant spectrum drifts at t={self.grid[k]:.6g}: not a "
                 "dynamical invariant path")
+
+    def rows(self, k0: int, k1: int) -> np.ndarray:
+        """``I(t_k)`` for ``k0 <= k < k1`` as a ``(k1 - k0, dim, dim)``
+        array: a view of a stored stack, or new rows of a rotated path."""
+        if self._stack is not None:
+            return self._stack[k0:k1]
+        p = self._phases[k0:k1]
+        return np.einsum("ti,ij,tj->tij", p, self._i0, p.conj())
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole ``(len(grid), dim, dim)`` stack of ``I(t)``.
+
+        A stored path returns its stack itself.  A rotated path builds a
+        new read-only stack on every read, an O(grid) cost in time and
+        memory (so bind it once rather than index it), for the consumers
+        that need every sample at once (:func:`eigenframe`,
+        :meth:`InvariantFrame.validate`, :func:`symmetry_check`).
+        """
+        if self._stack is not None:
+            return self._stack
+        stack = self.rows(0, len(self))
+        stack.setflags(write=False)
+        return stack
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        source = self._stack if self._stack is not None else self._i0
+        return source.shape[-1]
 
     def __len__(self) -> int:
         return self.grid.size
 
     def at(self, t: float) -> np.ndarray:
-        return self.samples[grid_index(self.grid, t)]
+        k = grid_index(self.grid, t)
+        return self.rows(k, k + 1)[0]
 
     @property
     def is_periodic(self) -> bool:
         """True when the last sample returns to the first (relative 1e-8)."""
-        ref = max(frob(self.samples[0]), 1e-300)
-        return frob(self.samples[-1] - self.samples[0]) <= 1e-8 * ref
+        first, last = self.rows(0, 1)[0], self.rows(len(self) - 1,
+                                                     len(self))[0]
+        ref = max(frob(first), 1e-300)
+        return frob(last - first) <= 1e-8 * ref
 
     def spectrum_drift(self) -> float:
         """max over grid and levels of |lam(t) - lam(0)| / (1 + |lam(0)|).
@@ -132,9 +240,9 @@ class InvariantPath:
         parity blocks of the oscillator), which is exact for every sample
         in it; a dense chunk is one dense solve.
         """
-        w0 = linalg.eigvalsh(self.samples[0])
+        w0 = linalg.eigvalsh(self.rows(0, 1)[0])
         worst = 0.0
-        for _, chunk in _row_chunks(self.samples[1:]):
+        for _, chunk in _row_chunks(self, start=1):
             w = linalg.eigvalsh(chunk)
             worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
         return worst
@@ -242,8 +350,10 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     """Liouville-von Neumann residual series ``||dI/dt - i[I, H(t)]||_F``.
 
     ``dI/dt`` uses second-order central differences (one-sided second-order
-    stencils at the endpoints), formed one grid point at a time, so the
-    extra memory is O(one sample), not O(grid).
+    stencils at the endpoints).  The path is read one chunk at a time with
+    a one-row halo on each side, and each chunk's stencil rows and ``I``
+    rows come from that one block, so the extra memory is O(chunk), not
+    O(grid).
 
     Raises
     ------
@@ -251,18 +361,33 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
         If the invariant path has fewer than 3 points.
     """
     grid = invariant.grid
-    if grid.size < 3:
+    n_pts = grid.size
+    if n_pts < 3:
         raise GridTooCoarse("lvn_residual needs at least 3 grid points")
     h = uniform_spacing(grid)
-    s = invariant.samples
 
-    def didt():
-        yield (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
-        for k in range(1, grid.size - 1):
-            yield (s[k + 1] - s[k - 1]) / (2 * h)
-        yield (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+    def blocks():
+        for k0, k1 in _chunk_bounds(invariant):
+            # rows lo:hi hold the chunk, its halo, and the three rows of
+            # an endpoint stencil
+            lo = max(0, min(k0 - 1, n_pts - 3))
+            hi = min(n_pts, max(k1 + 1, 3))
+            s = invariant.rows(lo, hi)
+            didt = np.empty((k1 - k0,) + s.shape[1:], dtype=complex)
+            a, b = max(k0, 1), min(k1, n_pts - 1)      # interior rows a:b
+            # (s[k + 1] - s[k - 1]) / (2 h), in place
+            inner = didt[a - k0:b - k0]
+            np.subtract(s[a + 1 - lo:b + 1 - lo], s[a - 1 - lo:b - 1 - lo],
+                        out=inner)
+            inner /= 2 * h
+            if k0 == 0:
+                didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
+            if k1 == n_pts:
+                didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+            yield k0, s[k0 - lo:k1 - lo], didt
+            del s, didt, inner    # free this block before the next is built
 
-    return lvn_defect(invariant, schedule, didt())
+    return _defect_series(invariant, schedule, blocks())
 
 
 def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
@@ -270,7 +395,8 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
     """``||dI/dt - i[I, H(t)]||_F`` per grid point for a given ``dI/dt``.
 
     ``didt`` is an array or any iterable with one row per grid point; it is
-    read one row at a time.
+    read one chunk of rows at a time, together with the same rows of the
+    path.
 
     Raises
     ------
@@ -278,30 +404,45 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
         If the dims differ, or ``didt`` has more or fewer rows than the
         grid, or a row is not ``(dim, dim)``.
     """
+    n_pts, shape = len(invariant), (invariant.dim, invariant.dim)
+    rows = iter(didt)
+
+    def blocks():
+        for k0, s in _row_chunks(invariant):
+            d = list(itertools.islice(rows, len(s)))
+            for k, d_k in enumerate(d, k0):
+                if np.shape(d_k) != shape:
+                    raise DimensionMismatch(
+                        f"dI/dt row {k} has shape {np.shape(d_k)}, "
+                        f"expected {shape}")
+            if len(d) < len(s):
+                raise DimensionMismatch(
+                    f"dI/dt has {k0 + len(d)} rows, the grid {n_pts} points")
+            yield k0, s, d
+            del s, d              # free this block before the next is built
+        if next(rows, None) is not None:
+            raise DimensionMismatch(
+                f"dI/dt has more rows than the grid's {n_pts} points")
+
+    return _defect_series(invariant, schedule, blocks())
+
+
+def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
+                   blocks) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point, from ``(k0, I rows,
+    dI/dt rows)`` blocks that cover the grid in order."""
     if schedule.dim != invariant.dim:
         raise DimensionMismatch("invariant and schedule dims differ")
-    s = invariant.samples
-    out = np.empty(invariant.grid.size)
-    for k, (t, d_k) in enumerate(_per_point(invariant.grid, didt)):
-        if np.shape(d_k) != s.shape[1:]:
-            raise DimensionMismatch(
-                f"dI/dt row {k} has shape {np.shape(d_k)}, "
-                f"expected {s.shape[1:]}")
-        h_k = schedule.sample(t)
-        bracket = s[k] @ h_k - h_k @ s[k]
-        out[k] = frob(d_k - 1j * bracket)
+    grid = invariant.grid
+    out = np.empty(grid.size)
+    for k0, s, didt in blocks:
+        for k, (s_k, d_k) in enumerate(zip(s, didt), k0):
+            h_k = schedule.sample(grid[k])
+            bracket = s_k @ h_k - h_k @ s_k
+            out[k] = frob(d_k - 1j * bracket)
+        # the row views keep the block alive: drop them before the next
+        s = didt = s_k = d_k = None
     return out
-
-
-def _per_point(grid: np.ndarray, rows):
-    """``zip(grid, rows, strict=True)``; a length mismatch raises
-    ``DimensionMismatch``."""
-    try:
-        yield from zip(grid, rows, strict=True)
-    except ValueError as exc:
-        raise DimensionMismatch(
-            f"dI/dt needs one row per grid point ({grid.size}): {exc}"
-        ) from exc
 
 
 def eigenframe(invariant: InvariantPath,

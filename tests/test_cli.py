@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,41 @@ class TestRun:
         config = cli.load_config(path)
         report = cli.run(config, out_dir=tmp_path / "out")
         assert report.all_pass
+
+
+class TestOscillatorValidate:
+    """The validate task's 4097-point invariant path is computed chunk by
+    chunk from its closed form ``e^{-iKt} I0 e^{iKt}``."""
+
+    @staticmethod
+    def _validate(tmp_path, n_trunc):
+        config = cli.load_config(write_config(
+            tmp_path, truncation={"N": n_trunc}, tasks=["validate"]))
+        report = cli.RunReport(label=config.label, kind=config.kind)
+        cli._oscillator_validate(config, report)
+        return {row.name: row for row in report.checks}
+
+    def test_wrong_rotation_sign_fails_residual(self, tmp_path, monkeypatch):
+        # e^{+iKt} I0 e^{-iKt} is not an invariant of K: its spectrum is
+        # still constant, but the LvN residual row must fail
+        rotated = cli.invariant.InvariantPath.rotated
+        monkeypatch.setattr(
+            cli.invariant.InvariantPath, "rotated",
+            staticmethod(lambda grid, i0, kd: rotated(grid, i0, -kd)))
+        rows = self._validate(tmp_path, 24)
+        assert rows["invariant-residual"].status == "fail"
+        assert rows["invariant-drift"].status == "pass"
+
+    def test_runs_below_a_quarter_of_the_stack(self, tmp_path):
+        # the 4097 x 24 x 24 complex stack would be 37.8 MB
+        stack_bytes = (cli.RESIDUAL_STEPS + 1) * 24 * 24 * 16
+        tracemalloc.start()
+        try:
+            self._validate(tmp_path, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * stack_bytes
 
 
 class TestSweep:

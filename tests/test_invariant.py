@@ -28,8 +28,8 @@ from invphase.invariant import (
     symmetry_check,
     transport,
 )
-from invphase.linalg import (comm_norm, expm_igen, frob, hermitize,
-                             polar_unitary, spectral_exp)
+from invphase.linalg import (comm_norm, expm_igen, frob, hermitian_defects,
+                             hermitize, polar_unitary, spectral_exp)
 from invphase.propagator import (HamiltonianSchedule, UnitaryPath,
                                  compose_geq, evolve,
                                  uniform_spacing)
@@ -69,10 +69,14 @@ def analytic_path(dim, n_pts, seed):
     """``I(t) = e^{-iKt} I0 e^{iKt}`` for a diagonal ``K``, on [0, 2.3]."""
     kd = np.random.default_rng(seed).normal(size=dim)
     grid = np.linspace(0.0, 2.3, n_pts)
-    phases = np.exp(-1j * np.outer(grid, kd))
-    samples = np.einsum("ti,ij,tj->tij", phases,
-                        random_hermitian(dim, seed), phases.conj())
+    samples = rotation_stack(grid, random_hermitian(dim, seed), kd)
     return InvariantPath(grid, samples), kd
+
+
+def rotation_stack(grid, i0, kd):
+    """The whole-stack ``einsum`` of ``e^{-iKt} I0 e^{iKt}``."""
+    p = np.exp(-1j * np.outer(grid, kd))
+    return np.einsum("ti,ij,tj->tij", p, i0, p.conj())
 
 
 def chunk_rows(dim):
@@ -124,6 +128,31 @@ def drift_paths(draw):
     if rows:
         path.samples[draw(st.sampled_from(rows))] *= 1 + 1e-9
     return path
+
+
+@st.composite
+def rotated_cases(draw):
+    """``(grid, I0, k_diag)`` of a rotated path: 1 to 40 points, or lengths
+    around the chunk boundaries; ``I0`` dense or without even/odd coupling
+    (two blocks), and ``k_diag`` generic or integer (a closed loop over
+    ``[0, 2 pi]``)."""
+    if draw(st.booleans()):
+        dim, n_pts = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    else:
+        dim = draw(st.integers(8, 16))
+        c = chunk_rows(dim)
+        n_pts = draw(st.sampled_from(
+            [c - 1, c, c + 1, c + 2, 2 * c + 1, 2 * c + 2]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    i0 = random_hermitian(dim, seed)
+    if draw(st.booleans()):
+        i0 = i0 * (np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0)
+    if draw(st.booleans()):
+        kd = rng.integers(-3, 4, size=dim).astype(float)
+    else:
+        kd = rng.normal(size=dim)
+    return np.linspace(0.0, 2 * np.pi, n_pts), i0, kd
 
 
 class TestTransport:
@@ -254,6 +283,124 @@ class TestInvariantPath:
         assert drift == pytest.approx(reference_spectrum_drift(inv), rel=1e-9)
 
 
+class TestRotatedPath:
+    """``InvariantPath.rotated`` computes its rows chunk by chunk; every
+    diagnostic gives the bits of the path stored from the same stack."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=rotated_cases(), size=st.sampled_from([1, 7, 41, 100]))
+    def test_rows_are_the_whole_stack_einsum(self, case, size):
+        grid, i0, kd = case
+        stack = rotation_stack(grid, i0, kd)
+        path = InvariantPath.rotated(grid, i0, kd)
+        for k0 in range(0, grid.size, size):
+            assert np.array_equal(path.rows(k0, k0 + size),
+                                  stack[k0:k0 + size])
+        n_rows = 0
+        for k0, chunk in invariant._row_chunks(path):
+            assert np.array_equal(chunk, stack[k0:k0 + len(chunk)])
+            bad, _, _ = hermitian_defects(chunk)
+            assert not bad.any()
+            n_rows += len(chunk)
+        assert n_rows == grid.size
+        assert np.array_equal(path.samples, stack)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=rotated_cases(),
+           kind=st.sampled_from(["constant", "callable"]))
+    def test_diagnostics_match_stored_path(self, case, kind):
+        grid, i0, kd = case
+        path = InvariantPath.rotated(grid, i0, kd)
+        stored = InvariantPath(grid, rotation_stack(grid, i0, kd))
+        assert path.spectrum_drift() == stored.spectrum_drift()
+        assert path.is_periodic == stored.is_periodic
+        for t in grid[[0, grid.size // 2, -1]]:
+            assert np.array_equal(path.at(t), stored.at(t))
+        if grid.size >= 3:
+            if kind == "constant":
+                sched = HamiltonianSchedule.constant(np.diag(kd))
+            else:
+                h1 = random_hermitian(kd.size, 1)
+                sched = HamiltonianSchedule.from_callable(
+                    lambda t: np.diag(kd) + np.cos(t) * h1, kd.size)
+            assert np.array_equal(lvn_residual(path, sched),
+                                  lvn_residual(stored, sched))
+            assert np.array_equal(lvn_residual(path, sched),
+                                  reference_lvn_residual(stored, sched))
+
+    def test_integer_generator_closes_the_loop(self):
+        grid = np.linspace(0.0, 2 * np.pi, 65)
+        path = InvariantPath.rotated(grid, random_hermitian(5, 2),
+                                     np.arange(5.0) - 2)
+        assert path.is_periodic
+        assert not InvariantPath.rotated(grid, random_hermitian(5, 2),
+                                         np.arange(5.0) / 3).is_periodic
+
+    def test_non_hermitian_i0_rejected(self):
+        i0 = np.array([[1.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(NonHermitianInput, match="I0"):
+            InvariantPath.rotated(np.linspace(0, 1, 5), i0, [0.0, 1.0])
+        with pytest.raises(NonHermitianInput, match="I0"):
+            InvariantPath.rotated(np.linspace(0, 1, 5),
+                                  np.diag([1.0, np.nan]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("kd", [[0.0, np.nan], [0.0, np.inf],
+                                    [0.0, 1.0 + 1e-3j]],
+                             ids=["nan", "inf", "complex"])
+    def test_non_real_or_non_finite_generator_rejected(self, kd):
+        with pytest.raises(NonHermitianInput, match="k_diag"):
+            InvariantPath.rotated(np.linspace(0, 1, 5), np.eye(2), kd)
+
+    def test_real_complex_generator_accepted(self):
+        grid = np.linspace(0, 1, 5)
+        i0 = random_hermitian(3, 4)
+        kd = np.array([0.5, -1.0, 2.0])
+        assert np.array_equal(
+            InvariantPath.rotated(grid, i0, kd.astype(complex)).samples,
+            rotation_stack(grid, i0, kd))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(DimensionMismatch, match="empty grid"):
+            InvariantPath.rotated(np.array([]), np.eye(2), [0.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0],
+                                      [0.0, 1.0, np.inf], [np.nan, 1.0]],
+                             ids=["repeat", "decrease", "inf", "nan"])
+    def test_grid_must_be_finite_and_increase(self, grid):
+        with pytest.raises(ValueError, match="strictly increase"):
+            InvariantPath.rotated(np.array(grid), np.eye(2), [0.0, 1.0])
+        with pytest.raises(ValueError, match="strictly increase"):
+            InvariantPath(np.array(grid),
+                          np.stack([np.eye(2, dtype=complex)] * len(grid)))
+
+    @pytest.mark.parametrize("i0, kd", [
+        (np.eye(2), [0.0, 1.0, 2.0]), (np.eye(3), [[0.0, 1.0, 2.0]]),
+        (np.ones((2, 3)), [0.0, 1.0]), (np.zeros((0, 0)), [])],
+        ids=["short-k", "2-D k", "i0", "empty-i0"])
+    def test_dimension_mismatch(self, i0, kd):
+        with pytest.raises(DimensionMismatch):
+            InvariantPath.rotated(np.linspace(0, 1, 5), i0, kd)
+
+    def test_samples_are_read_only(self):
+        # a rotated path builds its stack on each read: an in-place edit
+        # would be lost, so it raises instead
+        path = InvariantPath.rotated(np.linspace(0, 1, 5),
+                                     random_hermitian(3, 5), [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            path.samples[2] *= 2
+
+    def test_spectrum_spot_check_kept(self):
+        # a rotated path makes no per-sample Hermiticity pass but keeps the
+        # three-point spectrum spot check: rows whose spectrum drifts fail
+        grid = np.linspace(0, 1, 9)
+        with mock.patch.object(InvariantPath, "rows",
+                               lambda self, k0, k1: np.stack(
+                                   [np.diag([1.0, 2.0 + k])
+                                    for k in range(k0, k1)]).astype(complex)):
+            with pytest.raises(ComputeError, match="spectrum drifts"):
+                InvariantPath.rotated(grid, np.diag([1.0, 2.0]), [0.0, 1.0])
+
+
 class TestLvnResidual:
     def test_constant_commuting(self):
         grid = np.linspace(0, 1, 9)
@@ -324,23 +471,43 @@ class TestLvnResidual:
         assert np.array_equal(lvn_residual(path, sched),
                               reference_lvn_residual(path, sched))
 
-    def test_diagnostics_run_in_bounded_memory(self):
-        dim = 32
-        path, kd = analytic_path(dim, 16 * chunk_rows(dim) + 1, seed=3)
+    @staticmethod
+    def _diagnostic_peaks(path, kd):
+        """tracemalloc peak of each streamed diagnostic of ``path``."""
+        dim = path.dim
         sched = HamiltonianSchedule.constant(np.diag(kd))
         peaks = []
         tracemalloc.start()
         try:
             for run in (lambda: lvn_residual(path, sched),
-                        path.spectrum_drift):
+                        path.spectrum_drift,
+                        lambda: lvn_defect(path, sched,
+                                           (np.zeros((dim, dim))
+                                            for _ in path.grid))):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 run()
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
+        return peaks
+
+    def test_diagnostics_run_in_bounded_memory(self):
+        dim = 32
+        path, kd = analytic_path(dim, 16 * chunk_rows(dim) + 1, seed=3)
         # the stack itself is 32 MiB; whole-stack temporaries are 100 % each
+        peaks = self._diagnostic_peaks(path, kd)
         assert max(peaks) < 0.25 * path.samples.nbytes
+
+    def test_rotated_diagnostics_run_in_bounded_memory(self):
+        # the same bound for a path that never holds its 32 MiB stack
+        dim = 32
+        n_pts = 16 * chunk_rows(dim) + 1
+        kd = np.random.default_rng(3).normal(size=dim)
+        path = InvariantPath.rotated(np.linspace(0.0, 2.3, n_pts),
+                                     random_hermitian(dim, 3), kd)
+        stack_bytes = n_pts * dim * dim * 16
+        assert max(self._diagnostic_peaks(path, kd)) < 0.25 * stack_bytes
 
 
 def reference_closure(frame):
