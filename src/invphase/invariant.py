@@ -84,6 +84,9 @@ class InvariantPath:
     A path holds either a stored stack of samples (``InvariantPath(grid,
     samples)``) or the closed form of a diagonal-phase rotation
     (:meth:`rotated`), whose samples are computed when they are read.
+    A stored stack is read-only, so no edit made after construction can
+    bypass the Hermiticity gate: a writeable ``samples`` array is copied,
+    and a read-only one is kept as it is.
     The diagnostics (the Hermiticity gate, :meth:`spectrum_drift`,
     :func:`lvn_residual`, :func:`lvn_defect`, :meth:`at`,
     :attr:`is_periodic`) read either kind through :meth:`rows`, chunk by
@@ -96,7 +99,11 @@ class InvariantPath:
     """
 
     def __init__(self, grid, samples):
-        self._set_source(*_path_arrays(grid, samples))
+        grid, stack = _path_arrays(grid, samples)
+        if stack.flags.writeable:        # the gate below must stay valid
+            stack = stack.copy()
+            stack.setflags(write=False)
+        self._set_source(grid, stack)
         # every sample passes the Hermiticity rule
         for start, chunk in _row_chunks(self):
             bad, defect, scale = linalg.hermitian_defects(chunk)
@@ -198,7 +205,7 @@ class InvariantPath:
     def samples(self) -> np.ndarray:
         """The whole ``(len(grid), dim, dim)`` stack of ``I(t)``.
 
-        A stored path returns its stack itself.  A rotated path builds a
+        A stored path returns its read-only stack.  A rotated path builds a
         new read-only stack on every read, an O(grid) cost in time and
         memory (so bind it once rather than index it), for the consumers
         that need every sample at once (:func:`eigenframe`,
@@ -342,6 +349,7 @@ def transport(path: UnitaryPath, i0) -> InvariantPath:
             f"I0 has dim {arr.shape[0]}, path has dim {path.dim}")
     u = path.samples
     samples = np.einsum("kij,jl,kml->kim", u, arr, u.conj(), optimize=True)
+    samples.setflags(write=False)        # stored as it is, not copied
     return InvariantPath(path.grid, samples)
 
 

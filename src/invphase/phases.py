@@ -31,9 +31,10 @@ from .errors import (
     NotCyclic,
 )
 from .invariant import InvariantFrame, frame_derivative
-from .linalg import expm_igen, frob, hermitize
-from .propagator import (HamiltonianSchedule, UnitaryPath, _closes,
-                         grid_index, propagate, uniform_spacing)
+from .linalg import expm_igen, hermitize
+from .propagator import (HamiltonianSchedule, UnitaryPath, _block_rows,
+                         _closes, _size_groups, grid_index, propagate,
+                         uniform_spacing)
 from .quadrature import cumulative_simpson
 
 __all__ = [
@@ -74,9 +75,11 @@ class PhaseRecord:
         Block evolution ``u^n(t)`` once :func:`solve_un` has run
         (``u[n][0]`` is the identity).
     u_tol_achieved, u_drift_max : float or None
-        Largest local-error estimate and largest unitarity defect over all
-        blocks of :func:`solve_un` (``drift_max`` of
-        :func:`invphase.propagator.propagate`).
+        Largest local-error estimate and largest unitarity defect of the
+        one :func:`invphase.propagator.propagate` call of :func:`solve_un`
+        (its ``err_max`` and ``drift_max``): Frobenius norms of the whole
+        block-diagonal matrix, ``sqrt(sum_n x_n^2)``, so never below the
+        largest per-block value.
     delta_angle, gamma_angle : dict
         Per nondegenerate block, continuous (unwrapped) angle series
         ``delta_n(t)`` and ``gamma_n(t)`` once :func:`abelian_phases` has
@@ -161,11 +164,17 @@ def project(frame: InvariantFrame, schedule: HamiltonianSchedule
 def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
     """Integrate the block Schrodinger equation ``i du^n/dt = Delta^n u^n``.
 
-    Each block's ``Delta`` series (cubic interpolation between grid
-    samples) goes through :func:`invphase.propagator.propagate`, the kernel
-    behind :func:`invphase.propagator.evolve`, so it gets the same stepper,
-    error model and drift policy; fills ``record.u`` in place and returns
-    the record.
+    Every block's ``Delta`` series (cubic interpolation between grid
+    samples) goes into one block-diagonal schedule
+    (:meth:`~invphase.propagator.HamiltonianSchedule.from_blocks`) and
+    through one call of :func:`invphase.propagator.propagate`, the kernel
+    behind :func:`invphase.propagator.evolve`, so the blocks get the same
+    stepper, error model and drift policy, and every block of one size is
+    stepped as one stack.  The schedule is periodic when the frame is and
+    every ``Delta^n`` series closes (last sample equal to the first to
+    1e-10 of the series' largest norm); otherwise it is interpolated
+    without wraparound.  Fills ``record.u`` in place and returns the
+    record.
 
     Raises
     ------
@@ -173,19 +182,13 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
         If a step's doubling estimate cannot be brought under ``tol``.
     """
     grid = record.grid
-    us = []
-    err_max = drift_max = 0.0
-    for n in range(record.n_blocks):
-        delta = record.Delta[n]
-        # periodic interpolation only when the series itself closes
-        period = grid[-1] if record.frame.periodic and _closes(delta) else None
-        sched = HamiltonianSchedule.from_samples(
-            grid, delta, period=period, label=f"Delta^{n}")
-        u, err, drift = propagate(sched, grid, tol, np.arange(grid.size))
-        err_max = max(err_max, err)
-        drift_max = max(drift_max, drift)
-        us.append(u)
-    record.u = us
+    closed = record.frame.periodic and all(map(_closes, record.Delta))
+    sched = HamiltonianSchedule.from_blocks(
+        grid, record.Delta, period=grid[-1] if closed else None,
+        label="Delta")
+    rows, err_max, drift_max = propagate(sched, grid, tol,
+                                         np.arange(grid.size))
+    record.u = _block_rows(rows, [int(d) for d in record.degeneracies])
     record.u_tol_achieved = err_max
     record.u_drift_max = drift_max
     return record
@@ -222,30 +225,43 @@ def nonabelian_holonomy(record: PhaseRecord, T: float = None) -> PhaseRecord:
     """Non-Abelian holonomy ``Gamma^n(T) = T-exp(i int_0^T A^n dt)``.
 
     Discretized with midpoint sampling: per step, the exponential of
-    ``i (A_k + A_{k+1})/2 * dt``, composed in time order.  This is the one
-    time-ordered exponential that does not go through
-    :func:`invphase.propagator.propagate`: the product uses the stored
-    samples as they are, while ``propagate`` would need an interpolated
-    schedule and several exponentials per interval.  Fills
+    ``i (A_k + A_{k+1})/2 * dt``, composed in time order.  The blocks of
+    one size are stacked, so each step takes one stacked exponential per
+    block size.  This is the one time-ordered exponential that does not
+    go through :func:`invphase.propagator.propagate`: the product uses the
+    stored samples as they are, while ``propagate`` would need an
+    interpolated schedule and several exponentials per interval.  Fills
     ``record.Gamma_T`` and returns the record.
+
+    Raises
+    ------
+    ComputeError
+        If some block's product is not unitary to ``1e-8 d_n``.
     """
     grid = record.grid
     if T is None:
         T = grid[-1]
     k_end = grid_index(grid, T)
-    for n in range(record.n_blocks):
-        d = int(record.degeneracies[n])
-        a = record.A[n]
-        gam = np.eye(d, dtype=complex)
+    gammas = [None] * record.n_blocks
+    for d, members in _size_groups([int(d) for d in record.degeneracies]):
+        series = [record.A[n] for n in members]
+        gam = np.repeat(np.eye(d, dtype=complex)[None], len(members), axis=0)
+        # the samples of step k only: no copy of the whole A series
+        a_next = np.stack([a[0] for a in series])
         for k in range(k_end):
             h = grid[k + 1] - grid[k]
-            mid = 0.5 * (a[k] + a[k + 1])
+            a_k, a_next = a_next, np.stack([a[k + 1] for a in series])
+            mid = 0.5 * (a_k + a_next)
             gam = expm_igen(mid, -h, check_hermitian=False) @ gam
-        defect = frob(gam @ gam.conj().T - np.eye(d))
-        if defect > 1e-8 * d:
-            raise ComputeError(
-                f"holonomy block n={n} lost unitarity: defect {defect:.3e}")
-        record.Gamma_T[n] = gam
+        defects = np.linalg.norm(gam @ gam.conj().swapaxes(1, 2) - np.eye(d),
+                                 axis=(1, 2))
+        for j, n in enumerate(members):
+            if defects[j] > 1e-8 * d:
+                raise ComputeError(
+                    f"holonomy block n={n} lost unitarity: defect "
+                    f"{defects[j]:.3e}")
+            gammas[n] = gam[j]
+    record.Gamma_T.update(enumerate(gammas))
     return record
 
 

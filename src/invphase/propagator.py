@@ -8,10 +8,11 @@ systems, and detects evolution loops ``U(t) = c * identity``.
 
 One kernel, :func:`propagate`, computes the evolution operator of
 :func:`evolve`, the symmetry factor ``V`` of :func:`compose_geq` and the
-block evolutions ``u^n`` of :func:`invphase.phases.solve_un`.  The one other
-time-ordered exponential of the package is the holonomy of
+block evolutions ``u^n`` of :func:`invphase.phases.solve_un`, which steps
+every block of the invariant in one call.  The one other time-ordered
+exponential of the package is the holonomy of
 :func:`invphase.phases.nonabelian_holonomy`, a second-order midpoint product
-over the stored grid.
+over the stored grid with one stacked exponential per step and block size.
 
 Design notes
 ------------
@@ -40,6 +41,13 @@ Design notes
   coupling is never dropped: a callable schedule checks every sample
   against its partition, and the first sample outside it collapses the
   partition to one component and restarts the integration densely.
+* Parts: the kernel holds every matrix as its parts, one ``(k, n, n)``
+  stack per block size (the matrix itself for one component).  A
+  tabulated schedule stores and interpolates its table as parts, so a
+  block-diagonal one (:meth:`HamiltonianSchedule.from_blocks`) never forms
+  a dense ``dim x dim`` matrix on the stepping path, and :func:`propagate`
+  returns its kept rows as parts; :func:`evolve` and :func:`compose_geq`
+  scatter them into dense samples.
 * Constant schedules bypass the stepper: ``U(t) = exp(-i t H)`` from a
   single eigendecomposition.
 * No interpolation between stored grid points is offered; consumers sample
@@ -91,18 +99,21 @@ class HamiltonianSchedule:
     * :meth:`scalar_profile` -- ``H(t) = f(t) * H0`` (commuting family),
     * :meth:`from_samples` -- matrices tabulated on a uniform grid,
       interpolated with cubic Lagrange stencils (periodic wraparound when
-      the table spans one declared period).
+      the table spans one declared period),
+    * :meth:`from_blocks` -- one such table per diagonal block.
 
     Each constructor builds the evaluation function once; :meth:`sample`
-    only calls it.  The structure a kernel exploits is plain data:
+    only calls it, and :meth:`parts_at` gives a sample as the kernel's
+    parts.  The structure a kernel exploits is plain data:
 
     * ``base`` is the read-only matrix of a constant schedule and ``None``
       for every other schedule, a scalar profile included, which
       :func:`propagate` steps like any callable;
-    * ``blocks`` is the block partition, fixed on construction from the
-      symmetrized union nonzero pattern of the table (:meth:`from_samples`,
-      exact: interpolants combine table rows), of ``base``
-      (:meth:`scalar_profile`, exact) or of the probes
+    * ``blocks`` is the block partition, fixed on construction: the
+      declared blocks of :meth:`from_blocks`, or the connected blocks of
+      the symmetrized union nonzero pattern of the table
+      (:meth:`from_samples`, exact: interpolants combine table rows), of
+      ``base`` (:meth:`scalar_profile`, exact) or of the probes
       (:meth:`from_callable`: ``t = 0`` and the periodicity probes).  It
       holds, for each block size ``n`` in ascending order, a ``(k, n, n)``
       array of the flat indices ``i * dim + j`` of the ``k`` blocks of that
@@ -122,7 +133,7 @@ class HamiltonianSchedule:
     def __init__(self):
         raise TypeError(
             "use HamiltonianSchedule.constant / .from_callable / "
-            ".scalar_profile / .from_samples")
+            ".scalar_profile / .from_samples / .from_blocks")
 
     @classmethod
     def _make(cls, fn, dim, period, label, base=None):
@@ -133,6 +144,7 @@ class HamiltonianSchedule:
         obj.label = label
         obj.base = base
         obj.blocks = None
+        obj._table = None
         return obj
 
     def _partition(self, pattern):
@@ -216,40 +228,87 @@ class HamiltonianSchedule:
         ``grid`` must be uniform, start at 0 and be strictly increasing.
         Evaluation uses 4-point cubic Lagrange interpolation; when
         ``period == grid[-1]`` the stencil wraps around periodically and
-        arbitrary ``t`` is reduced modulo the period.
+        arbitrary ``t`` is reduced modulo the period.  The table is kept
+        as the parts of its partition, as :meth:`from_blocks` keeps its
+        blocks.
         """
-        grid = np.asarray(grid, dtype=float)
         raw = np.asarray(samples, dtype=complex)
-        if grid.ndim != 1 or grid.size < 4:
-            raise GridTooCoarse(
-                "sampled schedule needs at least 4 grid points")
-        if raw.shape[0] != grid.size:
-            raise DimensionMismatch(
-                f"{raw.shape[0]} samples for {grid.size} grid points")
-        deltas = np.diff(grid)
-        if grid[0] != 0.0 or np.any(deltas <= 0):
-            raise ValueError("grid must start at 0 and strictly increase")
-        if not np.allclose(deltas, deltas[0], rtol=1e-10, atol=0.0):
-            raise ValueError("sampled schedule requires a uniform grid")
+        grid = _table_grid(grid, raw.shape[0])
         table = np.empty_like(raw)       # per sample: no stack temporaries
         pattern = np.zeros(raw.shape[1:], dtype=bool)
         for k, sample in enumerate(raw):
             table[k] = linalg.require_hermitian(sample, f"sample {k}")
             pattern |= table[k] != 0
-        period = cls._check_period(period)
-        if period is not None:
-            if not np.isclose(period, grid[-1], rtol=1e-12):
-                raise ValueError(
-                    "periodic sampled schedule must be tabulated over "
-                    "exactly one period")
-            if not _closes(table):
-                raise ValueError(
-                    "samples at t=0 and t=period differ by "
-                    f"{frob(table[-1] - table[0]):.3e}")
-        obj = cls._make(lambda t: _interp(grid, table, period, t),
-                        table.shape[1], period, label)
+        period = _table_period(grid, period)
+        if period is not None and not _closes(table):
+            raise ValueError(
+                "samples at t=0 and t=period differ by "
+                f"{frob(table[-1] - table[0]):.3e}")
+        obj = cls._make(None, table.shape[1], period, label)
         obj._partition(pattern)          # interpolants combine table rows
-        return obj
+        if obj.blocks is not None:
+            flat = table.reshape(grid.size, -1)
+            return obj._tabulate(grid, [flat[:, idx] for idx in obj.blocks])
+        return obj._tabulate(grid, [table])
+
+    @classmethod
+    def from_blocks(cls, grid, series, *, period=None, label="blocks"):
+        """Block-diagonal schedule from per-block tables on a uniform grid.
+
+        ``series`` holds one ``(len(grid), d_b, d_b)`` table of Hermitian
+        matrices per diagonal block, in diagonal order.  The blocks are the
+        partition, exact by construction, and no dense ``dim x dim``
+        sample is stored: the tables are kept grouped by block size, as
+        the kernel steps them.  Grid, interpolation and the Hermiticity
+        gate are those of :meth:`from_samples`; with a ``period``, every
+        block's table must close by itself (last sample equal to the first
+        to 1e-10 of that table's largest norm).
+        """
+        tables = [np.asarray(s, dtype=complex) for s in series]
+        if not tables:
+            raise DimensionMismatch("a block schedule needs a block")
+        grid = _table_grid(grid, tables[0].shape[0])
+        for n, s in enumerate(tables):
+            if (s.ndim != 3 or s.shape[0] != grid.size
+                    or s.shape[1] != s.shape[2] or s.shape[1] == 0):
+                raise DimensionMismatch(
+                    f"block {n} has shape {s.shape}, expected "
+                    f"({grid.size}, d, d) with d >= 1")
+        period = _table_period(grid, period)
+        sizes = [s.shape[1] for s in tables]
+        groups = _size_groups(sizes)
+        parts = [np.empty((grid.size, len(members), d, d), dtype=complex)
+                 for d, members in groups]
+        for part, (d, members) in zip(parts, groups):
+            for j, n in enumerate(members):
+                for k, sample in enumerate(tables[n]):
+                    part[k, j] = linalg.require_hermitian(
+                        sample, f"block {n} sample {k}")
+                if period is not None and not _closes(part[:, j]):
+                    raise ValueError(
+                        f"block {n}: samples at t=0 and t=period differ "
+                        f"by {frob(part[-1, j] - part[0, j]):.3e}")
+        obj = cls._make(None, sum(sizes), period, label)
+        if len(tables) == 1:
+            return obj._tabulate(grid, [parts[0][:, 0]])
+        ends = np.cumsum(sizes)
+        flat = np.arange(obj.dim * obj.dim).reshape(obj.dim, obj.dim)
+        obj.blocks = tuple(
+            np.array([flat[ends[n] - d:ends[n], ends[n] - d:ends[n]]
+                      for n in members]) for d, members in groups)
+        return obj._tabulate(grid, parts)
+
+    def _tabulate(self, grid, table):
+        """Keep ``table``, one ``(len(grid), ...)`` array per part, as the
+        interpolated source of every sample."""
+        table = tuple(table)
+        self._table = (grid, table)
+        # no reference to self: the schedule and its table are freed as
+        # soon as the last caller lets go, not at the next cyclic collection
+        blocks, dim, period = self.blocks, self.dim, self.period
+        self._fn = lambda t: _dense(_interp(grid, table, period, t), blocks,
+                                    dim)
+        return self
 
     # ------------------------------------------------------------------ #
     # validation helpers
@@ -289,16 +348,93 @@ class HamiltonianSchedule:
         return self.base is not None
 
     def sample(self, t: float) -> np.ndarray:
-        """Raw Hermitian ndarray H(t) (hot-path evaluation)."""
+        """Dense Hermitian ndarray H(t)."""
         return self._fn(t)
+
+    def parts_at(self, t: float, blocks) -> tuple:
+        """``H(t)`` as the kernel's parts for the partition ``blocks``
+        (``schedule.blocks``, or ``None`` for the whole matrix).
+
+        A tabulated schedule interpolates its stored parts, whose
+        partition is its own, so it never forms the dense matrix.  Any
+        other schedule gathers the parts from :meth:`sample`, which keeps
+        a callable's check of its partition.
+        """
+        if self._table is None:
+            return _parts(self.sample(t), blocks)
+        grid, table = self._table
+        return _interp(grid, table, self.period, t)
 
     def __repr__(self):
         return (f"HamiltonianSchedule(dim={self.dim}, "
                 f"period={self.period}, label={self.label!r})")
 
 
-def _interp(grid: np.ndarray, table: np.ndarray, period, t: float):
-    """Cubic Lagrange interpolation of ``table`` on the uniform ``grid``."""
+def _table_grid(grid, n_rows: int) -> np.ndarray:
+    """The grid of a tabulated schedule with ``n_rows`` samples, checked:
+    at least 4 points, one per sample, uniform, from 0, increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 4:
+        raise GridTooCoarse(
+            "sampled schedule needs at least 4 grid points")
+    if n_rows != grid.size:
+        raise DimensionMismatch(
+            f"{n_rows} samples for {grid.size} grid points")
+    deltas = np.diff(grid)
+    if grid[0] != 0.0 or np.any(deltas <= 0):
+        raise ValueError("grid must start at 0 and strictly increase")
+    if not np.allclose(deltas, deltas[0], rtol=1e-10, atol=0.0):
+        raise ValueError("sampled schedule requires a uniform grid")
+    return grid
+
+
+def _table_period(grid: np.ndarray, period):
+    """The checked ``period`` of a table on ``grid``: ``None``, or the
+    span of the grid (one period exactly)."""
+    period = HamiltonianSchedule._check_period(period)
+    if period is not None and not np.isclose(period, grid[-1], rtol=1e-12):
+        raise ValueError(
+            "periodic sampled schedule must be tabulated over "
+            "exactly one period")
+    return period
+
+
+def _size_groups(sizes) -> list:
+    """``[(d, [n, ...]), ...]``: the blocks ``n`` of each size ``d``, sizes
+    ascending and blocks in diagonal order, the order of ``blocks``."""
+    return [(d, [n for n, size in enumerate(sizes) if size == d])
+            for d in sorted(set(sizes))]
+
+
+def _block_rows(parts: tuple, sizes) -> list:
+    """Each diagonal block's rows, in diagonal order, from parts of rows
+    of a schedule built by :meth:`HamiltonianSchedule.from_blocks` with
+    blocks of ``sizes`` (views, no copies)."""
+    if len(sizes) == 1:
+        return [parts[0]]
+    out = [None] * len(sizes)
+    for part, (_, members) in zip(parts, _size_groups(sizes)):
+        for j, n in enumerate(members):
+            out[n] = part[:, j]
+    return out
+
+
+def _dense(parts: tuple, blocks, dim: int) -> np.ndarray:
+    """The dense matrices the parts of ``blocks`` make up: the inverse of
+    :func:`_parts`, for one matrix or for parts with a leading row axis."""
+    if blocks is None:
+        return parts[0]
+    lead = parts[0].shape[:-3]
+    out = np.zeros(lead + (dim * dim,), dtype=complex)
+    for idx, p in zip(blocks, parts):
+        out[..., idx] = p
+    return out.reshape(lead + (dim, dim))
+
+
+def _interp(grid: np.ndarray, table: tuple, period, t: float) -> tuple:
+    """Cubic Lagrange interpolation on the uniform ``grid`` of each part
+    of ``table`` (one array per part, rows along the first axis); the
+    stencil and its weights are computed once for all parts."""
     n_iv = grid.size - 1
     step = grid[1] - grid[0]
     if period is not None:
@@ -321,12 +457,16 @@ def _interp(grid: np.ndarray, table: np.ndarray, period, t: float):
         -u * (u + 1.0) * (u - 2.0) / 2.0,
         u * (u * u - 1.0) / 6.0,
     )
-    # real weights on rows of a Hermitized table: the sum is Hermitian
-    out = w[0] * table[idx[0]]
-    for c, j in zip(w[1:], idx[1:]):
-        if c != 0.0:
-            out += c * table[j]
-    return out
+    # real weights on rows of Hermitized tables: each sum is Hermitian, and
+    # the sums are elementwise, so a part has the bits of the dense entries
+    out = []
+    for rows in table:
+        x = w[0] * rows[idx[0]]
+        for c, j in zip(w[1:], idx[1:]):
+            if c != 0.0:
+                x += c * rows[j]
+        out.append(x)
+    return tuple(out)
 
 
 def _closes(table: np.ndarray) -> bool:
@@ -447,8 +587,8 @@ def _frob_parts(parts) -> float:
 def _cf4_step(schedule, blocks, t0: float, h: float) -> tuple:
     """One commutator-free 4th-order step over [t0, t0+h] (exactly unitary),
     as parts."""
-    h1 = _parts(schedule.sample(t0 + _GAUSS_C1 * h), blocks)
-    h2 = _parts(schedule.sample(t0 + _GAUSS_C2 * h), blocks)
+    h1 = schedule.parts_at(t0 + _GAUSS_C1 * h, blocks)
+    h2 = schedule.parts_at(t0 + _GAUSS_C2 * h, blocks)
     return tuple(
         expm_igen(_CF4_A2 * x1 + _CF4_A1 * x2, h, check_hermitian=False)
         @ expm_igen(_CF4_A1 * x1 + _CF4_A2 * x2, h, check_hermitian=False)
@@ -511,10 +651,12 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
 
     Returns
     -------
-    (samples, err_max, drift_max)
-        ``samples[row] = U(grid[keep[row]])``, the largest local-error
-        estimate, and the largest unitarity defect seen before any
-        re-unitarization.
+    (rows, err_max, drift_max)
+        ``rows`` holds ``U(grid[keep[row]])`` at ``[row]`` of each of the
+        kernel's parts for ``schedule.blocks`` as it stands after the call
+        (:func:`_dense` makes the dense samples); then the largest
+        local-error estimate, and the largest unitarity defect seen before
+        any re-unitarization.
 
     Raises
     ------
@@ -525,14 +667,14 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         samples = linalg.spectral_exp(
             *linalg.eigh(schedule.base, check_hermitian=False), grid[keep])
         samples[0] = np.eye(schedule.dim)
-        return samples, 0.0, 0.0
+        return (samples,), 0.0, 0.0
 
-    dim = schedule.dim
     blocks = schedule.blocks
-    samples = np.zeros((keep.size, dim, dim), dtype=complex)
-    samples[0] = np.eye(dim)
     keep_set = {int(k): row for row, k in enumerate(keep)}
-    u = _parts(np.eye(dim, dtype=complex), blocks)
+    u = _parts(np.eye(schedule.dim, dtype=complex), blocks)
+    rows = tuple(np.empty((keep.size,) + p.shape, dtype=complex) for p in u)
+    for r, p in zip(rows, u):
+        r[0] = p
     eyes = [np.eye(p.shape[-1]) for p in u]
     err_max = 0.0
     drift_max = 0.0
@@ -550,12 +692,9 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
             u = tuple(linalg.polar_unitary(p) for p in u)
         row = keep_set.get(k + 1)
         if row is not None:
-            if blocks is None:
-                samples[row] = u[0]
-            else:
-                for idx, p in zip(blocks, u):
-                    np.put(samples[row], idx, p)
-    return samples, err_max, drift_max
+            for r, p in zip(rows, u):
+                r[row] = p
+    return rows, err_max, drift_max
 
 
 def _resolve_store(grid: np.ndarray, store) -> np.ndarray:
@@ -614,9 +753,9 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
 
     grid = np.linspace(0.0, t_max, steps + 1)
     keep = _resolve_store(grid, store)
-    samples, err_max, drift_max = propagate(schedule, grid, tol, keep)
-    return UnitaryPath(grid[keep], samples, tol_achieved=err_max,
-                       drift_max=drift_max)
+    rows, err_max, drift_max = propagate(schedule, grid, tol, keep)
+    return UnitaryPath(grid[keep], _dense(rows, schedule.blocks, schedule.dim),
+                       tol_achieved=err_max, drift_max=drift_max)
 
 
 def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
@@ -674,9 +813,9 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
                            tol_achieved=path.tol_achieved,
                            drift_max=path.drift_max)
 
-    v_samples, err_max, v_drift = propagate(y, grid, tol,
-                                            np.arange(grid.size))
-    out = np.einsum("kij,kjl->kil", path.samples, v_samples)
+    v_rows, err_max, v_drift = propagate(y, grid, tol, np.arange(grid.size))
+    out = np.einsum("kij,kjl->kil", path.samples,
+                    _dense(v_rows, y.blocks, y.dim))
     out[0] = np.eye(path.dim)
     return UnitaryPath(grid, out,
                        tol_achieved=max(path.tol_achieved, err_max),

@@ -124,10 +124,13 @@ def drift_paths(draw):
         n_pts = draw(st.sampled_from(
             [c - 1, c, c + 1, c + 2, 2 * c + 1, 2 * c + 2]))
         rows = [k for k in (1, c - 1, c, c + 1, n_pts - 1) if k < n_pts]
-    path, _ = analytic_path(dim, n_pts, draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = np.linspace(0.0, 2.3, n_pts)
+    samples = rotation_stack(grid, random_hermitian(dim, seed),
+                             np.random.default_rng(seed).normal(size=dim))
     if rows:
-        path.samples[draw(st.sampled_from(rows))] *= 1 + 1e-9
-    return path
+        samples[draw(st.sampled_from(rows))] *= 1 + 1e-9
+    return InvariantPath(grid, samples)
 
 
 @st.composite
@@ -203,6 +206,22 @@ class TestTransport:
 
 
 class TestInvariantPath:
+    def test_stored_stack_is_read_only(self):
+        # the Hermiticity gate runs once, at construction: an edit made
+        # afterwards must not reach the stored samples
+        grid = np.linspace(0.0, 1.0, 5)
+        samples = np.stack([np.diag([1.0, 2.0]).astype(complex)] * 5)
+        path = InvariantPath(grid, samples)
+        samples[2] = [[0.0, 1.0], [0.0, 0.0]]
+        assert np.array_equal(path.samples[2], np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            path.samples[2] *= 2
+        # a read-only stack, as transport builds it, is kept without a copy
+        assert InvariantPath(grid, path.samples).samples is path.samples
+        u = evolve(HamiltonianSchedule.constant(np.diag([0.0, 1.0])), 1.0,
+                   steps=4)
+        assert not transport(u, np.diag([1.0, 2.0])).samples.flags.writeable
+
     def test_empty_path_rejected(self):
         with pytest.raises(DimensionMismatch, match="empty grid"):
             InvariantPath(np.array([]), np.zeros((0, 2, 2)))

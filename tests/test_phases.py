@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from invphase import phases
 from invphase.cranked import CrankedSystem, cranked_U
 from invphase.errors import (
+    ComputeError,
     DegenerateEigenvalue,
     IncompleteRecord,
     NotCyclic,
@@ -39,6 +42,46 @@ def integer_spectrum_hermitian(dim, seed):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(a)
     return q @ np.diag(np.arange(dim, dtype=float)) @ q.conj().T
+
+
+def synthetic_record(series_e, series_a, grid, periodic=True):
+    """A ``PhaseRecord`` of the given per-block ``E`` and ``A`` series on a
+    frame of identity matrices (a read-only view, no dense stack)."""
+    sizes = [e.shape[1] for e in series_e]
+    dim = sum(sizes)
+    frames = np.broadcast_to(np.eye(dim, dtype=complex),
+                             (grid.size, dim, dim))
+    frame = InvariantFrame(grid, np.arange(len(sizes), dtype=float), sizes,
+                           frames, periodic, 1.0)
+    return phases.PhaseRecord(frame, series_e, series_a, 0.0)
+
+
+def smooth_block_series(rng, sizes, grid):
+    """Per block of ``sizes``: Hermitian ``a + cos(2 pi t) b`` on ``grid``,
+    closing over ``[0, grid[-1]]`` when ``grid[-1] == 1``."""
+    out = []
+    for d in sizes:
+        a, b = (hermitize(rng.normal(size=(d, d))
+                          + 1j * rng.normal(size=(d, d))) for _ in range(2))
+        out.append(a + np.cos(2 * np.pi * grid)[:, None, None] * b)
+    return out
+
+
+def reference_holonomy(record, k_end):
+    """The holonomy product one block at a time, one 2-D exponential per
+    step and block."""
+    grid = record.grid
+    out = []
+    for n in range(record.n_blocks):
+        d = int(record.degeneracies[n])
+        a = record.A[n]
+        gam = np.eye(d, dtype=complex)
+        for k in range(k_end):
+            mid = 0.5 * (a[k] + a[k + 1])
+            gam = expm_igen(mid, -(grid[k + 1] - grid[k]),
+                            check_hermitian=False) @ gam
+        out.append(gam)
+    return out
 
 
 class CrankedFixture:
@@ -160,6 +203,57 @@ class TestSolveUn:
         exact = np.exp(-0.1j * np.sin(2 * np.pi * grid) / (2 * np.pi))
         assert np.max(np.abs(u - exact)) < 1e-8
 
+    @pytest.mark.parametrize("open_block", [None, 0, 2])
+    def test_one_open_block_makes_the_schedule_aperiodic(self, open_block,
+                                                         monkeypatch):
+        # one schedule for all blocks: periodic only when every Delta^n
+        # closes; a block whose last sample is off by 1e-3 opens it
+        grid = np.linspace(0.0, 1.0, 65)
+        delta = smooth_block_series(np.random.default_rng(4), [1, 2, 1],
+                                    grid)
+        if open_block is not None:
+            delta[open_block][-1] += 1e-3 * np.eye(delta[open_block].shape[1])
+        zero = [np.zeros_like(d) for d in delta]
+        periods = []
+        build = HamiltonianSchedule.from_blocks.__func__
+
+        def spy(cls, grid, series, **kw):
+            periods.append(kw["period"])
+            return build(cls, grid, series, **kw)
+
+        monkeypatch.setattr(HamiltonianSchedule, "from_blocks",
+                            classmethod(spy))
+        solve_un(synthetic_record(delta, zero, grid))
+        assert periods == [1.0 if open_block is None else None]
+        solve_un(synthetic_record(delta, zero, grid, periodic=False))
+        assert periods[-1] is None
+
+    def test_many_small_blocks_stay_below_a_dense_stack(self):
+        # 120 1x1 blocks on 513 points, the size of the N = 120 oscillator
+        # frame: one dense (513, 120, 120) complex stack is 112.7 MiB, so a
+        # dense table or dense output anywhere on the path breaks the bound
+        grid = np.linspace(0.0, 1.0, 513)
+        rng = np.random.default_rng(7)
+        level = rng.uniform(0.5, 2.0, size=120)
+        wiggle = np.cos(2 * np.pi * grid)
+        delta = [(c + 0.1 * wiggle).reshape(-1, 1, 1).astype(complex)
+                 for c in level]
+        zero = np.zeros((513, 1, 1), dtype=complex)
+        rec = synthetic_record(delta, [zero] * 120, grid)
+        dense_bytes = 513 * 120 * 120 * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_un(rec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 8
+        exact = np.exp(-1j * (level[-1] * grid
+                              + 0.1 * np.sin(2 * np.pi * grid) / (2 * np.pi)))
+        assert np.max(np.abs(rec.u[-1][:, 0, 0] - exact)) < 1e-8
+        assert all(np.array_equal(u[0], np.eye(1)) for u in rec.u)
+
     def test_u_unitary_and_initial(self, cranked):
         rec = solve_un(cranked.record)
         for n in range(cranked.dim):
@@ -264,6 +358,37 @@ class TestHolonomy:
             assert abs(gam[0, 1]) < 1e-7 + 10 * off
 
 
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), n_pts=st.integers(5, 40),
+           stop=st.floats(0.0, 1.0))
+    def test_stacked_product_matches_per_block_loop(self, sizes, seed,
+                                                    n_pts, stop):
+        grid = np.linspace(0.0, 1.0, n_pts)
+        rng = np.random.default_rng(seed)
+        series_a = smooth_block_series(rng, sizes, grid)
+        rec = synthetic_record([np.zeros_like(a) for a in series_a],
+                               series_a, grid)
+        k_end = int(round(stop * (n_pts - 1)))
+        nonabelian_holonomy(rec, T=grid[k_end])
+        assert list(rec.Gamma_T) == list(range(len(sizes)))
+        for got, ref in zip(rec.Gamma_T.values(),
+                            reference_holonomy(rec, k_end)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13
+
+    def test_non_unitary_step_raises(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 9)
+        series_a = smooth_block_series(np.random.default_rng(2), [2, 1, 2],
+                                       grid)
+        rec = synthetic_record([np.zeros_like(a) for a in series_a],
+                               series_a, grid)
+        monkeypatch.setattr(phases, "expm_igen",
+                            lambda *a, **k: 1.001 * expm_igen(*a, **k))
+        with pytest.raises(ComputeError, match="lost unitarity"):
+            nonabelian_holonomy(rec)
+
+
 class TestReconstruct:
     def test_identity_at_zero(self, cranked):
         rec = solve_un(cranked.record)
@@ -287,7 +412,8 @@ class TestReconstruct:
             assert frob(path.samples[idx] - expected) < 1e-5
 
     def test_block_drift_reaches_reconstructed_path(self, monkeypatch):
-        # degenerate kron(H, 1_2) system: 2x2 blocks, each with its own drift
+        # degenerate kron(H, 1_2) system: three 2x2 blocks stepped by one
+        # kernel call, whose whole-matrix drift reaches the record and path
         small = CrankedFixture(dim=3, steps=256)
         doubled = InvariantPath(
             small.inv.grid,
@@ -306,10 +432,10 @@ class TestReconstruct:
 
         monkeypatch.setattr(phases, "propagate", recording_kernel)
         rec = solve_un(project(frame, sched))
-        assert len(drifts) == frame.n_blocks == small.dim
-        assert max(drifts) > 0.0
-        assert rec.u_drift_max == max(drifts)
-        assert reconstruct_U(frame, rec).drift_max == max(drifts)
+        assert frame.n_blocks == small.dim and len(drifts) == 1
+        assert drifts[0] > 0.0
+        assert rec.u_drift_max == drifts[0]
+        assert reconstruct_U(frame, rec).drift_max == drifts[0]
 
     def test_incomplete_record(self, cranked):
         rec = project(cranked.frame, cranked.sched)

@@ -650,6 +650,69 @@ class TestBlockPropagation:
         assert sorted(set(shapes)) == [(1, 1, 1), (2, 3, 3)]
         assert len(shapes) == 4 * 6 * 2
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+           n_pts=st.integers(8, 40), seed=st.integers(0, 2**32 - 1),
+           periodic=st.booleans())
+    def test_from_blocks_steps_as_the_dense_table(self, sizes, n_pts, seed,
+                                                  periodic):
+        # per-block tables in any diagonal order, and the dense
+        # block-diagonal table they make up: the same partition, and the
+        # bits of every kept row of every part
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, 1.0, n_pts)
+        wave = np.cos(2 * np.pi * grid)[:, None, None]
+        series = [_block_hermitian(rng, [d], np.arange(d))
+                  + wave * _block_hermitian(rng, [d], np.arange(d))
+                  for d in sizes]
+        dim = sum(sizes)
+        table = np.zeros((n_pts, dim, dim), dtype=complex)
+        start = 0
+        for block in series:
+            d = block.shape[1]
+            table[:, start:start + d, start:start + d] = block
+            start += d
+        period = 1.0 if periodic else None
+        by_blocks = HamiltonianSchedule.from_blocks(grid, series,
+                                                    period=period)
+        by_table = HamiltonianSchedule.from_samples(grid, table,
+                                                    period=period)
+        assert (by_blocks.dim, by_blocks.period) == (dim, period)
+        assert (by_blocks.blocks is None) == (by_table.blocks is None)
+        assert (by_blocks.blocks is None) == (len(sizes) == 1)
+        if by_blocks.blocks is not None:
+            assert len(by_blocks.blocks) == len(by_table.blocks)
+            assert all(np.array_equal(x, y) for x, y
+                       in zip(by_blocks.blocks, by_table.blocks))
+        keep = np.arange(n_pts)
+        rows, err, drift = propagator.propagate(by_blocks, grid, self.TOL,
+                                                keep)
+        ref_rows, ref_err, ref_drift = propagator.propagate(
+            by_table, grid, self.TOL, keep)
+        assert (err, drift) == (ref_err, ref_drift)
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in ref_rows]
+        for t in (0.0, 0.37, 1.0):
+            assert _same_bits(by_blocks.sample(t), by_table.sample(t))
+
+    def test_from_blocks_checks_every_block(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        wave = np.cos(2 * np.pi * grid)[:, None, None]
+        closed = [wave * np.eye(2), 0.5 + wave * np.ones((9, 1, 1))]
+        HamiltonianSchedule.from_blocks(grid, closed, period=1.0)
+        opened = [closed[0], closed[1].copy()]
+        opened[1][-1] += 1e-3
+        with pytest.raises(ValueError, match="block 1: samples at t=0"):
+            HamiltonianSchedule.from_blocks(grid, opened, period=1.0)
+        HamiltonianSchedule.from_blocks(grid, opened)
+        bad = [closed[0].astype(complex), closed[1]]
+        bad[0][3, 0, 1] = 1j
+        with pytest.raises(NonHermitianInput, match="block 0 sample 3"):
+            HamiltonianSchedule.from_blocks(grid, bad)
+        for shapes in ([], [closed[0][:8]], [np.zeros((9, 2, 3))],
+                       [np.zeros((9, 0, 0))]):
+            with pytest.raises(DimensionMismatch):
+                HamiltonianSchedule.from_blocks(grid, shapes)
+
     @pytest.mark.parametrize("switch", ["sin", "late"])
     def test_coupling_no_probe_sees_is_never_dropped(self, switch):
         # the probe at t = 0 sees only the blocks of B; the off-block C
