@@ -37,8 +37,8 @@ from .errors import (
 )
 from .linalg import frob, hermitize
 from .propagator import (HamiltonianSchedule, UnitaryPath,
-                         _commutator_defects, _path_arrays, grid_index,
-                         uniform_spacing)
+                         _commutator_defects, _path_arrays, _path_grid,
+                         grid_index, uniform_spacing)
 
 __all__ = [
     "InvariantPath",
@@ -145,11 +145,7 @@ class InvariantPath:
         ValueError
             If the grid is not finite and strictly increasing.
         """
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise DimensionMismatch(
-                "empty grid: a path needs at least one point"
-                if grid.size == 0 else "grid must be a 1-D array")
+        grid = _path_grid(grid)
         i0 = linalg.require_hermitian(i0, "I0")
         if i0.shape[0] == 0:
             raise DimensionMismatch("I0 must be a non-empty matrix")
@@ -169,11 +165,8 @@ class InvariantPath:
 
     def _set_source(self, grid, stack=None, *, i0=None, k_diag=None):
         """Set the grid and the rows' source: a stored ``stack``, or ``I0``
-        and the phase table of ``k_diag``.  ``grid`` is a non-empty 1-D
-        float array; ``ValueError`` unless it is finite and strictly
-        increasing."""
-        if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be finite and strictly increase")
+        and the phase table of ``k_diag``.  ``grid`` is a checked path
+        grid (:func:`invphase.propagator._path_grid`)."""
         self.grid = grid
         self._stack = stack
         self._i0 = i0

@@ -8,7 +8,9 @@ construction and are not checked; outside data passes the one
 Hermiticity gate, :func:`require_hermitian`, where it enters.  The module
 provides exactly-unitary matrix exponentials of Hermitian generators, a
 deterministic Hermitian eigensolver (ascending eigenvalues, canonical
-eigenvector choice inside degenerate clusters), commutator norms, and a
+eigenvector choice inside degenerate clusters), commutator norms, the
+one block-partition rule (:func:`block_partition`) with the helpers that
+hold a block-diagonal matrix as per-size stacks of its blocks, and a
 handful of small helpers (Hermitization, polar re-unitarization) used by
 the propagation and invariant layers.
 
@@ -39,6 +41,7 @@ from .errors import (
 
 __all__ = [
     "OperatorMatrix",
+    "block_partition",
     "eigh",
     "expm_igen",
     "comm",
@@ -322,31 +325,93 @@ def _component_labels(adjacency: np.ndarray) -> np.ndarray:
         label = nxt
 
 
+def block_partition(pattern: np.ndarray):
+    """The connected blocks of a square boolean nonzero ``pattern``, as
+    gather indices: the one block-partition rule of the package.
+
+    The blocks are the connected components of ``pattern | pattern.T``.
+    For each block size ``n`` in ascending order, one ``(k, n, n)`` array
+    holds the flat indices ``i * dim + j`` of the ``k`` blocks of that
+    size, blocks ordered by their smallest index.  Returns ``None`` when
+    the pattern is one component (or ``dim == 0``).
+    """
+    comp = _component_labels(pattern | pattern.T)
+    if not comp.any():                   # one component (or dim 0)
+        return None
+    dim = comp.size
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    by_size = {}
+    for root in np.unique(comp).tolist():
+        idx = np.flatnonzero(comp == root)
+        by_size.setdefault(idx.size, []).append(flat[np.ix_(idx, idx)])
+    return tuple(np.array(by_size[n]) for n in sorted(by_size))
+
+
 def eigvalsh(a) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix of a
     ``(..., d, d)`` stack, solved block by block.
 
-    The blocks are the connected components of the stack's union nonzero
-    pattern, so the partition is exact for every matrix of the stack.  A
-    single component is one ``np.linalg.eigvalsh(hermitize(a))`` call, the
-    bits of the dense solve.  Otherwise each block of two or more indices
-    is gathered, Hermitized and solved by one stacked call, a 1 x 1 block's
-    eigenvalue is its real diagonal entry, and the concatenated eigenvalues
-    are sorted.
+    The blocks are those of :func:`block_partition` on the stack's union
+    nonzero pattern, so the partition is exact for every matrix of the
+    stack.  A single component is one ``np.linalg.eigvalsh(hermitize(a))``
+    call, the bits of the dense solve.  Otherwise the blocks of each size
+    are gathered, Hermitized and solved by one stacked call (a 1 x 1
+    block's eigenvalue is its real diagonal entry), and the concatenated
+    eigenvalues are sorted.
     """
     arr = _as_stack(a)
     d = arr.shape[-1]
-    pattern = (arr != 0).reshape(-1, d, d).any(axis=0)
-    label = _component_labels(pattern | pattern.T)
-    if not label.any():                  # one component (or d == 0)
+    blocks = block_partition((arr != 0).reshape(-1, d, d).any(axis=0))
+    if blocks is None:
         return np.linalg.eigvalsh(hermitize(arr))
-    sizes = np.bincount(label, minlength=d)
-    single = np.flatnonzero(sizes[label] == 1)
-    parts = [arr[..., single, single].real]
-    for root in np.flatnonzero(sizes > 1).tolist():
-        idx = np.flatnonzero(label == root)
-        parts.append(np.linalg.eigvalsh(hermitize(arr[..., idx[:, None], idx])))
-    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    lead = arr.shape[:-2]
+    flat = arr.reshape(lead + (d * d,))
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(hermitize(flat.take(idx, axis=-1)))
+         .reshape(lead + (-1,)) for idx in blocks], axis=-1), axis=-1)
+
+
+def parts(matrix: np.ndarray, blocks) -> tuple:
+    """A dense matrix as the kernel's parts: the matrix itself, or one
+    ``(k, n, n)`` stack per block size, gathered by ``blocks`` (a
+    :func:`block_partition` result)."""
+    if blocks is None:
+        return (matrix,)
+    return tuple(matrix.take(idx) for idx in blocks)
+
+
+def dense(parts: tuple, blocks, dim: int) -> np.ndarray:
+    """The dense matrices the parts of ``blocks`` make up: the inverse of
+    :func:`parts`, for one matrix or for parts with a leading row axis."""
+    if blocks is None:
+        return parts[0]
+    lead = parts[0].shape[:-3]
+    out = np.zeros(lead + (dim * dim,), dtype=complex)
+    for idx, p in zip(blocks, parts):
+        out[..., idx] = p
+    return out.reshape(lead + (dim, dim))
+
+
+def size_groups(sizes) -> list:
+    """``[(d, [n, ...]), ...]``: the blocks ``n`` of each size ``d`` of a
+    block-diagonal matrix with diagonal blocks of ``sizes``, sizes
+    ascending and blocks in diagonal order, the order of
+    :func:`block_partition`."""
+    return [(d, [n for n, size in enumerate(sizes) if size == d])
+            for d in sorted(set(sizes))]
+
+
+def block_rows(parts: tuple, sizes) -> list:
+    """Each diagonal block's rows, in diagonal order, from parts with a
+    leading row axis of a block-diagonal matrix with diagonal blocks of
+    ``sizes`` (views, no copies)."""
+    if len(sizes) == 1:
+        return [parts[0]]
+    out = [None] * len(sizes)
+    for part, (_, members) in zip(parts, size_groups(sizes)):
+        for j, n in enumerate(members):
+            out[n] = part[:, j]
+    return out
 
 
 def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:

@@ -31,10 +31,9 @@ from .errors import (
     NotCyclic,
 )
 from .invariant import InvariantFrame, frame_derivative
-from .linalg import expm_igen, hermitize
-from .propagator import (HamiltonianSchedule, UnitaryPath, _block_rows,
-                         _closes, _size_groups, grid_index, propagate,
-                         uniform_spacing)
+from .linalg import block_rows, expm_igen, hermitize, size_groups
+from .propagator import (HamiltonianSchedule, UnitaryPath, _closes,
+                         grid_index, propagate, uniform_spacing)
 from .quadrature import cumulative_simpson
 
 __all__ = [
@@ -188,7 +187,7 @@ def solve_un(record: PhaseRecord, tol: float = 1e-10) -> PhaseRecord:
         label="Delta")
     rows, err_max, drift_max = propagate(sched, grid, tol,
                                          np.arange(grid.size))
-    record.u = _block_rows(rows, [int(d) for d in record.degeneracies])
+    record.u = block_rows(rows, [int(d) for d in record.degeneracies])
     record.u_tol_achieved = err_max
     record.u_drift_max = drift_max
     return record
@@ -243,7 +242,7 @@ def nonabelian_holonomy(record: PhaseRecord, T: float = None) -> PhaseRecord:
         T = grid[-1]
     k_end = grid_index(grid, T)
     gammas = [None] * record.n_blocks
-    for d, members in _size_groups([int(d) for d in record.degeneracies]):
+    for d, members in size_groups([int(d) for d in record.degeneracies]):
         series = [record.A[n] for n in members]
         gam = np.repeat(np.eye(d, dtype=complex)[None], len(members), axis=0)
         # the samples of step k only: no copy of the whole A series

@@ -31,12 +31,13 @@ Design notes
   re-unitarized (polar factor) when ``||U U^H - 1||_F > 1e-12``; the largest
   defect seen is reported as ``drift_max``.
 * Block partition: each schedule fixes, when it is built, the connected
-  blocks of a nonzero pattern that covers its samples (``blocks``; none
-  for one component).  Commutator-free exponential integrators keep any
-  structure the generator keeps (Blanes, Casas, Oteo & Ros, Phys. Rep.
-  470 (2009) 151), so the kernel steps each block size as one stack, with
-  the same CF4 method; each stacked exponential is one
-  :func:`invphase.linalg.eigh` call on the stack.  Error estimate and drift are the whole-matrix
+  blocks of a nonzero pattern that covers its samples (``blocks``, from
+  :func:`invphase.linalg.block_partition`; none for one component).
+  Commutator-free exponential integrators keep any structure the
+  generator keeps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151),
+  so the kernel steps each block size as one stack, with the same CF4
+  method; each stacked exponential is one :func:`invphase.linalg.eigh`
+  call on the stack.  Error estimate and drift are the whole-matrix
   Frobenius norms ``sqrt(sum_b x_b^2)``, so ``tol`` keeps its meaning.  A
   coupling is never dropped: a callable schedule checks every sample
   against its partition, and the first sample outside it collapses the
@@ -109,11 +110,11 @@ class HamiltonianSchedule:
     * ``base`` is the read-only matrix of a constant schedule and ``None``
       for every other schedule, a scalar profile included, which
       :func:`propagate` steps like any callable;
-    * ``blocks`` is the block partition, fixed on construction: the
-      declared blocks of :meth:`from_blocks`, or the connected blocks of
-      the symmetrized union nonzero pattern of the table
-      (:meth:`from_samples`, exact: interpolants combine table rows), of
-      ``base`` (:meth:`scalar_profile`, exact) or of the probes
+    * ``blocks`` is the block partition, fixed on construction by
+      :func:`invphase.linalg.block_partition` from a nonzero pattern: the
+      declared blocks of :meth:`from_blocks`, or the union pattern of the
+      table (:meth:`from_samples`, exact: interpolants combine table
+      rows), of ``base`` (:meth:`scalar_profile`, exact) or of the probes
       (:meth:`from_callable`: ``t = 0`` and the periodicity probes).  It
       holds, for each block size ``n`` in ascending order, a ``(k, n, n)``
       array of the flat indices ``i * dim + j`` of the ``k`` blocks of that
@@ -124,7 +125,8 @@ class HamiltonianSchedule:
 
     Parameters validated on construction: every tabulated sample, and every
     sample a callable returns, is Hermitian (defect at most
-    ``1e-12 * max(1, max|H|)``), and when a ``period`` is declared,
+    ``1e-12 * max(1, max|H|)``), a declared ``period`` is finite and
+    positive, and when one is declared,
     ``||H(t+T) - H(t)||_F`` is at most ``1e-10`` times the largest
     ``||H||_F`` among the probed samples (the whole table of a sampled
     schedule), so a schedule that vanishes at a probe point still passes.
@@ -146,21 +148,6 @@ class HamiltonianSchedule:
         obj.blocks = None
         obj._table = None
         return obj
-
-    def _partition(self, pattern):
-        """Fix ``blocks`` from a boolean nonzero ``pattern`` that covers
-        every sample; returns each index's component label (``None``, and
-        nothing stored, for one component)."""
-        comp = linalg._component_labels(pattern | pattern.T)
-        if not comp.any():               # one component (or dim 0)
-            return None
-        flat = np.arange(self.dim * self.dim).reshape(self.dim, self.dim)
-        by_size = {}
-        for root in np.unique(comp).tolist():
-            idx = np.flatnonzero(comp == root)
-            by_size.setdefault(idx.size, []).append(flat[np.ix_(idx, idx)])
-        self.blocks = tuple(np.array(by_size[n]) for n in sorted(by_size))
-        return comp
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -200,9 +187,12 @@ class HamiltonianSchedule:
         pattern = probe != 0
         for m in obj._check_periodicity():
             pattern |= m != 0
-        comp = obj._partition(pattern)
-        if comp is not None:
-            outside = np.flatnonzero(comp[:, None] != comp)
+        obj.blocks = linalg.block_partition(pattern)
+        if obj.blocks is not None:
+            inside = np.zeros(obj.dim * obj.dim, dtype=bool)
+            for idx in obj.blocks:
+                inside[idx] = True
+            outside = np.flatnonzero(~inside)
         return obj
 
     @classmethod
@@ -218,7 +208,7 @@ class HamiltonianSchedule:
                         cls._check_period(period), label)
         float(profile(0.0))  # must be real scalar
         obj._check_periodicity()
-        obj._partition(arr != 0)
+        obj.blocks = linalg.block_partition(arr != 0)
         return obj
 
     @classmethod
@@ -234,22 +224,36 @@ class HamiltonianSchedule:
         """
         raw = np.asarray(samples, dtype=complex)
         grid = _table_grid(grid, raw.shape[0])
-        table = np.empty_like(raw)       # per sample: no stack temporaries
+        # the gate, sample by sample, keeps only the pattern and what the
+        # closure test of _closes reads: the largest norm, first and last
         pattern = np.zeros(raw.shape[1:], dtype=bool)
+        scale = 0.0
         for k, sample in enumerate(raw):
-            table[k] = linalg.require_hermitian(sample, f"sample {k}")
-            pattern |= table[k] != 0
+            h = linalg.require_hermitian(sample, f"sample {k}")
+            pattern |= h != 0
+            scale = max(scale, frob(h))
+            if k == 0:
+                first = h
         period = _table_period(grid, period)
-        if period is not None and not _closes(table):
+        defect = frob(h - first)
+        if period is not None and not defect <= 1e-10 * max(scale, 1e-300):
             raise ValueError(
-                "samples at t=0 and t=period differ by "
-                f"{frob(table[-1] - table[0]):.3e}")
-        obj = cls._make(None, table.shape[1], period, label)
-        obj._partition(pattern)          # interpolants combine table rows
-        if obj.blocks is not None:
-            flat = table.reshape(grid.size, -1)
-            return obj._tabulate(grid, [flat[:, idx] for idx in obj.blocks])
-        return obj._tabulate(grid, [table])
+                f"samples at t=0 and t=period differ by {defect:.3e}")
+        obj = cls._make(None, raw.shape[1], period, label)
+        # interpolants combine table rows, so the pattern covers them all
+        obj.blocks = linalg.block_partition(pattern)
+        # each part is gathered from the caller's samples and Hermitized: a
+        # block holds both (i, j) and (j, i), so a part has the bits of the
+        # Hermitized table, which is never formed beside the parts
+        index = obj.blocks
+        if index is None:                # one part, the whole matrix
+            index = (np.arange(obj.dim ** 2).reshape(obj.dim, obj.dim),)
+        table = [np.empty((grid.size,) + idx.shape, dtype=complex)
+                 for idx in index]
+        for k, sample in enumerate(raw.reshape(grid.size, -1)):
+            for part, idx in zip(table, index):
+                part[k] = linalg.hermitize(sample.take(idx))
+        return obj._tabulate(grid, table)
 
     @classmethod
     def from_blocks(cls, grid, series, *, period=None, label="blocks"):
@@ -276,7 +280,7 @@ class HamiltonianSchedule:
                     f"({grid.size}, d, d) with d >= 1")
         period = _table_period(grid, period)
         sizes = [s.shape[1] for s in tables]
-        groups = _size_groups(sizes)
+        groups = linalg.size_groups(sizes)
         parts = [np.empty((grid.size, len(members), d, d), dtype=complex)
                  for d, members in groups]
         for part, (d, members) in zip(parts, groups):
@@ -289,13 +293,10 @@ class HamiltonianSchedule:
                         f"block {n}: samples at t=0 and t=period differ "
                         f"by {frob(part[-1, j] - part[0, j]):.3e}")
         obj = cls._make(None, sum(sizes), period, label)
-        if len(tables) == 1:
+        block_of = np.repeat(np.arange(len(sizes)), sizes)
+        obj.blocks = linalg.block_partition(block_of[:, None] == block_of)
+        if obj.blocks is None:           # one declared block
             return obj._tabulate(grid, [parts[0][:, 0]])
-        ends = np.cumsum(sizes)
-        flat = np.arange(obj.dim * obj.dim).reshape(obj.dim, obj.dim)
-        obj.blocks = tuple(
-            np.array([flat[ends[n] - d:ends[n], ends[n] - d:ends[n]]
-                      for n in members]) for d, members in groups)
         return obj._tabulate(grid, parts)
 
     def _tabulate(self, grid, table):
@@ -306,8 +307,8 @@ class HamiltonianSchedule:
         # no reference to self: the schedule and its table are freed as
         # soon as the last caller lets go, not at the next cyclic collection
         blocks, dim, period = self.blocks, self.dim, self.period
-        self._fn = lambda t: _dense(_interp(grid, table, period, t), blocks,
-                                    dim)
+        self._fn = lambda t: linalg.dense(_interp(grid, table, period, t),
+                                          blocks, dim)
         return self
 
     # ------------------------------------------------------------------ #
@@ -319,8 +320,9 @@ class HamiltonianSchedule:
         if period is None:
             return None
         period = float(period)
-        if period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < period < math.inf:
+            raise ValueError(
+                f"period must be finite and positive, got {period}")
         return period
 
     def _check_periodicity(self):
@@ -333,7 +335,7 @@ class HamiltonianSchedule:
                  for t in times]
         ref = max(max(frob(m) for pair in pairs for m in pair), 1e-300)
         for t, (a, b) in zip(times, pairs):
-            if frob(b - a) > 1e-10 * ref:
+            if not frob(b - a) <= 1e-10 * ref:   # a NaN defect fails too
                 raise ValueError(
                     f"declared period {self.period} violated at t={t}: "
                     f"relative defect {frob(b - a) / ref:.3e}")
@@ -361,7 +363,7 @@ class HamiltonianSchedule:
         a callable's check of its partition.
         """
         if self._table is None:
-            return _parts(self.sample(t), blocks)
+            return linalg.parts(self.sample(t), blocks)
         grid, table = self._table
         return _interp(grid, table, self.period, t)
 
@@ -397,38 +399,6 @@ def _table_period(grid: np.ndarray, period):
             "periodic sampled schedule must be tabulated over "
             "exactly one period")
     return period
-
-
-def _size_groups(sizes) -> list:
-    """``[(d, [n, ...]), ...]``: the blocks ``n`` of each size ``d``, sizes
-    ascending and blocks in diagonal order, the order of ``blocks``."""
-    return [(d, [n for n, size in enumerate(sizes) if size == d])
-            for d in sorted(set(sizes))]
-
-
-def _block_rows(parts: tuple, sizes) -> list:
-    """Each diagonal block's rows, in diagonal order, from parts of rows
-    of a schedule built by :meth:`HamiltonianSchedule.from_blocks` with
-    blocks of ``sizes`` (views, no copies)."""
-    if len(sizes) == 1:
-        return [parts[0]]
-    out = [None] * len(sizes)
-    for part, (_, members) in zip(parts, _size_groups(sizes)):
-        for j, n in enumerate(members):
-            out[n] = part[:, j]
-    return out
-
-
-def _dense(parts: tuple, blocks, dim: int) -> np.ndarray:
-    """The dense matrices the parts of ``blocks`` make up: the inverse of
-    :func:`_parts`, for one matrix or for parts with a leading row axis."""
-    if blocks is None:
-        return parts[0]
-    lead = parts[0].shape[:-3]
-    out = np.zeros(lead + (dim * dim,), dtype=complex)
-    for idx, p in zip(blocks, parts):
-        out[..., idx] = p
-    return out.reshape(lead + (dim, dim))
 
 
 def _interp(grid: np.ndarray, table: tuple, period, t: float) -> tuple:
@@ -499,19 +469,31 @@ def uniform_spacing(grid: np.ndarray) -> float:
     return float(deltas[0])
 
 
+def _path_grid(grid) -> np.ndarray:
+    """The grid of a sampled path as a float array: ``DimensionMismatch``
+    unless it is a non-empty 1-D array, ``ValueError`` unless it is finite
+    and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DimensionMismatch(
+            "empty grid: a path needs at least one point"
+            if grid.size == 0 else "grid must be a 1-D array")
+    if not np.isfinite(grid).all() or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be finite and strictly increase")
+    return grid
+
+
 def _path_arrays(grid, samples):
     """``(grid, samples)`` of a sampled path as float and complex arrays.
 
     Raises :class:`DimensionMismatch` unless ``grid`` is a non-empty 1-D
-    array and ``samples`` one square, non-empty matrix per grid point.
+    array and ``samples`` one square, non-empty matrix per grid point, and
+    ``ValueError`` unless ``grid`` is finite and strictly increasing.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _path_grid(grid)
     samples = np.asarray(samples, dtype=complex)
-    if grid.ndim != 1 or samples.ndim != 3 or samples.shape[0] != grid.size:
+    if samples.ndim != 3 or samples.shape[0] != grid.size:
         raise DimensionMismatch("grid and samples are inconsistent")
-    if grid.size == 0:
-        raise DimensionMismatch(
-            "empty grid: a path needs at least one point")
     if samples.shape[1] != samples.shape[2] or samples.shape[1] == 0:
         raise DimensionMismatch(
             f"samples must be non-empty square matrices, got shape "
@@ -537,8 +519,8 @@ class UnitaryPath:
 
     def __init__(self, grid, samples, tol_achieved=0.0, drift_max=0.0):
         grid, samples = _path_arrays(grid, samples)
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must start at 0 and strictly increase")
+        if grid[0] != 0.0:
+            raise ValueError("grid must start at 0")
         dim = samples.shape[1]
         if frob(samples[0] - np.eye(dim)) > 1e-12:
             raise ValueError("samples[0] must be the identity")
@@ -565,14 +547,6 @@ class UnitaryPath:
     def __repr__(self):
         return (f"UnitaryPath(dim={self.dim}, points={len(self)}, "
                 f"t_max={self.grid[-1]:.6g}, tol={self.tol_achieved:.3e})")
-
-
-def _parts(matrix: np.ndarray, blocks) -> tuple:
-    """A dense matrix as the kernel's parts: the matrix itself, or one
-    ``(k, n, n)`` stack per block size, gathered by ``blocks``."""
-    if blocks is None:
-        return (matrix,)
-    return tuple(matrix.take(idx) for idx in blocks)
 
 
 def _products(left: tuple, right: tuple) -> tuple:
@@ -654,9 +628,9 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
     (rows, err_max, drift_max)
         ``rows`` holds ``U(grid[keep[row]])`` at ``[row]`` of each of the
         kernel's parts for ``schedule.blocks`` as it stands after the call
-        (:func:`_dense` makes the dense samples); then the largest
-        local-error estimate, and the largest unitarity defect seen before
-        any re-unitarization.
+        (:func:`invphase.linalg.dense` makes the dense samples); then the
+        largest local-error estimate, and the largest unitarity defect seen
+        before any re-unitarization.
 
     Raises
     ------
@@ -671,7 +645,7 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
 
     blocks = schedule.blocks
     keep_set = {int(k): row for row, k in enumerate(keep)}
-    u = _parts(np.eye(schedule.dim, dtype=complex), blocks)
+    u = linalg.parts(np.eye(schedule.dim, dtype=complex), blocks)
     rows = tuple(np.empty((keep.size,) + p.shape, dtype=complex) for p in u)
     for r, p in zip(rows, u):
         r[0] = p
@@ -716,7 +690,7 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
     schedule : HamiltonianSchedule
         The Hermitian generator.
     t_max : float
-        Final time (> 0).
+        Final time, finite and > 0.
     steps : int, optional
         Number of grid intervals.  Defaults to 2048 per declared period
         (2048 total when no period is declared).
@@ -737,8 +711,8 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
         If an interval still exceeds ``tol`` after maximal splitting.
     """
     t_max = float(t_max)
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     if tol < linalg.TOL_FLOOR:
         raise ValueError(f"tol must be >= {linalg.TOL_FLOOR}")
     if steps is None:
@@ -754,7 +728,8 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
     grid = np.linspace(0.0, t_max, steps + 1)
     keep = _resolve_store(grid, store)
     rows, err_max, drift_max = propagate(schedule, grid, tol, keep)
-    return UnitaryPath(grid[keep], _dense(rows, schedule.blocks, schedule.dim),
+    return UnitaryPath(grid[keep],
+                       linalg.dense(rows, schedule.blocks, schedule.dim),
                        tol_achieved=err_max, drift_max=drift_max)
 
 
@@ -815,7 +790,7 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
 
     v_rows, err_max, v_drift = propagate(y, grid, tol, np.arange(grid.size))
     out = np.einsum("kij,kjl->kil", path.samples,
-                    _dense(v_rows, y.blocks, y.dim))
+                    linalg.dense(v_rows, y.blocks, y.dim))
     out[0] = np.eye(path.dim)
     return UnitaryPath(grid, out,
                        tol_achieved=max(path.tol_achieved, err_max),

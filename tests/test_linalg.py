@@ -500,6 +500,74 @@ def block_stacks(draw):
     return a[:, perm][:, :, perm]
 
 
+@st.composite
+def block_patterns(draw):
+    """Nonzero patterns of 1 to 6 connected blocks of 1 to 6 indices
+    (1 x 1 blocks and a single component included), each block a random
+    spanning chain plus random one-sided entries, indices shuffled."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = sum(sizes)
+    pattern = np.zeros((d, d), dtype=bool)
+    start = 0
+    for k in sizes:
+        block = rng.random((k, k)) < 0.3
+        order = rng.permutation(k)
+        block[order[:-1], order[1:]] = True
+        pattern[start:start + k, start:start + k] = block
+        start += k
+    perm = rng.permutation(d)
+    return pattern[perm][:, perm]
+
+
+def _parent_component_labels(adjacency):
+    """The component labelling the per-block code used (min-label
+    propagation with pointer jumping), kept as a reference."""
+    d = adjacency.shape[0]
+    label = np.arange(d)
+    while True:
+        nxt = np.where(adjacency, label, d).min(axis=1, initial=d)
+        nxt = np.minimum(label, nxt)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+
+
+def _parent_partition(pattern):
+    """The schedule's own partition before ``linalg.block_partition``:
+    per-size ``(k, n, n)`` flat indices, or ``None`` for one component."""
+    comp = _parent_component_labels(pattern | pattern.T)
+    if not comp.any():
+        return None
+    dim = comp.size
+    flat = np.arange(dim * dim).reshape(dim, dim)
+    by_size = {}
+    for root in np.unique(comp).tolist():
+        idx = np.flatnonzero(comp == root)
+        by_size.setdefault(idx.size, []).append(flat[np.ix_(idx, idx)])
+    return tuple(np.array(by_size[n]) for n in sorted(by_size))
+
+
+def _parent_eigvalsh(a):
+    """The per-block ``eigvalsh``: one solve per block of two or more
+    indices, the real diagonal entry for a 1 x 1 block."""
+    arr = np.asarray(a, dtype=complex)
+    d = arr.shape[-1]
+    pattern = (arr != 0).reshape(-1, d, d).any(axis=0)
+    label = _parent_component_labels(pattern | pattern.T)
+    if not label.any():
+        return np.linalg.eigvalsh(linalg.hermitize(arr))
+    sizes = np.bincount(label, minlength=d)
+    single = np.flatnonzero(sizes[label] == 1)
+    parts = [arr[..., single, single].real]
+    for root in np.flatnonzero(sizes > 1).tolist():
+        idx = np.flatnonzero(label == root)
+        parts.append(np.linalg.eigvalsh(
+            linalg.hermitize(arr[..., idx[:, None], idx])))
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+
+
 class TestBlockEigvalsh:
     """``linalg.eigvalsh`` solves each connected block of the union nonzero
     pattern and gives the spectrum of the dense solve."""
@@ -507,7 +575,12 @@ class TestBlockEigvalsh:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mask=adjacency_masks())
     def test_labels_match_connected_components(self, mask):
-        labels = linalg._component_labels(mask)
+        # each vertex's label read back from the blocks of block_partition
+        labels = np.zeros(mask.shape[0], dtype=int)
+        for group in linalg.block_partition(mask) or ():
+            for block in group:
+                idx = block[:, 0] // mask.shape[0]
+                labels[idx] = idx.min()
         _, ref = connected_components(mask, directed=False)
         # the label of each vertex is the smallest vertex of its component
         smallest = np.array([np.flatnonzero(ref == r)[0] for r in ref])
@@ -530,6 +603,26 @@ class TestBlockEigvalsh:
         for x in (a, chain, chain[1]):
             assert _same_bits(linalg.eigvalsh(x),
                               np.linalg.eigvalsh(linalg.hermitize(x)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pattern=block_patterns())
+    def test_block_partition_is_the_schedules_partition(self, pattern):
+        got = linalg.block_partition(pattern)
+        ref = _parent_partition(pattern)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert len(got) == len(ref)
+            assert all(g.dtype == r.dtype and np.array_equal(g, r)
+                       for g, r in zip(got, ref))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=block_stacks(), drift=st.floats(-3e-15, 3e-15))
+    def test_same_bits_as_the_per_block_solve(self, a, drift):
+        # ~1e-15 of imaginary part on every diagonal: a 1 x 1 block's
+        # eigenvalue is the real part, as the per-block solve took it
+        a = a + 1j * drift * np.eye(a.shape[-1])
+        assert _same_bits(linalg.eigvalsh(a), _parent_eigvalsh(a))
+        assert _same_bits(linalg.eigvalsh(a[0]), _parent_eigvalsh(a[0]))
 
     def test_singletons_are_the_real_diagonal(self):
         # components {0}, {1, 3}, {2}; the singleton at 0 drops the

@@ -68,6 +68,26 @@ class TestSchedule:
         with pytest.raises(ValueError, match="differ"):
             HamiltonianSchedule.from_samples(grid, table, period=1.0)
 
+    @pytest.mark.parametrize("period", [np.nan, np.inf])
+    @pytest.mark.parametrize("form", ["scalar_profile", "callable"])
+    def test_period_must_be_finite(self, form, period):
+        # a NaN period built a scalar profile that evolve failed on later,
+        # and reached from_callable's probes as "H(nan)"
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite and positive"):
+            if form == "scalar_profile":
+                HamiltonianSchedule.scalar_profile(np.sin, x, period=period)
+            else:
+                HamiltonianSchedule.from_callable(lambda t: np.cos(t) * x, 2,
+                                                  period=period)
+
+    def test_periodicity_probe_sees_nan(self):
+        # NaN > bound is False: the probe must fail, not pass, a NaN defect
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="declared period 1.0"):
+            HamiltonianSchedule.scalar_profile(
+                lambda t: np.nan if t > 0.2 else 1.0, x, period=1.0)
+
     def test_callable_must_be_hermitian(self):
         bad = lambda t: np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitianInput):
@@ -131,6 +151,37 @@ class TestSchedule:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * table.nbytes
+
+    def test_partitioned_table_keeps_only_its_parts(self):
+        # two interleaved 24 x 24 blocks: the parts are gathered from the
+        # caller's samples and Hermitized, so no Hermitized dense table is
+        # held beside them (that took 1.5x the table); parts and samples
+        # have the bits of gathering from the Hermitized table
+        grid = np.linspace(0.0, 1.0, 129)
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(48)
+        x = _block_hermitian(rng, [24, 24], perm)
+        y = _block_hermitian(rng, [24, 24], perm)
+        noise = 1e-15 * _block_hermitian(rng, [24, 24], perm) * 1j
+        table = (np.cos(2 * np.pi * grid)[:, None, None] * x
+                 + np.sin(2 * np.pi * grid)[:, None, None] * y + noise)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sched = HamiltonianSchedule.from_samples(grid, table, period=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * table.nbytes
+        assert _block_sizes(sched) == [24, 24]
+        flat = hermitize(table).reshape(grid.size, -1)
+        ref = tuple(flat[:, idx] for idx in sched.blocks)
+        _, parts = sched._table
+        assert [p.tobytes() for p in parts] == [r.tobytes() for r in ref]
+        for t in (0.0, 0.3, 0.77, 1.0):
+            want = linalg.dense(propagator._interp(grid, ref, 1.0, t),
+                                sched.blocks, 48)
+            assert _same_bits(sched.sample(t), want)
 
 
 _ENTRIES = np.array([0.0, -0.0, 1.0, -0.5, 0.75, 2.0])
@@ -346,6 +397,14 @@ class TestEvolve:
             lambda t: np.sin(1e6 * t) * x, 2)
         with pytest.raises(ToleranceNotMet):
             evolve(sched, 1.0, steps=1, tol=1e-14)
+
+    @pytest.mark.parametrize("t_max", [np.inf, np.nan])
+    def test_non_finite_t_max_rejected_by_name(self, t_max):
+        # inf used to exponentiate NaNs before the grid check, and NaN
+        # returned a path of NaNs
+        sched = HamiltonianSchedule.constant(np.eye(2))
+        with pytest.raises(ValueError, match="t_max must be finite"):
+            evolve(sched, t_max)
 
     def test_bad_args(self):
         sched = HamiltonianSchedule.constant(np.eye(2))
@@ -734,6 +793,28 @@ class TestBlockPropagation:
         assert (path.tol_achieved, path.drift_max) == (err, drift)
         assert np.abs(path.final()[c != 0]).max() > 1e-6
 
+    def test_compose_geq_collapse_keeps_the_dense_bits(self):
+        # Y's probe at t = 0 misses the off-block coupling sin(t) C, so the
+        # partition collapses inside propagate: V and the composed samples
+        # have the bits of the dense stepping
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(5)
+        b = _block_hermitian(rng, [2, 3], perm)
+        c = random_hermitian(5, 12) / 5
+        c[b != 0] = 0.0
+        c[np.eye(5, dtype=bool)] = 0.0
+        y = HamiltonianSchedule.from_callable(lambda t: b + np.sin(t) * c, 5)
+        assert _block_sizes(y) == [2, 3]
+        path = evolve(HamiltonianSchedule.constant(random_hermitian(5, 13)),
+                      1.0, steps=16)
+        out = compose_geq(path, y, tol=self.TOL)
+        assert y.blocks is None
+        v, err, drift = _reference_stepping(y, path.grid, self.TOL)
+        want = np.einsum("kij,kjl->kil", path.samples, v)
+        want[0] = np.eye(5)
+        assert _same_bits(out.samples, want)
+        assert (out.tol_achieved, out.drift_max) == (err, drift)
+
 
 class TestLoopCheck:
     def test_sho_loops(self):
@@ -767,6 +848,12 @@ class TestUnitaryPath:
         grid = np.arange(shape[0], dtype=float)
         with pytest.raises(DimensionMismatch, match="square"):
             UnitaryPath(grid, np.zeros(shape))
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf]],
+                             ids=["nan", "inf"])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="finite and strictly increase"):
+            UnitaryPath(grid, np.stack([np.eye(2)] * 3))
 
     def test_identity_required_at_zero(self):
         grid = np.array([0.0, 1.0])
