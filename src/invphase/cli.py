@@ -23,6 +23,10 @@ config are rejected.  Tasks:
   and fidelity checks.  Closed-form comparisons run for oscillator
   systems; the other kinds go through the generic
   evolve/transport/eigenframe pipeline and get residual checks instead.
+  There a ``cranked`` system's evolution is the paper's exact
+  ``U(t) = e^{-iKt} e^{-i(h0-k)t}``, and a ``schedule`` is integrated by
+  the CF4 stepper; the report's work counters name which
+  (``phases_propagator``) and the path's ``phases_tol_achieved``.
 * ``validate`` — operator-identity and residual checks (oscillator only):
   algebra closure, crank-rotation identity, invariant residual, width
   equation residual, connection-integral estimator, and a truncation
@@ -57,7 +61,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import cranked, invariant, oscillator, propagator
+from . import invariant, oscillator, propagator
 from .errors import (ComputeError, ConfigError, InvphaseError, IoError,
                      NonHermitianInput)
 from .linalg import frob, require_hermitian
@@ -103,15 +107,19 @@ def _number(obj, key, path, *, integer=False, minimum=None):
     return int(value) if integer else float(value)
 
 
-def _hermitian_matrix(value, path):
+def _square_matrix(value, path):
     try:
         arr = np.asarray(value, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise ConfigError(f"{path} must be a square matrix of dim >= 2")
+    return arr
+
+
+def _hermitian_matrix(value, path):
     try:
-        return require_hermitian(arr, "matrix")
+        return require_hermitian(_square_matrix(value, path), "matrix")
     except NonHermitianInput as exc:
         raise ConfigError(f"{path} must be Hermitian: {exc}") from None
 
@@ -178,11 +186,17 @@ def load_config(path, *, steps=None, truncation=None) -> ScenarioConfig:
                 f"system.oscillator parameters invalid: {exc}") from None
     elif kind == "cranked":
         _require_keys(body, ("h0", "k"), ("h0", "k"), "system.cranked")
-        h0 = _hermitian_matrix(body["h0"], "system.cranked.h0")
-        k = _hermitian_matrix(body["k"], "system.cranked.k")
+        h0 = _square_matrix(body["h0"], "system.cranked.h0")
+        k = _square_matrix(body["k"], "system.cranked.k")
         if h0.shape != k.shape:
             raise ConfigError("system.cranked.h0 and .k dims differ")
-        parsed = {"h0": h0, "k": k}
+        # the schedule's constructor is the one gate of H0 and K
+        try:
+            parsed = {"schedule": propagator.HamiltonianSchedule.cranked(
+                h0, k)}
+        except NonHermitianInput as exc:
+            raise ConfigError(
+                f"system.cranked must be Hermitian: {exc}") from None
     else:
         _require_keys(body, ("terms",), ("terms",), "system.schedule")
         terms = body["terms"]
@@ -545,11 +559,8 @@ def _oscillator_loop(config, report):
 def _generic_schedule(config):
     """Schedule and initial invariant for explicit-matrix systems."""
     if config.kind == "cranked":
-        system = cranked.CrankedSystem(config.system["h0"],
-                                       config.system["k"])
-        return (propagator.HamiltonianSchedule.from_callable(
-            lambda t: system.rotate(system.h0.array, t), system.dim,
-            label="cranked"), system.i0.array)
+        sched = config.system["schedule"]
+        return sched, sched.crank.i0.array
 
     terms = config.system["terms"]
     dim = config.system["dim"]
@@ -576,7 +587,7 @@ def _generic_phases(config, report, tol):
     sched, i0 = _generic_schedule(config)
     grid = np.linspace(0.0, config.t_max, config.steps + 1)
     u_path = propagator.evolve(sched, config.t_max, steps=config.steps,
-                               tol=tol, store=grid)
+                               tol=tol)
     path = invariant.transport(u_path, i0)
     frame = invariant.eigenframe(path)
     record = abelian_phases(project(frame, sched))
@@ -608,6 +619,9 @@ def _generic_phases(config, report, tol):
     ])
     report.work["phases_grid_points"] = int(grid.size)
     report.work["phases_levels"] = len(levels)
+    report.work["phases_propagator"] = ("closed-form" if sched.crank
+                                        is not None else "cf4")
+    report.work["phases_tol_achieved"] = u_path.tol_achieved
     return csv_rows
 
 

@@ -4,7 +4,10 @@ A cranked Hamiltonian is ``H(t) = e^{-iKt} H0 e^{iKt}`` with constant
 Hermitian ``H0`` and crank generator ``K``.  It carries the constant-spectrum
 dynamical invariant ``I(t) = H(t) - K = e^{-iKt} I0 e^{iKt}`` (``I0 = H0 - K``)
 and the exact evolution operator ``U(t) = e^{-iKt} e^{-i I0 t}``, so the whole
-invariant/phase pipeline can be cross-checked against closed forms.
+invariant/phase pipeline can be cross-checked against closed forms.  Their
+constant data, :class:`CrankedSystem`, is defined in
+:mod:`invphase.propagator`, whose kernel takes the exact ``U(t)`` of a
+cranked schedule (:meth:`HamiltonianSchedule.cranked`).
 
 The geometric-equivalence class built on that invariant consists of
 
@@ -41,7 +44,12 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch
 from .linalg import OperatorMatrix, expm_igen, hermitize
-from .propagator import HamiltonianSchedule, UnitaryPath, compose_geq, evolve
+from .propagator import (
+    CrankedSystem,
+    HamiltonianSchedule,
+    compose_geq,
+    evolve,
+)
 from .quadrature import simpson
 
 __all__ = [
@@ -53,73 +61,6 @@ __all__ = [
     "generalized_cranked",
     "nondeg_phase_formulas",
 ]
-
-
-class CrankedSystem:
-    """Constant data of a cranked Hamiltonian ``e^{-iKt} H0 e^{iKt}``.
-
-    The inputs are gated here, where outside data enters; everything built
-    from them (:func:`cranked_H`, :func:`cranked_I`, :func:`cranked_U`) is
-    Hermitian or unitary by construction and is returned as a read-only
-    copy without further checks.
-
-    Parameters
-    ----------
-    h0 : array_like or OperatorMatrix
-        Hermitian matrix conjugated by the crank.
-    k : array_like or OperatorMatrix
-        Hermitian crank generator, same dimension as ``h0``.
-
-    Attributes
-    ----------
-    h0, k, i0 : OperatorMatrix
-        Read-only Hermitian operators: ``h0`` and ``k`` are the Hermitian
-        parts that :func:`invphase.linalg.require_hermitian` returns for
-        the inputs; ``i0 = h0 - k`` is the initial invariant.
-    dim : int
-        Shared matrix dimension.
-
-    Raises
-    ------
-    NonHermitianInput
-        If either input violates the hermiticity bound.
-    DimensionMismatch
-        If the dimensions differ.
-    """
-
-    def __init__(self, h0, k):
-        self.h0 = OperatorMatrix(linalg.require_hermitian(h0, "H0"))
-        self.k = OperatorMatrix(linalg.require_hermitian(k, "K"))
-        if self.h0.dim != self.k.dim:
-            raise DimensionMismatch(
-                f"H0 has dim {self.h0.dim}, K has dim {self.k.dim}")
-        self.i0 = OperatorMatrix(self.h0.array - self.k.array)
-        self._k_eig = None
-        self._i0_eig = None
-
-    @property
-    def dim(self) -> int:
-        return self.h0.dim
-
-    def _expk(self, t: float) -> np.ndarray:
-        """``exp(-1j * t * K)`` from the cached eigendecomposition of K."""
-        if self._k_eig is None:
-            self._k_eig = linalg.eigh(self.k.array, check_hermitian=False)
-        return linalg.spectral_exp(*self._k_eig, t)
-
-    def rotate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Hermitian ndarray ``e^{-iKt} X e^{iKt}`` of a Hermitian ndarray X."""
-        e = self._expk(float(t))
-        return hermitize(e @ x @ e.conj().T)
-
-    def _expi0(self, t: float) -> np.ndarray:
-        """``exp(-1j * t * I0)`` from the cached eigendecomposition of I0."""
-        if self._i0_eig is None:
-            self._i0_eig = linalg.eigh(self.i0.array, check_hermitian=False)
-        return linalg.spectral_exp(*self._i0_eig, t)
-
-    def __repr__(self):
-        return f"CrankedSystem(dim={self.dim})"
 
 
 def cranked_H(sys: CrankedSystem, t: float) -> OperatorMatrix:
@@ -142,9 +83,10 @@ def cranked_U(sys: CrankedSystem, t: float) -> OperatorMatrix:
 
     Solves ``i dU/dt = H(t) U`` with ``U(0) = 1``; both factors are
     spectral exponentials, so the result is unitary to machine precision.
+    The expression is :meth:`CrankedSystem.evolution`, the one that
+    :func:`invphase.propagator.propagate` takes for a cranked schedule.
     """
-    t = float(t)
-    return OperatorMatrix(sys._expk(t) @ sys._expi0(t))
+    return OperatorMatrix(sys.evolution(float(t)))
 
 
 def geq_member(sys: CrankedSystem, ytilde: HamiltonianSchedule,

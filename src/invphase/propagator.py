@@ -49,8 +49,10 @@ Design notes
   a dense ``dim x dim`` matrix on the stepping path, and :func:`propagate`
   returns its kept rows as parts; :func:`evolve` and :func:`compose_geq`
   scatter them into dense samples.
-* Constant schedules bypass the stepper: ``U(t) = exp(-i t H)`` from a
-  single eigendecomposition.
+* Closed forms bypass the stepper: a constant schedule has
+  ``U(t) = exp(-i t H)`` from a single eigendecomposition, and a cranked
+  schedule ``e^{-iKt} H0 e^{iKt}`` has the exact ``U(t) = e^{-iKt}
+  e^{-i(H0-K)t}`` of :class:`CrankedSystem`.
 * No interpolation between stored grid points is offered; consumers sample
   on the grid.
 """
@@ -68,9 +70,10 @@ from .errors import (
     SymmetryViolation,
     ToleranceNotMet,
 )
-from .linalg import expm_igen, frob
+from .linalg import OperatorMatrix, expm_igen, frob, hermitize
 
 __all__ = [
+    "CrankedSystem",
     "HamiltonianSchedule",
     "UnitaryPath",
     "evolve",
@@ -90,12 +93,94 @@ DEFAULT_STEPS_PER_PERIOD = 2048
 _MAX_SPLIT_DEPTH = 16
 
 
+class CrankedSystem:
+    """Constant data of a cranked Hamiltonian ``e^{-iKt} H0 e^{iKt}``.
+
+    The one home of the cranked closed forms: :meth:`rotate` gives the
+    Hamiltonian and the invariant, :meth:`evolution` the exact evolution
+    operator ``U(t) = e^{-iKt} e^{-i I0 t}``, both from eigendecompositions
+    of ``K`` and ``I0`` that are computed once, on first use.
+    :meth:`HamiltonianSchedule.cranked` and the functions of
+    :mod:`invphase.cranked` read them from here.
+
+    The inputs are gated here, where outside data enters; everything built
+    from them is Hermitian or unitary by construction and is returned
+    without further checks.
+
+    Parameters
+    ----------
+    h0 : array_like or OperatorMatrix
+        Hermitian matrix conjugated by the crank.
+    k : array_like or OperatorMatrix
+        Hermitian crank generator, same dimension as ``h0``.
+
+    Attributes
+    ----------
+    h0, k, i0 : OperatorMatrix
+        Read-only Hermitian operators: ``h0`` and ``k`` are the Hermitian
+        parts that :func:`invphase.linalg.require_hermitian` returns for
+        the inputs; ``i0 = h0 - k`` is the initial invariant.
+    dim : int
+        Shared matrix dimension.
+
+    Raises
+    ------
+    NonHermitianInput
+        If either input violates the hermiticity bound.
+    DimensionMismatch
+        If the dimensions differ.
+    """
+
+    def __init__(self, h0, k):
+        self.h0 = OperatorMatrix(linalg.require_hermitian(h0, "H0"))
+        self.k = OperatorMatrix(linalg.require_hermitian(k, "K"))
+        if self.h0.dim != self.k.dim:
+            raise DimensionMismatch(
+                f"H0 has dim {self.h0.dim}, K has dim {self.k.dim}")
+        self.i0 = OperatorMatrix(self.h0.array - self.k.array)
+        self._k_eig = None
+        self._i0_eig = None
+
+    @property
+    def dim(self) -> int:
+        return self.h0.dim
+
+    def _expk(self, t) -> np.ndarray:
+        """``exp(-1j * t * K)`` from the cached eigendecomposition of K."""
+        if self._k_eig is None:
+            self._k_eig = linalg.eigh(self.k.array, check_hermitian=False)
+        return linalg.spectral_exp(*self._k_eig, t)
+
+    def _expi0(self, t) -> np.ndarray:
+        """``exp(-1j * t * I0)`` from the cached eigendecomposition of I0."""
+        if self._i0_eig is None:
+            self._i0_eig = linalg.eigh(self.i0.array, check_hermitian=False)
+        return linalg.spectral_exp(*self._i0_eig, t)
+
+    def rotate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Hermitian ndarray ``e^{-iKt} X e^{iKt}`` of a Hermitian ndarray X."""
+        e = self._expk(float(t))
+        return hermitize(e @ x @ e.conj().T)
+
+    def evolution(self, t) -> np.ndarray:
+        """Exact ``U(t) = e^{-iKt} e^{-i I0 t}``, which solves
+        ``i dU/dt = H(t) U`` with ``U(0) = 1``; one matrix for a float
+        ``t``, a stack over the times of an array ``t``.  Both factors are
+        spectral exponentials, so each result is unitary to machine
+        precision."""
+        return self._expk(t) @ self._expi0(t)
+
+    def __repr__(self):
+        return f"CrankedSystem(dim={self.dim})"
+
+
 class HamiltonianSchedule:
     """Time-dependent Hermitian generator ``t -> H(t)``.
 
     Construct through one of the classmethods:
 
     * :meth:`constant` -- a fixed Hermitian matrix,
+    * :meth:`cranked` -- ``e^{-iKt} H0 e^{iKt}``, whose ``U(t)`` is exact,
     * :meth:`from_callable` -- an arbitrary smooth map ``t -> matrix``,
     * :meth:`scalar_profile` -- ``H(t) = f(t) * H0`` (commuting family),
     * :meth:`from_samples` -- matrices tabulated on a uniform grid,
@@ -110,6 +195,9 @@ class HamiltonianSchedule:
     * ``base`` is the read-only matrix of a constant schedule and ``None``
       for every other schedule, a scalar profile included, which
       :func:`propagate` steps like any callable;
+    * ``crank`` is the :class:`CrankedSystem` of a cranked schedule, whose
+      exact evolution :func:`propagate` takes, and ``None`` for every
+      other schedule;
     * ``blocks`` is the block partition, fixed on construction by
       :func:`invphase.linalg.block_partition` from a nonzero pattern: the
       declared blocks of :meth:`from_blocks`, or the union pattern of the
@@ -118,7 +206,8 @@ class HamiltonianSchedule:
       (:meth:`from_callable`: ``t = 0`` and the periodicity probes).  It
       holds, for each block size ``n`` in ascending order, a ``(k, n, n)``
       array of the flat indices ``i * dim + j`` of the ``k`` blocks of that
-      size; it is ``None`` for one component and for a constant schedule.
+      size; it is ``None`` for one component and for a constant or a
+      cranked schedule.
       A callable schedule checks every sample to be exactly zero outside
       its partition; a sample that is not sets ``blocks`` to ``None`` for
       good, so no coupling is ever dropped.
@@ -134,7 +223,7 @@ class HamiltonianSchedule:
 
     def __init__(self):
         raise TypeError(
-            "use HamiltonianSchedule.constant / .from_callable / "
+            "use HamiltonianSchedule.constant / .cranked / .from_callable / "
             ".scalar_profile / .from_samples / .from_blocks")
 
     @classmethod
@@ -145,6 +234,7 @@ class HamiltonianSchedule:
         obj.period = period
         obj.label = label
         obj.base = base
+        obj.crank = None
         obj.blocks = None
         obj._table = None
         return obj
@@ -159,6 +249,22 @@ class HamiltonianSchedule:
         arr = linalg.require_hermitian(matrix, "constant matrix")
         arr.setflags(write=False)
         return cls._make(lambda t: arr, arr.shape[0], None, label, base=arr)
+
+    @classmethod
+    def cranked(cls, h0, k, *, label="cranked"):
+        """Cranked schedule ``H(t) = e^{-iKt} H0 e^{iKt}``.
+
+        ``H0`` and ``K`` are gated once, by :class:`CrankedSystem`, which
+        the schedule keeps as ``crank``.  A sample has the bits of
+        :meth:`CrankedSystem.rotate` and no further check: a unitary
+        conjugate of a Hermitian matrix is Hermitian.
+        """
+        crank = CrankedSystem(h0, k)
+        h0 = crank.h0.array
+        obj = cls._make(lambda t: crank.rotate(h0, t), crank.dim, None,
+                        label)
+        obj.crank = crank
+        return obj
 
     @classmethod
     def from_callable(cls, fn, dim, *, period=None, label="callable"):
@@ -601,8 +707,10 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
 
     The stepping kernel shared by :func:`evolve`, :func:`compose_geq` and
     :func:`invphase.phases.solve_un`.  A constant schedule is exponentiated
-    spectrally at each kept time.  Any other schedule is advanced by one
-    step-doubled CF4 step per interval ``[grid[k], grid[k+1]]`` (split
+    spectrally at each kept time, and a cranked schedule takes its exact
+    ``e^{-iKt} e^{-i I0 t}`` (:meth:`CrankedSystem.evolution`); both
+    report ``err_max = drift_max = 0``.  Any other schedule is advanced by
+    one step-doubled CF4 step per interval ``[grid[k], grid[k+1]]`` (split
     recursively until the estimate meets ``tol``), and the running product
     is re-unitarized whenever ``||U U^H - 1||_F > 1e-12``.
 
@@ -640,9 +748,17 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
     if schedule.is_constant:
         samples = linalg.spectral_exp(
             *linalg.eigh(schedule.base, check_hermitian=False), grid[keep])
-        samples[0] = np.eye(schedule.dim)
-        return (samples,), 0.0, 0.0
+    elif schedule.crank is not None:
+        samples = schedule.crank.evolution(grid[keep])
+    else:
+        return _stepped(schedule, grid, tol, keep)
+    samples[0] = np.eye(schedule.dim)
+    return (samples,), 0.0, 0.0
 
+
+def _stepped(schedule, grid, tol, keep):
+    """:func:`propagate` by step-doubled CF4 steps, for a schedule with no
+    closed form."""
     blocks = schedule.blocks
     keep_set = {int(k): row for row, k in enumerate(keep)}
     u = linalg.parts(np.eye(schedule.dim, dtype=complex), blocks)
@@ -656,7 +772,7 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
         h = grid[k + 1] - grid[k]
         transfer, err = _adaptive_step(schedule, blocks, grid[k], h, tol)
         if schedule.blocks is not blocks:    # a coupling outside the blocks
-            return propagate(schedule, grid, tol, keep)
+            return _stepped(schedule, grid, tol, keep)
         u = _products(transfer, u)
         err_max = max(err_max, err)
         drift = _frob_parts(p @ p.conj().swapaxes(-1, -2) - eye

@@ -269,6 +269,65 @@ class TestRun:
         report = cli.run(config, out_dir=tmp_path / "out")
         assert self._residual_row(report).status == "fail"
 
+    def test_generic_residual_catches_wrong_closed_form(self, tmp_path,
+                                                       monkeypatch):
+        # the factors of the exact U in the wrong order,
+        # e^{-i I0 t} e^{-iKt}: still unitary, but not the evolution of H
+        def swapped(crank, t):
+            return crank._expi0(t) @ crank._expk(t)
+
+        monkeypatch.setattr(cli.propagator.CrankedSystem, "evolution",
+                            swapped)
+        config = self._integer_crank_config(tmp_path, 1)
+        report = cli.run(config, out_dir=tmp_path / "out")
+        assert self._residual_row(report).status == "fail"
+
+    def test_cranked_matrices_are_gated_once(self, tmp_path, monkeypatch):
+        seen = []
+        gate = cli.propagator.linalg.require_hermitian
+
+        def counted(a, what):
+            seen.append(what)
+            return gate(a, what)
+
+        monkeypatch.setattr(cli.propagator.linalg, "require_hermitian",
+                            counted)
+        monkeypatch.setattr(cli, "require_hermitian", counted)
+        config = self._integer_crank_config(tmp_path, 2, dim=3, steps=64)
+        cli.run(config, out_dir=tmp_path / "out")
+        # transport gates I0 at its own boundary; H0 and K pass one gate
+        assert [what for what in seen if what != "I0"] == ["H0", "K"]
+
+    def test_cranked_config_must_be_hermitian(self, tmp_path):
+        system = {"cranked": {"h0": [[1.0, 0.5], [0.0, 2.0]],
+                              "k": [[0.5, 0.0], [0.0, 1.0]]}}
+        with pytest.raises(ConfigError, match="Hermitian.*H0"):
+            cli.load_config(write_config(tmp_path, system=system))
+        system = {"cranked": {"h0": [[1.0, 0.0], [0.0, 2.0]],
+                              "k": [[0.5, 0.3], [0.0, 1.0]]}}
+        with pytest.raises(ConfigError, match="Hermitian.*K"):
+            cli.load_config(write_config(tmp_path, system=system))
+
+    def test_report_names_the_propagator(self, tmp_path):
+        # deterministic counters: the cranked config takes the exact U,
+        # a trig-table schedule is stepped by CF4 under the run's tol
+        cranked = self._integer_crank_config(tmp_path, 3, dim=3, steps=64)
+        schedule = cli.load_config(write_config(
+            tmp_path, name="sched.json",
+            system={"schedule": {"terms": [
+                {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},
+                {"matrix": [[0.0, 1.0], [1.0, 0.0]], "cos": [0.3, 2.0]}]}},
+            grid={"t_max": 1.0, "steps": 64}))
+        work = {}
+        for name, config in (("cranked", cranked), ("schedule", schedule)):
+            cli.run(config, out_dir=tmp_path / name)
+            work[name] = json.loads((tmp_path / name / "report.json")
+                                    .read_text(encoding="utf-8"))["work"]
+        assert work["cranked"]["phases_propagator"] == "closed-form"
+        assert work["cranked"]["phases_tol_achieved"] == 0.0
+        assert work["schedule"]["phases_propagator"] == "cf4"
+        assert 0.0 < work["schedule"]["phases_tol_achieved"] <= 1e-10
+
     def test_generic_schedule_run(self, tmp_path):
         system = {"schedule": {"terms": [
             {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invphase import linalg, propagator
+from invphase.cranked import CrankedSystem, cranked_H
 from invphase.errors import (
     DimensionMismatch,
     NonHermitianInput,
@@ -414,6 +415,106 @@ class TestEvolve:
             evolve(sched, 1.0, steps=0)
         with pytest.raises(ValueError):
             evolve(sched, 1.0, tol=1e-18)
+
+
+def _crank_pair(dim, seed, shape):
+    """``(H0, K)``: random Hermitian (``"generic"``), ``K`` with a
+    degenerate spectrum (``"degenerate"``), or a commuting pair
+    (``"commuting"``), entries of order one."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q = np.linalg.qr(a)[0]
+    h0 = random_hermitian(dim, seed + 1) / max(dim, 2)
+    if shape == "generic":
+        k = random_hermitian(dim, seed + 2) / max(dim, 2)
+    elif shape == "degenerate":
+        levels = np.where(np.arange(dim) < (dim + 1) // 2, 0.4, -0.7)
+        k = hermitize((q * levels) @ q.conj().T)
+    else:
+        h0 = hermitize((q * rng.uniform(-1.0, 1.0, dim)) @ q.conj().T)
+        k = hermitize((q * rng.uniform(-1.0, 1.0, dim)) @ q.conj().T)
+    return h0, k
+
+
+class TestCrankedSchedule:
+    """``HamiltonianSchedule.cranked`` takes the exact ``U(t)`` of
+    :class:`CrankedSystem` instead of the stepper."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 3),
+           shape=st.sampled_from(["generic", "degenerate", "commuting"]))
+    def test_exact_evolve_matches_the_integrated_one(self, dim, seed, shape):
+        h0, k = _crank_pair(dim, seed, shape)
+        sched = HamiltonianSchedule.cranked(h0, k)
+        exact = evolve(sched, 1.0, steps=32)
+        system = CrankedSystem(h0, k)
+        stepped = evolve(HamiltonianSchedule.from_callable(
+            lambda t: cranked_H(system, t).array, dim), 1.0, steps=32,
+            tol=1e-12)
+        # the criterion 04 bound on the integrator's agreement
+        assert np.max(np.linalg.norm(exact.samples - stepped.samples,
+                                     axis=(1, 2))) <= 1e-7
+        eye = np.eye(dim)
+        for u in exact.samples:
+            assert frob(u @ u.conj().T - eye) <= 1e-13
+        assert np.array_equal(exact.samples[0], eye)
+        assert exact.tol_achieved == 0.0 and exact.drift_max == 0.0
+        for t in exact.grid[::7]:
+            assert np.array_equal(sched.sample(t),
+                                  cranked_H(system, t).array)
+
+    def test_structure(self):
+        h0, k = _crank_pair(4, 3, "generic")
+        sched = HamiltonianSchedule.cranked(h0, k, label="spin")
+        assert not sched.is_constant and sched.base is None
+        assert sched.blocks is None and sched.period is None
+        assert sched.label == "spin" and sched.dim == 4
+        assert isinstance(sched.crank, CrankedSystem)
+        np.testing.assert_array_equal(sched.crank.i0.array,
+                                      sched.crank.h0.array - k)
+        for other in (HamiltonianSchedule.constant(k),
+                      HamiltonianSchedule.from_callable(lambda t: k, 4)):
+            assert other.crank is None
+
+    def test_propagate_takes_the_closed_form(self, monkeypatch):
+        # no stepper exponential, and K and I0 are decomposed once for the
+        # samples and the evolution together
+        h0, k = _crank_pair(5, 8, "generic")
+        sched = HamiltonianSchedule.cranked(h0, k)
+        calls = []
+        real_eigh = linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigh", counted)
+        monkeypatch.setattr(propagator, "expm_igen", None)
+        sched.sample(0.3)
+        path = evolve(sched, 2.0, steps=64, store=[0.5, 1.0])
+        sched.sample(1.7)
+        evolve(sched, 1.0, steps=16)
+        assert calls == [(5, 5), (5, 5)]
+        np.testing.assert_allclose(
+            path.at(1.0), sched.crank.evolution(1.0), rtol=0, atol=1e-14)
+
+    def test_inputs_are_gated(self):
+        good = np.eye(2)
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonHermitianInput, match="H0"):
+            HamiltonianSchedule.cranked(bad, good)
+        with pytest.raises(NonHermitianInput, match="K"):
+            HamiltonianSchedule.cranked(good, bad)
+        for value in (np.nan, np.inf):
+            broken = np.array([[1.0, 0.0], [0.0, value]])
+            with pytest.raises(NonHermitianInput, match="not all finite"):
+                HamiltonianSchedule.cranked(broken, good)
+            with pytest.raises(NonHermitianInput, match="not all finite"):
+                HamiltonianSchedule.cranked(good, broken)
+        with pytest.raises(DimensionMismatch):
+            HamiltonianSchedule.cranked(np.eye(3), good)
+        with pytest.raises(DimensionMismatch):
+            HamiltonianSchedule.cranked(good, np.zeros((2, 3)))
 
 
 class TestComposeGeq:
