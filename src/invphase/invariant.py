@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import (
@@ -90,7 +89,10 @@ class InvariantPath:
     The diagnostics (the Hermiticity gate, :meth:`spectrum_drift`,
     :func:`lvn_residual`, :func:`lvn_defect`, :meth:`at`,
     :attr:`is_periodic`) read either kind through :meth:`rows`, chunk by
-    chunk, so their extra memory is O(chunk), not O(grid).
+    chunk, so their extra memory is O(chunk), not O(grid).  The spectra
+    (the spot check and :meth:`spectrum_drift`) are solved on one block
+    partition fixed when the path is built: that of the stored stack's
+    union nonzero pattern, or of ``I0``'s pattern for a rotated path.
 
     Attributes
     ----------
@@ -104,7 +106,10 @@ class InvariantPath:
             stack = stack.copy()
             stack.setflags(write=False)
         self._set_source(grid, stack)
-        # every sample passes the Hermiticity rule
+        # every sample passes the Hermiticity rule; the same pass takes the
+        # stack's union nonzero pattern, which cannot go stale: the stack
+        # is read-only
+        nonzero = np.zeros(stack.shape[1:], dtype=bool)
         for start, chunk in _row_chunks(self):
             bad, defect, scale = linalg.hermitian_defects(chunk)
             if bad.any():
@@ -115,6 +120,8 @@ class InvariantPath:
                 raise NonHermitianInput(
                     f"{where}: max|A - A^H| = {defect[k]:.3e} > "
                     f"{linalg.HERMITIAN_TOL:g} * {scale[k]:.3e}")
+            nonzero |= (chunk != 0).any(axis=0)
+        self._blocks = linalg.block_partition(nonzero)
         self._check_spectrum()
 
     @classmethod
@@ -160,6 +167,8 @@ class InvariantPath:
             raise NonHermitianInput("k_diag: entries are not all finite")
         path = cls.__new__(cls)
         path._set_source(grid, i0=i0, k_diag=kd)
+        # a unit-modulus diagonal similarity keeps the pattern of I0
+        path._blocks = linalg.block_partition(i0 != 0)
         path._check_spectrum()
         return path
 
@@ -177,8 +186,9 @@ class InvariantPath:
         """Spot check of the spectrum at the first, middle and last
         samples; :func:`eigenframe` checks every one."""
         spots = [0, len(self) // 2, len(self) - 1]
-        w = linalg.eigvalsh(np.concatenate([self.rows(k, k + 1)
-                                            for k in spots]))
+        w = linalg.block_eigvalsh(
+            np.concatenate([self.rows(k, k + 1) for k in spots]),
+            self._blocks)
         drift = np.abs(w - w[0]) > SPECTRUM_DRIFT * (1 + np.abs(w[0]))
         if drift.any():
             k = spots[int(np.argmax(drift.any(axis=1)))]
@@ -233,17 +243,18 @@ class InvariantPath:
     def spectrum_drift(self) -> float:
         """max over grid and levels of |lam(t) - lam(0)| / (1 + |lam(0)|).
 
-        The spectra come from stacked :func:`invphase.linalg.eigvalsh`
-        calls on chunks of ``_CHUNK_BYTES`` of samples, so the extra memory
-        is O(chunk), not O(grid).  Each call splits its chunk into the
-        connected blocks of the chunk's own union nonzero pattern (the two
-        parity blocks of the oscillator), which is exact for every sample
-        in it; a dense chunk is one dense solve.
+        The spectra come from stacked
+        :func:`invphase.linalg.block_eigvalsh` calls on chunks of
+        ``_CHUNK_BYTES`` of samples, so the extra memory is O(chunk), not
+        O(grid).  Every call splits its chunk into the path's blocks (the
+        two parity blocks of the oscillator): the partition of the path's
+        union nonzero pattern, built once with the path, which is exact for
+        every sample; a dense path is one dense solve per chunk.
         """
-        w0 = linalg.eigvalsh(self.rows(0, 1)[0])
+        w0 = linalg.block_eigvalsh(self.rows(0, 1)[0], self._blocks)
         worst = 0.0
         for _, chunk in _row_chunks(self, start=1):
-            w = linalg.eigvalsh(chunk)
+            w = linalg.block_eigvalsh(chunk, self._blocks)
             worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
         return worst
 
@@ -539,10 +550,9 @@ def eigenframe(invariant: InvariantPath,
                 frames[:, :, st] *= np.exp(1j * theta * ks / n_iv)[:, None]
             else:
                 hol = frames[-1][:, sl].conj().T @ frames[0][:, sl]
-                tri, q = scipy.linalg.schur(linalg.polar_unitary(hol),
-                                            output="complex")
+                phases, q = linalg.unitary_schur(linalg.polar_unitary(hol))
                 frames[:, :, sl] = frames[:, :, sl] @ linalg.spectral_exp(
-                    -np.angle(np.diag(tri)), q, ks / n_iv)
+                    -phases, q, ks / n_iv)
             frames[-1][:, sl] = frames[0][:, sl]  # close exactly
         periodic = True
 

@@ -11,8 +11,8 @@ deterministic Hermitian eigensolver (ascending eigenvalues, canonical
 eigenvector choice inside degenerate clusters), commutator norms, the
 one block-partition rule (:func:`block_partition`) with the helpers that
 hold a block-diagonal matrix as per-size stacks of its blocks, and a
-handful of small helpers (Hermitization, polar re-unitarization) used by
-the propagation and invariant layers.
+handful of small helpers (Hermitization, polar re-unitarization, the
+Schur form of a unitary) used by the propagation and invariant layers.
 
 Conventions
 -----------
@@ -41,6 +41,7 @@ from .errors import (
 
 __all__ = [
     "OperatorMatrix",
+    "block_eigvalsh",
     "block_partition",
     "eigh",
     "expm_igen",
@@ -53,6 +54,7 @@ __all__ = [
     "polar_unitary",
     "require_hermitian",
     "spectral_exp",
+    "unitary_schur",
     "HERMITIAN_TOL",
     "TOL_FLOOR",
 ]
@@ -353,7 +355,20 @@ def eigvalsh(a) -> np.ndarray:
 
     The blocks are those of :func:`block_partition` on the stack's union
     nonzero pattern, so the partition is exact for every matrix of the
-    stack.  A single component is one ``np.linalg.eigvalsh(hermitize(a))``
+    stack; :func:`block_eigvalsh` solves them.
+    """
+    arr = _as_stack(a)
+    d = arr.shape[-1]
+    return block_eigvalsh(
+        arr, block_partition((arr != 0).reshape(-1, d, d).any(axis=0)))
+
+
+def block_eigvalsh(a, blocks) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix of a
+    ``(..., d, d)`` stack whose matrices are block diagonal on ``blocks``,
+    a :func:`block_partition` result that holds for every one of them.
+
+    ``None`` (one component) is one ``np.linalg.eigvalsh(hermitize(a))``
     call, the bits of the dense solve.  Otherwise the blocks of each size
     are gathered, Hermitized and solved by one stacked call (a 1 x 1
     block's eigenvalue is its real diagonal entry), and the concatenated
@@ -361,7 +376,6 @@ def eigvalsh(a) -> np.ndarray:
     """
     arr = _as_stack(a)
     d = arr.shape[-1]
-    blocks = block_partition((arr != 0).reshape(-1, d, d).any(axis=0))
     if blocks is None:
         return np.linalg.eigvalsh(hermitize(arr))
     lead = arr.shape[:-2]
@@ -487,3 +501,24 @@ def polar_unitary(a) -> np.ndarray:
     or to each matrix of a ``(..., d, d)`` stack."""
     u, _, vh = np.linalg.svd(_as_stack(a))
     return u @ vh
+
+
+def unitary_schur(u) -> tuple:
+    """``(phases, q)`` of a unitary matrix ``u = q diag(exp(1j * phases))
+    q^H``: the complex Schur form ``q t q^H`` of
+    ``scipy.linalg.schur(u, output="complex")``, whose triangular ``t`` is
+    diagonal to rounding for a normal matrix, with ``phases =
+    angle(diag(t))``.
+
+    The Schur form is backward stable where an eigenvector basis is not:
+    a near-scalar unitary (a degenerate holonomy close to a phase times the
+    identity) has ill-conditioned eigenvectors, but ``q`` stays unitary to
+    rounding.  numpy has no Schur routine, so this is the package's one
+    use of scipy.  ``scipy.linalg`` is imported on the first call, not
+    with the package: its import costs about 0.2 s of CPU and 20 MiB of
+    memory, and only the periodic closure of a degenerate eigenframe block
+    (:func:`invphase.invariant.eigenframe`) needs it.
+    """
+    import scipy.linalg
+    t, q = scipy.linalg.schur(u, output="complex")
+    return np.angle(np.diag(t)), q

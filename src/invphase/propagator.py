@@ -326,17 +326,35 @@ class HamiltonianSchedule:
         ``period == grid[-1]`` the stencil wraps around periodically and
         arbitrary ``t`` is reduced modulo the period.  The table is kept
         as the parts of its partition, as :meth:`from_blocks` keeps its
-        blocks.
+        blocks: the partition of the samples' union nonzero pattern, and
+        each part gathered from a sample's gated Hermitian part.
         """
         raw = np.asarray(samples, dtype=complex)
         grid = _table_grid(grid, raw.shape[0])
-        # the gate, sample by sample, keeps only the pattern and what the
-        # closure test of _closes reads: the largest norm, first and last
+        if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
+            raise DimensionMismatch(
+                f"samples have shape {raw.shape}, expected "
+                f"({grid.size}, d, d)")
+        # interpolants combine table rows, so the union pattern covers them
+        # all; a sample's Hermitian part is nonzero only where the sample
+        # or its transpose is, and a block holds both (i, j) and (j, i)
         pattern = np.zeros(raw.shape[1:], dtype=bool)
+        for sample in raw:
+            pattern |= sample != 0
+        blocks = linalg.block_partition(pattern)
+        index = blocks
+        if index is None:                # one part, the whole matrix
+            index = (np.arange(raw[0].size).reshape(raw.shape[1:]),)
+        # the gate, sample by sample: its Hermitian part fills the parts,
+        # which are never formed beside a Hermitized table, and gives the
+        # largest norm and the first and last rows the closure test reads
+        table = [np.empty((grid.size,) + idx.shape, dtype=complex)
+                 for idx in index]
         scale = 0.0
         for k, sample in enumerate(raw):
             h = linalg.require_hermitian(sample, f"sample {k}")
-            pattern |= h != 0
+            for part, idx in zip(table, index):
+                part[k] = h.take(idx)
             scale = max(scale, frob(h))
             if k == 0:
                 first = h
@@ -346,19 +364,7 @@ class HamiltonianSchedule:
             raise ValueError(
                 f"samples at t=0 and t=period differ by {defect:.3e}")
         obj = cls._make(None, raw.shape[1], period, label)
-        # interpolants combine table rows, so the pattern covers them all
-        obj.blocks = linalg.block_partition(pattern)
-        # each part is gathered from the caller's samples and Hermitized: a
-        # block holds both (i, j) and (j, i), so a part has the bits of the
-        # Hermitized table, which is never formed beside the parts
-        index = obj.blocks
-        if index is None:                # one part, the whole matrix
-            index = (np.arange(obj.dim ** 2).reshape(obj.dim, obj.dim),)
-        table = [np.empty((grid.size,) + idx.shape, dtype=complex)
-                 for idx in index]
-        for k, sample in enumerate(raw.reshape(grid.size, -1)):
-            for part, idx in zip(table, index):
-                part[k] = linalg.hermitize(sample.take(idx))
+        obj.blocks = blocks
         return obj._tabulate(grid, table)
 
     @classmethod

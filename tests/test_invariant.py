@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from invphase import invariant
+from invphase import invariant, linalg
 from invphase.errors import (
     ComputeError,
     DegeneracyCrossing,
@@ -300,6 +300,52 @@ class TestInvariantPath:
         drift = inv.spectrum_drift()
         assert drift > 1e-8
         assert drift == pytest.approx(reference_spectrum_drift(inv), rel=1e-9)
+
+    def test_spectrum_drift_on_the_union_partition_of_the_path(self):
+        # blocks {0, 1}, {2, 3}, {4}, {5} in the first chunk; the last chunk
+        # holds the same matrix with rows and columns 1 and 2 swapped, so
+        # the path's union pattern is {0, 1, 2, 3}, {4}, {5}, exact for
+        # every sample, and no chunk's own pattern is
+        dim = 6
+        c = chunk_rows(dim)
+        a = np.zeros((dim, dim), dtype=complex)
+        a[:2, :2] = random_hermitian(2, 1)
+        a[2:4, 2:4] = random_hermitian(2, 2)
+        a[4, 4], a[5, 5] = 0.25, -1.5
+        swap = [0, 2, 1, 3, 4, 5]
+        samples = np.repeat(a[None], 2 * c + 3, axis=0)
+        samples[2 * c:] = a[np.ix_(swap, swap)]
+        samples[2 * c + 1] *= 1 + 1e-9        # the drift peaks in chunk 3
+        grid = np.linspace(0.0, 1.0, samples.shape[0])
+        inv = InvariantPath(grid, samples)
+        union = linalg.block_partition((samples != 0).any(axis=0))
+        assert [idx.shape for idx in union] == [(2, 1, 1), (1, 4, 4)]
+        w0 = linalg.block_eigvalsh(samples[0], union)
+        ref = max(float(np.max(np.abs(linalg.block_eigvalsh(s, union) - w0)
+                               / (1 + np.abs(w0)))) for s in samples[1:])
+        drift = inv.spectrum_drift()
+        assert drift == ref
+        assert drift == pytest.approx(reference_spectrum_drift(inv), rel=1e-6)
+        assert 1e-10 < drift < 1e-8
+
+    @pytest.mark.parametrize("kind", ["stored", "rotated"])
+    def test_spectrum_drift_builds_no_partition(self, kind):
+        # the path fixes its partition when it is built: the chunks of
+        # spectrum_drift (about 100 on the oscillator's validate path)
+        # reuse its gathers
+        dim = 8
+        parity = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0
+        i0 = random_hermitian(dim, 4) * parity
+        kd = np.random.default_rng(4).normal(size=dim)
+        grid = np.linspace(0.0, 2.3, 3 * chunk_rows(dim) + 2)
+        path = (InvariantPath.rotated(grid, i0, kd) if kind == "rotated"
+                else InvariantPath(grid, rotation_stack(grid, i0, kd)))
+        with mock.patch.object(linalg, "block_partition",
+                               wraps=linalg.block_partition) as spy:
+            drift = path.spectrum_drift()
+        assert spy.call_count == 0
+        assert drift == pytest.approx(reference_spectrum_drift(path),
+                                      rel=1e-9, abs=1e-15)
 
 
 class TestRotatedPath:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
 from invphase import linalg
@@ -624,6 +625,17 @@ class TestBlockEigvalsh:
         assert _same_bits(linalg.eigvalsh(a), _parent_eigvalsh(a))
         assert _same_bits(linalg.eigvalsh(a[0]), _parent_eigvalsh(a[0]))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=block_stacks())
+    def test_union_partition_serves_every_matrix(self, a):
+        # the partition of the stack's union pattern, built once, gives each
+        # matrix the bits that the stacked solve gives it
+        blocks = linalg.block_partition((a != 0).any(axis=0))
+        stacked = linalg.eigvalsh(a)
+        for k in range(a.shape[0]):
+            assert _same_bits(linalg.block_eigvalsh(a[k], blocks), stacked[k])
+        assert _same_bits(linalg.block_eigvalsh(a, blocks), stacked)
+
     def test_singletons_are_the_real_diagonal(self):
         # components {0}, {1, 3}, {2}; the singleton at 0 drops the
         # imaginary part of its diagonal entry, as hermitize does
@@ -779,3 +791,30 @@ class TestStackedEigh:
     def test_rank_above_three_is_rejected(self):
         with pytest.raises(DimensionMismatch):
             eigh(np.zeros((2, 2, 3, 3)))
+
+
+class TestUnitarySchur:
+    """``unitary_schur`` is ``scipy.linalg.schur(u, output="complex")``,
+    bit for bit: the phases of the triangular factor's diagonal and the
+    unitary factor."""
+
+    @pytest.mark.parametrize("case", ["random", "near-scalar", "scalar",
+                                      "polar"])
+    def test_bits_of_the_complex_schur_form(self, case):
+        rng = np.random.default_rng(17)
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = linalg.hermitize(g)
+        u = {
+            "random": np.linalg.qr(g)[0],
+            # a holonomy within 1e-9 of a phase times the identity, whose
+            # eigenvectors are ill-conditioned
+            "near-scalar": np.exp(0.7j) * expm_igen(h, 1e-9),
+            "scalar": np.exp(-2.1j) * np.eye(2, dtype=complex),
+            "polar": linalg.polar_unitary(g + 1e-3 * np.eye(3)),
+        }[case]
+        phases, q = linalg.unitary_schur(u)
+        t, q_ref = scipy.linalg.schur(u, output="complex")
+        assert _same_bits(q, q_ref)
+        assert _same_bits(phases, np.angle(np.diag(t)))
+        assert np.allclose((q * np.exp(1j * phases)) @ q.conj().T, u,
+                           atol=1e-13)

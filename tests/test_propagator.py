@@ -138,6 +138,13 @@ class TestSchedule:
         with pytest.raises(NonHermitianInput, match="sample 1:"):
             HamiltonianSchedule.from_samples(grid, table)
 
+    @pytest.mark.parametrize("shape", [(9, 2, 3), (9, 4)],
+                             ids=["non-square", "flat"])
+    def test_sampled_table_must_hold_square_samples(self, shape):
+        with pytest.raises(DimensionMismatch):
+            HamiltonianSchedule.from_samples(np.linspace(0.0, 1.0, 9),
+                                             np.zeros(shape))
+
     def test_periodic_table_costs_one_table(self):
         # the wrap check takes the largest norm row by row: the peak is the
         # constructor's own copy of the table plus per-sample temporaries
@@ -183,6 +190,51 @@ class TestSchedule:
             want = linalg.dense(propagator._interp(grid, ref, 1.0, t),
                                 sched.blocks, 48)
             assert _same_bits(sched.sample(t), want)
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           n_pts=st.integers(4, 12), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from([0.0, 1e-15]),
+           zeros=st.booleans(), periodic=st.booleans())
+    def test_table_has_the_bits_of_hermitizing_each_part(
+            self, sizes, n_pts, seed, noise, zeros, periodic):
+        # samples dense inside permuted blocks, with non-Hermitian noise
+        # inside the blocks (within the gate's bound), or with signed zeros
+        # and a zero row of samples: the partition and every part are those
+        # of gathering each Hermitized sample's blocks
+        rng = np.random.default_rng(seed)
+        dim = sum(sizes)
+        perm = rng.permutation(dim)
+        x, y = (_block_hermitian(rng, sizes, perm) for _ in range(2))
+        grid = np.linspace(0.0, 1.0, n_pts)
+        phase = 2 * np.pi * grid[:, None, None]
+        table = np.cos(phase) * x + np.sin(phase) * y
+        inside = x != 0
+        table = table + noise * (rng.normal(size=table.shape)
+                                 + 1j * rng.normal(size=table.shape)) * inside
+        if zeros:
+            table[1] = -0.0 * table[1]
+            table[2] = np.where(rng.random((dim, dim)) < 0.3, 0.0, table[2])
+            table[2] = hermitize(table[2])
+        if periodic:
+            table[-1] = table[0]
+        sched = HamiltonianSchedule.from_samples(
+            grid, table, period=1.0 if periodic else None)
+        gated = [linalg.require_hermitian(a, "sample") for a in table]
+        pattern = np.zeros((dim, dim), dtype=bool)
+        for h in gated:
+            pattern |= h != 0
+        blocks = linalg.block_partition(pattern)
+        assert (sched.blocks is None) == (blocks is None)
+        index = blocks or (np.arange(dim * dim).reshape(dim, dim),)
+        ref = [np.stack([hermitize(a.reshape(-1).take(idx)) for a in table])
+               for idx in index]
+        if blocks is not None:
+            assert all(np.array_equal(g, r)
+                       for g, r in zip(sched.blocks, blocks))
+        _, parts = sched._table
+        assert [p.tobytes() for p in parts] == [r.tobytes() for r in ref]
 
 
 _ENTRIES = np.array([0.0, -0.0, 1.0, -0.5, 0.75, 2.0])
