@@ -44,6 +44,8 @@ __all__ = [
     "InvariantFrame",
     "transport",
     "lvn_residual",
+    "lvn_defect",
+    "lvn_blocks",
     "eigenframe",
     "build_geq",
     "symmetry_check",
@@ -93,6 +95,12 @@ class InvariantPath:
     (the spot check and :meth:`spectrum_drift`) are solved on one block
     partition fixed when the path is built: that of the stored stack's
     union nonzero pattern, or of ``I0``'s pattern for a rotated path.
+    :meth:`parts` reads the rows as that partition's parts, one stack of
+    blocks per block size, which a rotated path computes from ``I0``'s
+    blocks without forming a dense row; the spectra, and the residuals
+    whose schedule is known to keep the partition (:func:`lvn_residual`),
+    are computed on those parts.  Every sample is exactly zero outside the
+    partition, so reading only its blocks drops no entry of ``I(t)``.
 
     Attributes
     ----------
@@ -169,6 +177,10 @@ class InvariantPath:
         path._set_source(grid, i0=i0, k_diag=kd)
         # a unit-modulus diagonal similarity keeps the pattern of I0
         path._blocks = linalg.block_partition(i0 != 0)
+        if path._blocks is not None:
+            # each block's rows (= its columns), and I0's blocks
+            path._members = tuple(idx[:, 0] % kd.size for idx in path._blocks)
+            path._i0_parts = linalg.parts(i0, path._blocks)
         path._check_spectrum()
         return path
 
@@ -186,9 +198,9 @@ class InvariantPath:
         """Spot check of the spectrum at the first, middle and last
         samples; :func:`eigenframe` checks every one."""
         spots = [0, len(self) // 2, len(self) - 1]
-        w = linalg.block_eigvalsh(
-            np.concatenate([self.rows(k, k + 1) for k in spots]),
-            self._blocks)
+        w = linalg.parts_eigvalsh(
+            [np.concatenate(p) for p in
+             zip(*(self.parts(k, k + 1) for k in spots))], self._blocks)
         drift = np.abs(w - w[0]) > SPECTRUM_DRIFT * (1 + np.abs(w[0]))
         if drift.any():
             k = spots[int(np.argmax(drift.any(axis=1)))]
@@ -203,6 +215,26 @@ class InvariantPath:
             return self._stack[k0:k1]
         p = self._phases[k0:k1]
         return np.einsum("ti,ij,tj->tij", p, self._i0, p.conj())
+
+    def parts(self, k0: int, k1: int) -> tuple:
+        """The rows ``k0 <= k < k1`` as the parts of the path's partition:
+        one ``(k1 - k0, k, n, n)`` stack per block size, or ``(rows(k0,
+        k1),)`` for one component.
+
+        A stored path gathers them from its stack.  A rotated path computes
+        each block ``D_b I0_b D_b^H`` from ``I0``'s block and the block's
+        columns of the phase table, with the bits of the same entries of
+        :meth:`rows`.
+        """
+        if self._blocks is None:
+            return (self.rows(k0, k1),)
+        if self._stack is not None:
+            return linalg.parts(self._stack[k0:k1], self._blocks)
+        out = []
+        for members, i0_b in zip(self._members, self._i0_parts):
+            p = self._phases[k0:k1, members]
+            out.append(np.einsum("tki,kij,tkj->tkij", p, i0_b, p.conj()))
+        return tuple(out)
 
     @property
     def samples(self) -> np.ndarray:
@@ -244,17 +276,17 @@ class InvariantPath:
         """max over grid and levels of |lam(t) - lam(0)| / (1 + |lam(0)|).
 
         The spectra come from stacked
-        :func:`invphase.linalg.block_eigvalsh` calls on chunks of
-        ``_CHUNK_BYTES`` of samples, so the extra memory is O(chunk), not
-        O(grid).  Every call splits its chunk into the path's blocks (the
-        two parity blocks of the oscillator): the partition of the path's
-        union nonzero pattern, built once with the path, which is exact for
-        every sample; a dense path is one dense solve per chunk.
+        :func:`invphase.linalg.parts_eigvalsh` calls on the :meth:`parts`
+        of chunks of ``_CHUNK_BYTES`` of samples, so the extra memory is
+        O(chunk), not O(grid).  The parts are the path's blocks (the two
+        parity blocks of the oscillator): the partition of the path's union
+        nonzero pattern, built once with the path, which is exact for every
+        sample; a dense path is one dense solve per chunk.
         """
-        w0 = linalg.block_eigvalsh(self.rows(0, 1)[0], self._blocks)
+        w0 = linalg.parts_eigvalsh(self.parts(0, 1), self._blocks)[0]
         worst = 0.0
-        for _, chunk in _row_chunks(self, start=1):
-            w = linalg.block_eigvalsh(chunk, self._blocks)
+        for k0, k1 in _chunk_bounds(self, start=1):
+            w = linalg.parts_eigvalsh(self.parts(k0, k1), self._blocks)
             worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
         return worst
 
@@ -367,6 +399,14 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     rows come from that one block, so the extra memory is O(chunk), not
     O(grid).
 
+    The route is that of :func:`lvn_blocks`.  On the block route the
+    stencil, the commutator and the norm are computed on the path's
+    :meth:`~InvariantPath.parts`: ``I(t)``, its stencil and ``H`` are zero
+    outside the partition, so the blocks hold every nonzero entry of the
+    residual, and the norm differs from the dense one only in the order of
+    its sums.  The whole-matrix route has the bits of a per-point
+    :func:`invphase.linalg.frob`.
+
     Raises
     ------
     GridTooCoarse
@@ -378,28 +418,34 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
         raise GridTooCoarse("lvn_residual needs at least 3 grid points")
     h = uniform_spacing(grid)
 
-    def blocks():
+    def stencil(s, k0, k1, lo):
+        """Rows ``k0:k1`` of dI/dt from the rows ``lo:`` in ``s``."""
+        didt = np.empty((k1 - k0,) + s.shape[1:], dtype=complex)
+        a, b = max(k0, 1), min(k1, n_pts - 1)      # interior rows a:b
+        # (s[k + 1] - s[k - 1]) / (2 h), in place
+        inner = didt[a - k0:b - k0]
+        np.subtract(s[a + 1 - lo:b + 1 - lo], s[a - 1 - lo:b - 1 - lo],
+                    out=inner)
+        inner /= 2 * h
+        if k0 == 0:
+            didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
+        if k1 == n_pts:
+            didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+        return didt
+
+    def chunks(blocks):
         for k0, k1 in _chunk_bounds(invariant):
             # rows lo:hi hold the chunk, its halo, and the three rows of
             # an endpoint stencil
             lo = max(0, min(k0 - 1, n_pts - 3))
             hi = min(n_pts, max(k1 + 1, 3))
-            s = invariant.rows(lo, hi)
-            didt = np.empty((k1 - k0,) + s.shape[1:], dtype=complex)
-            a, b = max(k0, 1), min(k1, n_pts - 1)      # interior rows a:b
-            # (s[k + 1] - s[k - 1]) / (2 h), in place
-            inner = didt[a - k0:b - k0]
-            np.subtract(s[a + 1 - lo:b + 1 - lo], s[a - 1 - lo:b - 1 - lo],
-                        out=inner)
-            inner /= 2 * h
-            if k0 == 0:
-                didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
-            if k1 == n_pts:
-                didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
-            yield k0, s[k0 - lo:k1 - lo], didt
-            del s, didt, inner    # free this block before the next is built
+            s = (invariant.parts(lo, hi) if blocks is not None
+                 else (invariant.rows(lo, hi),))
+            yield (k0, tuple(p[k0 - lo:k1 - lo] for p in s),
+                   tuple(stencil(p, k0, k1, lo) for p in s), None)
+            del s                 # free this block before the next is built
 
-    return _defect_series(invariant, schedule, blocks())
+    return _defect_series(invariant, schedule, chunks)
 
 
 def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
@@ -408,7 +454,10 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
 
     ``didt`` is an array or any iterable with one row per grid point; it is
     read one chunk of rows at a time, together with the same rows of the
-    path.
+    path.  The route is that of :func:`lvn_blocks`, as for
+    :func:`lvn_residual`; on the block route the entries of ``dI/dt``
+    outside the partition, where ``i[I, H]`` is zero, add their squares to
+    the norm, so no entry is dropped.
 
     Raises
     ------
@@ -419,41 +468,111 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
     n_pts, shape = len(invariant), (invariant.dim, invariant.dim)
     rows = iter(didt)
 
-    def blocks():
-        for k0, s in _row_chunks(invariant):
-            d = list(itertools.islice(rows, len(s)))
+    def chunks(blocks):
+        if blocks is not None:
+            outside = np.flatnonzero(~linalg.block_mask(blocks, shape[0]))
+        for k0, k1 in _chunk_bounds(invariant):
+            d = list(itertools.islice(rows, k1 - k0))
             for k, d_k in enumerate(d, k0):
                 if np.shape(d_k) != shape:
                     raise DimensionMismatch(
                         f"dI/dt row {k} has shape {np.shape(d_k)}, "
                         f"expected {shape}")
-            if len(d) < len(s):
+            if len(d) < k1 - k0:
                 raise DimensionMismatch(
                     f"dI/dt has {k0 + len(d)} rows, the grid {n_pts} points")
-            yield k0, s, d
-            del s, d              # free this block before the next is built
+            if blocks is None:
+                yield k0, (invariant.rows(k0, k1),), (d,), None
+            else:
+                d = np.array(d, dtype=complex)
+                extra = _square_norms(
+                    d.reshape(len(d), -1).take(outside, axis=-1))
+                d = linalg.parts(d, blocks)
+                yield k0, invariant.parts(k0, k1), d, extra
+            del d                 # free this block before the next is built
         if next(rows, None) is not None:
             raise DimensionMismatch(
                 f"dI/dt has more rows than the grid's {n_pts} points")
 
-    return _defect_series(invariant, schedule, blocks())
+    return _defect_series(invariant, schedule, chunks)
+
+
+def lvn_blocks(invariant: InvariantPath, schedule: HamiltonianSchedule
+               ) -> list:
+    """Sizes of the blocks :func:`lvn_residual` and :func:`lvn_defect`
+    solve for this path and schedule: ``[dim]`` on the whole-matrix route.
+
+    The residual takes the path's partition only when the schedule's
+    :attr:`~invphase.propagator.HamiltonianSchedule.known_pattern` (a
+    constant's ``base``, a table's partition) lies inside it: ``H(t)`` is
+    then zero outside the partition at every ``t``, and so is ``[I, H]``.
+    Every other schedule, a callable whose guessed partition may collapse
+    included, is read as one part, the whole matrix.
+    """
+    return linalg.block_sizes(_residual_blocks(invariant, schedule),
+                              invariant.dim)
+
+
+def _residual_blocks(invariant: InvariantPath,
+                     schedule: HamiltonianSchedule):
+    """The partition of :func:`lvn_blocks`, or ``None`` for the whole
+    matrix."""
+    if schedule.dim != invariant.dim:
+        raise DimensionMismatch("invariant and schedule dims differ")
+    blocks, pattern = invariant._blocks, schedule.known_pattern
+    if blocks is None or pattern is None or np.any(
+            pattern & ~linalg.block_mask(blocks, invariant.dim)):
+        return None
+    return blocks
+
+
+def _square_norms(x: np.ndarray) -> np.ndarray:
+    """Sum of ``|x|^2`` over all axes but the first."""
+    sq = np.square(x.real)
+    sq += np.square(x.imag)
+    return sq.reshape(len(sq), -1).sum(axis=1)
 
 
 def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
-                   blocks) -> np.ndarray:
-    """``||dI/dt - i[I, H(t)]||_F`` per grid point, from ``(k0, I rows,
-    dI/dt rows)`` blocks that cover the grid in order."""
-    if schedule.dim != invariant.dim:
-        raise DimensionMismatch("invariant and schedule dims differ")
+                   chunks) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point.
+
+    ``chunks(blocks)`` yields ``(k0, I parts, dI/dt parts, extra)`` chunks
+    that cover the grid in order, the parts those of ``blocks`` (one dense
+    part for ``None``); ``extra`` is ``None`` or each row's sum of squares
+    of dI/dt entries outside the partition.
+    """
+    blocks = _residual_blocks(invariant, schedule)
     grid = invariant.grid
     out = np.empty(grid.size)
-    for k0, s, didt in blocks:
-        for k, (s_k, d_k) in enumerate(zip(s, didt), k0):
-            h_k = schedule.sample(grid[k])
-            bracket = s_k @ h_k - h_k @ s_k
-            out[k] = frob(d_k - 1j * bracket)
-        # the row views keep the block alive: drop them before the next
-        s = didt = s_k = d_k = None
+    if blocks is None:
+        for k0, (s,), (didt,), _ in chunks(None):
+            for k, (s_k, d_k) in enumerate(zip(s, didt), k0):
+                h_k = schedule.sample(grid[k])
+                bracket = s_k @ h_k - h_k @ s_k
+                out[k] = frob(d_k - 1j * bracket)
+            # the row views keep the block alive: drop them before the next
+            s = didt = s_k = d_k = None
+        return out
+    fixed = (linalg.parts(schedule.base, blocks)
+             if schedule.base is not None else None)
+    for k0, s, didt, extra in chunks(blocks):
+        k1 = k0 + len(s[0])
+        h = fixed if fixed is not None else linalg.parts(
+            np.array([schedule.sample(t) for t in grid[k0:k1]]), blocks)
+        total = 0.0
+        for s_p, d_p, h_p in zip(s, didt, h):
+            # d - 1j (s h - h s), in place in the product's buffer
+            r = s_p @ h_p
+            r -= h_p @ s_p
+            r *= 1j
+            np.subtract(d_p, r, out=r)
+            total = total + _square_norms(r)
+            del r
+        if extra is not None:
+            total = total + extra
+        out[k0:k1] = np.sqrt(total)
+        s = didt = h = None       # free this block before the next is built
     return out
 
 
@@ -621,13 +740,40 @@ _D1_EDGE = {
 }
 
 
+#: the largest truncation constant of those stencils, the one-sided
+#: endpoint stencil's: its error is ``h^4 / 5 * f^(5)``
+_D1_TRUNCATION = 1.0 / 5.0
+
+
+def frame_derivative_error(frames: np.ndarray, h: float) -> float:
+    """Estimated Frobenius error of :func:`frame_derivative`'s non-periodic
+    stencils on ``frames``, at worst over the grid.
+
+    The truncation term is the endpoint stencil's constant times
+    ``h^4 * max ||f^(5)||``, with ``f^(5)`` estimated by the fifth
+    differences of ``frames`` over ``h^5``; it shrinks as ``h^4`` with the
+    step.  The rounding term is ``eps * max ||f||`` times the endpoint
+    stencil's gain ``sum |c| / h``.  The fifth differences of the samples
+    also carry their noise, so neither term assumes exact samples.
+    """
+    fifth = np.diff(frames, n=5, axis=0)
+    truncation = _D1_TRUNCATION * float(
+        np.linalg.norm(fifth, axis=(1, 2)).max()) / h
+    gain = float(np.abs(_D1_EDGE[0][0]).sum()) / h
+    rounding = gain * np.finfo(float).eps * float(
+        np.linalg.norm(frames, axis=(1, 2)).max())
+    return truncation + rounding
+
+
 def frame_derivative(frames: np.ndarray, h: float,
                      periodic: bool) -> np.ndarray:
     """d/dt of a matrix series by 5-point 4th-order stencils.
 
     Periodic series (last sample equal to the first) use wraparound
     stencils everywhere; otherwise one-sided 4th-order stencils cover the
-    two points at each end.
+    two points at each end.  Each stencil term is formed in one reused
+    temporary and the sums run in place, so the extra memory is one
+    series, not three.
     """
     n_pts = frames.shape[0]
     if n_pts < 5:
@@ -635,12 +781,25 @@ def frame_derivative(frames: np.ndarray, h: float,
     out = np.zeros_like(frames)
     if periodic:
         n_iv = n_pts - 1  # frames[n_iv] == frames[0]
+        term = np.empty_like(frames)
         for c, off in zip(_D1_INTERIOR, range(-2, 3)):
             if c != 0.0:
-                out += frames[(np.arange(n_pts) + off) % n_iv] * c
-        return out / h
-    out[2:-2] = (frames[:-4] - 8 * frames[1:-3] + 8 * frames[3:-1]
-                 - frames[4:]) / (12 * h)
+                # mode="clip": the indices are in range, and the default
+                # mode="raise" would take into a buffer before ``term``
+                np.take(frames, (np.arange(n_pts) + off) % n_iv, axis=0,
+                        out=term, mode="clip")
+                term *= c
+                out += term
+        out /= h
+        return out
+    # (f[k-2] - 8 f[k-1] + 8 f[k+1] - f[k+2]) / (12 h), in place
+    inner = out[2:-2]
+    term = np.multiply(frames[1:-3], 8)
+    np.subtract(frames[:-4], term, out=inner)
+    np.multiply(frames[3:-1], 8, out=term)
+    inner += term
+    inner -= frames[4:]
+    inner /= 12 * h
     for pos, (coeffs, base) in _D1_EDGE.items():
         idx = pos if pos >= 0 else n_pts + pos
         window = frames[base: base + 5] if base >= 0 else frames[-5:]

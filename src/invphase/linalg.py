@@ -366,32 +366,57 @@ def eigvalsh(a) -> np.ndarray:
 def block_eigvalsh(a, blocks) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix of a
     ``(..., d, d)`` stack whose matrices are block diagonal on ``blocks``,
-    a :func:`block_partition` result that holds for every one of them.
+    a :func:`block_partition` result that holds for every one of them:
+    :func:`parts_eigvalsh` of the stack's :func:`parts`.
+    """
+    return parts_eigvalsh(parts(_as_stack(a), blocks), blocks)
+
+
+def parts_eigvalsh(parts: tuple, blocks) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix held as
+    the parts of ``blocks`` (:func:`parts`, with any leading axes).
 
     ``None`` (one component) is one ``np.linalg.eigvalsh(hermitize(a))``
-    call, the bits of the dense solve.  Otherwise the blocks of each size
-    are gathered, Hermitized and solved by one stacked call (a 1 x 1
-    block's eigenvalue is its real diagonal entry), and the concatenated
-    eigenvalues are sorted.
+    call on the one dense part, the bits of the dense solve.  Otherwise the
+    blocks of each size are Hermitized and solved by one stacked call (a
+    1 x 1 block's eigenvalue is its real diagonal entry), and the
+    concatenated eigenvalues are sorted.
     """
-    arr = _as_stack(a)
-    d = arr.shape[-1]
     if blocks is None:
-        return np.linalg.eigvalsh(hermitize(arr))
-    lead = arr.shape[:-2]
-    flat = arr.reshape(lead + (d * d,))
+        return np.linalg.eigvalsh(hermitize(parts[0]))
     return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(hermitize(flat.take(idx, axis=-1)))
-         .reshape(lead + (-1,)) for idx in blocks], axis=-1), axis=-1)
+        [np.linalg.eigvalsh(hermitize(p)).reshape(p.shape[:-3] + (-1,))
+         for p in parts], axis=-1), axis=-1)
 
 
 def parts(matrix: np.ndarray, blocks) -> tuple:
-    """A dense matrix as the kernel's parts: the matrix itself, or one
-    ``(k, n, n)`` stack per block size, gathered by ``blocks`` (a
-    :func:`block_partition` result)."""
+    """A dense matrix, or each matrix of a ``(..., d, d)`` stack, as the
+    kernel's parts: the matrix itself, or one ``(..., k, n, n)`` stack per
+    block size, gathered by ``blocks`` (a :func:`block_partition` result)."""
     if blocks is None:
         return (matrix,)
-    return tuple(matrix.take(idx) for idx in blocks)
+    flat = matrix.reshape(matrix.shape[:-2] + (-1,))
+    return tuple(flat.take(idx, axis=-1) for idx in blocks)
+
+
+def block_mask(blocks, dim: int) -> np.ndarray:
+    """The ``(dim, dim)`` boolean mask of the entries that lie inside the
+    blocks of ``blocks`` (a :func:`block_partition` result; ``None``, one
+    component, covers every entry)."""
+    if blocks is None:
+        return np.ones((dim, dim), dtype=bool)
+    inside = np.zeros(dim * dim, dtype=bool)
+    for idx in blocks:
+        inside[idx] = True
+    return inside.reshape(dim, dim)
+
+
+def block_sizes(blocks, dim: int) -> list:
+    """The size of every block of ``blocks``, ascending: ``[dim]`` for
+    ``None`` (one component)."""
+    if blocks is None:
+        return [dim]
+    return [idx.shape[1] for idx in blocks for _ in range(idx.shape[0])]
 
 
 def dense(parts: tuple, blocks, dim: int) -> np.ndarray:

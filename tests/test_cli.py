@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from invphase import cli, oscillator
 from invphase.errors import ConfigError, IoError
+from invphase.linalg import frob
 
 BASE_OSC = {"M": 1.0, "Omega": 3.0, "m": 2.0, "omega": 1.0}
 
@@ -243,14 +244,43 @@ class TestRun:
         return next(row for row in report.checks
                     if row.name == "invariant-residual")
 
+    @staticmethod
+    def _derived_bound(config):
+        """The residual row's bound, derived from the transported path."""
+        sched, i0 = cli._generic_schedule(config)
+        path = cli.invariant.transport(
+            cli.propagator.evolve(sched, config.t_max, steps=config.steps,
+                                  tol=1e-10), i0)
+        h = config.t_max / config.steps
+        return (cli.DERIVATIVE_SAFETY
+                * cli.invariant.frame_derivative_error(path.samples, h)
+                / frob(i0))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generic_residual_passes_correct_run(self, tmp_path, seed):
         config = self._integer_crank_config(tmp_path, seed)
         report = cli.run(config, out_dir=tmp_path / "out")
         row = self._residual_row(report)
-        assert row.tolerance == cli.RESIDUAL_TOL
+        assert row.tolerance == self._derived_bound(config)
         assert row.status == "pass"
         assert report.all_pass
+
+    @pytest.mark.parametrize("steps", [16, 64, 512])
+    def test_generic_residual_bound_scales_with_the_step(self, tmp_path,
+                                                         steps):
+        # a correct 2 x 2 schedule run: at 64 steps its fourth-order
+        # residual is 1.3e-6, above a fixed 1e-6, and the bound follows h^4
+        config = cli.load_config(write_config(
+            tmp_path, system={"schedule": {"terms": [
+                {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},
+                {"matrix": [[0.0, 1.0], [1.0, 0.0]], "sin": [0.3, 2.0]}]}},
+            grid={"t_max": 1.0, "steps": steps}))
+        report = cli.run(config, out_dir=tmp_path / "out")
+        row = self._residual_row(report)
+        assert row.status == "pass"
+        assert report.all_pass
+        assert row.tolerance == self._derived_bound(config)
+        assert row.measured <= row.tolerance <= 4 * row.measured
 
     def test_generic_residual_catches_wrong_propagator(self, tmp_path,
                                                        monkeypatch):
@@ -350,7 +380,7 @@ class TestOscillatorValidate:
             tmp_path, truncation={"N": n_trunc}, tasks=["validate"]))
         report = cli.RunReport(label=config.label, kind=config.kind)
         cli._oscillator_validate(config, report)
-        return {row.name: row for row in report.checks}
+        return {row.name: row for row in report.checks}, report.work
 
     def test_wrong_rotation_sign_fails_residual(self, tmp_path, monkeypatch):
         # e^{+iKt} I0 e^{-iKt} is not an invariant of K: its spectrum is
@@ -359,8 +389,16 @@ class TestOscillatorValidate:
         monkeypatch.setattr(
             cli.invariant.InvariantPath, "rotated",
             staticmethod(lambda grid, i0, kd: rotated(grid, i0, -kd)))
-        rows = self._validate(tmp_path, 24)
+        rows, work = self._validate(tmp_path, 24)
+        assert work["validate_residual_blocks"] == [12, 12]
         assert rows["invariant-residual"].status == "fail"
+        assert rows["invariant-drift"].status == "pass"
+
+    def test_residual_solves_the_parity_blocks(self, tmp_path):
+        # the constant K is diagonal, inside I0's even/odd blocks
+        rows, work = self._validate(tmp_path, 24)
+        assert work["validate_residual_blocks"] == [12, 12]
+        assert rows["invariant-residual"].status == "pass"
         assert rows["invariant-drift"].status == "pass"
 
     def test_runs_below_a_quarter_of_the_stack(self, tmp_path):

@@ -99,6 +99,45 @@ def reference_lvn_residual(inv, sched):
     return out
 
 
+def reference_block_lvn_residual(inv, sched, blocks):
+    """``lvn_residual`` on the block route, as a per-point, per-block loop:
+    the whole-stack stencil, each block's commutator, and the squares
+    summed block by block in the partition's order."""
+    s = inv.samples
+    h = uniform_spacing(inv.grid)
+    didt = np.empty_like(s)
+    didt[1:-1] = (s[2:] - s[:-2]) / (2 * h)
+    didt[0] = (-3 * s[0] + 4 * s[1] - s[2]) / (2 * h)
+    didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
+    out = np.empty(inv.grid.size)
+    for k, t in enumerate(inv.grid):
+        total = 0.0
+        for s_b, d_b, h_b in zip(linalg.parts(s[k], blocks),
+                                 linalg.parts(didt[k], blocks),
+                                 linalg.parts(sched.sample(t), blocks)):
+            r = d_b - 1j * (s_b @ h_b - h_b @ s_b)
+            total = total + np.sum(np.square(r.real) + np.square(r.imag))
+        out[k] = np.sqrt(total)
+    return out
+
+
+def reference_chunked_drift(inv):
+    """``spectrum_drift`` as it solved dense rows: a per-chunk
+    ``block_eigvalsh(rows, blocks)`` on the path's partition."""
+    blocks = inv._blocks
+    w0 = linalg.block_eigvalsh(inv.rows(0, 1)[0], blocks)
+    worst = 0.0
+    for k0, k1 in invariant._chunk_bounds(inv, start=1):
+        w = linalg.block_eigvalsh(inv.rows(k0, k1), blocks)
+        worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
+    return worst
+
+
+def parity_mask(dim):
+    """Entries without even/odd coupling: two blocks for dim >= 2."""
+    return np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0
+
+
 def reference_spectrum_drift(inv):
     """``spectrum_drift`` with one ``eigvalsh`` call per grid point."""
     w0 = np.linalg.eigvalsh(hermitize(inv.samples[0]))
@@ -150,7 +189,7 @@ def rotated_cases(draw):
     rng = np.random.default_rng(seed)
     i0 = random_hermitian(dim, seed)
     if draw(st.booleans()):
-        i0 = i0 * (np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 0)
+        i0 = i0 * parity_mask(dim)
     if draw(st.booleans()):
         kd = rng.integers(-3, 4, size=dim).astype(float)
     else:
@@ -388,10 +427,42 @@ class TestRotatedPath:
                 h1 = random_hermitian(kd.size, 1)
                 sched = HamiltonianSchedule.from_callable(
                     lambda t: np.diag(kd) + np.cos(t) * h1, kd.size)
-            assert np.array_equal(lvn_residual(path, sched),
-                                  lvn_residual(stored, sched))
-            assert np.array_equal(lvn_residual(path, sched),
-                                  reference_lvn_residual(stored, sched))
+            residual = lvn_residual(path, sched)
+            assert np.array_equal(residual, lvn_residual(stored, sched))
+            dense = reference_lvn_residual(stored, sched)
+            blocks = invariant._residual_blocks(path, sched)
+            if blocks is None:
+                assert np.array_equal(residual, dense)
+            else:
+                # a two-block I0 under a constant diagonal H: the block
+                # route, whose sums run in another order than frob's
+                assert kind == "constant"
+                assert np.array_equal(residual, reference_block_lvn_residual(
+                    stored, sched, blocks))
+                np.testing.assert_allclose(residual, dense, rtol=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=rotated_cases(), kind=st.sampled_from(["stored", "rotated"]),
+           size=st.sampled_from([1, 7, 41, 100]))
+    def test_parts_are_a_gather_of_the_rows(self, case, kind, size):
+        grid, i0, kd = case
+        path = (InvariantPath.rotated(grid, i0, kd) if kind == "rotated"
+                else InvariantPath(grid, rotation_stack(grid, i0, kd)))
+        for k0 in [0, grid.size - 1] + list(range(0, grid.size, size)):
+            got = path.parts(k0, k0 + size)
+            want = linalg.parts(path.rows(k0, k0 + size), path._blocks)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=rotated_cases(), kind=st.sampled_from(["stored", "rotated"]))
+    def test_spectrum_drift_keeps_the_dense_row_bits(self, case, kind):
+        grid, i0, kd = case
+        path = (InvariantPath.rotated(grid, i0, kd) if kind == "rotated"
+                else InvariantPath(grid, rotation_stack(grid, i0, kd)))
+        assert path.spectrum_drift() == reference_chunked_drift(path)
 
     def test_integer_generator_closes_the_loop(self):
         grid = np.linspace(0.0, 2 * np.pi, 65)
@@ -457,11 +528,15 @@ class TestRotatedPath:
     def test_spectrum_spot_check_kept(self):
         # a rotated path makes no per-sample Hermiticity pass but keeps the
         # three-point spectrum spot check: rows whose spectrum drifts fail
+        # (the check reads the rows as the path's parts: patch that reader)
         grid = np.linspace(0, 1, 9)
-        with mock.patch.object(InvariantPath, "rows",
-                               lambda self, k0, k1: np.stack(
-                                   [np.diag([1.0, 2.0 + k])
-                                    for k in range(k0, k1)]).astype(complex)):
+
+        def drifting(self, k0, k1):
+            rows = np.stack([np.diag([1.0, 2.0 + k])
+                             for k in range(k0, k1)]).astype(complex)
+            return linalg.parts(rows, self._blocks)
+
+        with mock.patch.object(InvariantPath, "parts", drifting):
             with pytest.raises(ComputeError, match="spectrum drifts"):
                 InvariantPath.rotated(grid, np.diag([1.0, 2.0]), [0.0, 1.0])
 
@@ -558,11 +633,21 @@ class TestLvnResidual:
         return peaks
 
     def test_diagnostics_run_in_bounded_memory(self):
+        # a dense path, and a two-block one on the block route of every
+        # diagnostic
         dim = 32
-        path, kd = analytic_path(dim, 16 * chunk_rows(dim) + 1, seed=3)
-        # the stack itself is 32 MiB; whole-stack temporaries are 100 % each
-        peaks = self._diagnostic_peaks(path, kd)
-        assert max(peaks) < 0.25 * path.samples.nbytes
+        grid = np.linspace(0.0, 2.3, 16 * chunk_rows(dim) + 1)
+        kd = np.random.default_rng(3).normal(size=dim)
+        dense = random_hermitian(dim, 3)
+        for i0, blocks in ((dense, [dim]),
+                           (dense * parity_mask(dim), [dim // 2] * 2)):
+            path = InvariantPath(grid, rotation_stack(grid, i0, kd))
+            assert invariant.lvn_blocks(
+                path, HamiltonianSchedule.constant(np.diag(kd))) == blocks
+            # the stack itself is 32 MiB; whole-stack temporaries are
+            # 100 % each
+            peaks = self._diagnostic_peaks(path, kd)
+            assert max(peaks) < 0.25 * path.samples.nbytes
 
     def test_rotated_diagnostics_run_in_bounded_memory(self):
         # the same bound for a path that never holds its 32 MiB stack
@@ -573,6 +658,95 @@ class TestLvnResidual:
                                      random_hermitian(dim, 3), kd)
         stack_bytes = n_pts * dim * dim * 16
         assert max(self._diagnostic_peaks(path, kd)) < 0.25 * stack_bytes
+
+
+class TestResidualRoute:
+    """The residual takes the path's blocks only when the schedule is
+    known to keep them; no coupling is ever dropped."""
+
+    @staticmethod
+    def _two_block_path(dim=8, n_pts=None, seed=5, sign=1.0):
+        kd = np.random.default_rng(seed).normal(size=dim)
+        n_pts = n_pts or 2 * chunk_rows(dim) + 3
+        grid = np.linspace(0.0, 2.3, n_pts)
+        i0 = random_hermitian(dim, seed) * parity_mask(dim)
+        return InvariantPath.rotated(grid, i0, sign * kd), i0, kd
+
+    def test_constant_inside_the_partition_takes_the_block_route(self):
+        path, _, kd = self._two_block_path()
+        sched = HamiltonianSchedule.constant(np.diag(kd))
+        assert invariant.lvn_blocks(path, sched) == [4, 4]
+        blocks = invariant._residual_blocks(path, sched)
+        assert np.array_equal(
+            lvn_residual(path, sched),
+            reference_block_lvn_residual(path, sched, blocks))
+
+    def test_constant_with_a_coupling_outside_takes_the_whole_matrix(self):
+        path, _, kd = self._two_block_path()
+        h = np.diag(kd).astype(complex)
+        h[0, 1] = h[1, 0] = 1e-3          # even/odd: outside the blocks
+        sched = HamiltonianSchedule.constant(h)
+        assert invariant.lvn_blocks(path, sched) == [8]
+        residual = lvn_residual(path, sched)
+        assert np.array_equal(residual, reference_lvn_residual(path, sched))
+        inside = lvn_residual(path, HamiltonianSchedule.constant(np.diag(kd)))
+        assert residual.max() > 1e3 * inside.max()
+
+    def test_callable_never_takes_the_block_route(self):
+        # the callable's probes see the diagonal only, so its guessed
+        # partition lies inside the path's; it is still read whole
+        path, _, kd = self._two_block_path()
+        sched = HamiltonianSchedule.from_callable(lambda t: np.diag(kd),
+                                                  kd.size)
+        assert sched.blocks is not None
+        assert sched.known_pattern is None
+        assert invariant.lvn_blocks(path, sched) == [8]
+        assert np.array_equal(lvn_residual(path, sched),
+                              reference_lvn_residual(path, sched))
+
+    def test_tabulated_schedule_keeps_its_table_partition(self):
+        path, _, kd = self._two_block_path(n_pts=41)
+        grid = path.grid - path.grid[0]
+        wobble = np.diag(np.cos(np.arange(kd.size)))
+        table = [np.diag(kd) + np.sin(t) * wobble for t in grid]
+        sampled = HamiltonianSchedule.from_samples(grid, table)
+        assert invariant.lvn_blocks(path, sampled) == [4, 4]
+        blocks = invariant._residual_blocks(path, sampled)
+        assert np.array_equal(
+            lvn_residual(path, sampled),
+            reference_block_lvn_residual(path, sampled, blocks))
+        table[3][0, 1] = table[3][1, 0] = 1e-3    # one coupled row
+        coupled = HamiltonianSchedule.from_samples(grid, table)
+        assert invariant.lvn_blocks(path, coupled) == [8]
+        assert np.array_equal(lvn_residual(path, coupled),
+                              reference_lvn_residual(path, coupled))
+
+    def test_wrong_sign_path_fails_on_the_block_route(self):
+        # e^{+iKt} I0 e^{-iKt} keeps the spectrum and the blocks, but is
+        # not an invariant of K
+        path, i0, kd = self._two_block_path(sign=-1.0)
+        sched = HamiltonianSchedule.constant(np.diag(kd))
+        assert invariant.lvn_blocks(path, sched) == [4, 4]
+        assert path.spectrum_drift() < 1e-12
+        assert lvn_residual(path, sched).max() / frob(i0) > 1e-2
+
+    @pytest.mark.parametrize("route", ["block", "whole"])
+    def test_defect_counts_dIdt_outside_the_blocks(self, route):
+        path, _, kd = self._two_block_path()
+        h = np.diag(kd).astype(complex)
+        if route == "whole":
+            h[0, 1] = h[1, 0] = 1e-3
+        sched = HamiltonianSchedule.constant(h)
+        assert len(invariant.lvn_blocks(path, sched)) == (
+            2 if route == "block" else 1)
+        s = path.samples
+        didt = 1j * (s @ h - h @ s)       # exact: the residual is rounding
+        didt[7, 0, 3] += 0.25             # an even/odd entry
+        residual = lvn_defect(path, sched, didt)
+        ref = np.array([frob(d - 1j * (a @ h - h @ a))
+                        for a, d in zip(s, didt)])
+        assert residual[7] == pytest.approx(0.25, rel=1e-12)
+        np.testing.assert_allclose(residual, ref, rtol=1e-12, atol=1e-13)
 
 
 def reference_closure(frame):
@@ -839,6 +1013,30 @@ def reference_periodic_derivative(frames, h):
     return out
 
 
+def reference_open_derivative(frames, h):
+    """``frame_derivative``'s non-periodic stencils as whole-stack
+    expressions."""
+    n_pts = frames.shape[0]
+    out = np.zeros_like(frames)
+    out[2:-2] = (frames[:-4] - 8 * frames[1:-3] + 8 * frames[3:-1]
+                 - frames[4:]) / (12 * h)
+    for pos, (coeffs, base) in invariant._D1_EDGE.items():
+        idx = pos if pos >= 0 else n_pts + pos
+        window = frames[base: base + 5] if base >= 0 else frames[-5:]
+        out[idx] = np.tensordot(coeffs, window, axes=1) / h
+    return out
+
+
+def reference_wraparound_derivative(frames, h):
+    """``frame_derivative``'s periodic stencil as whole-stack gathers."""
+    n_pts = frames.shape[0]
+    out = np.zeros_like(frames)
+    for c, off in zip(invariant._D1_INTERIOR, range(-2, 3)):
+        if c != 0.0:
+            out += frames[(np.arange(n_pts) + off) % (n_pts - 1)] * c
+    return out / h
+
+
 def reference_hstar_samples(frame):
     """``hstar`` samples as the per-grid-point loop formed them."""
     wdot = invariant.frame_derivative(
@@ -864,6 +1062,42 @@ class TestStackedFrameAlgebra:
         out = invariant.frame_derivative(frames, h, periodic=True)
         assert out.tobytes() == reference_periodic_derivative(
             frames, h).tobytes()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_pts=st.integers(5, 40), rows=st.integers(1, 8),
+           cols=st.integers(1, 8), h=st.sampled_from([0.1, 1 / 3, 2.0]),
+           periodic=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_derivative_keeps_the_whole_stack_bits(self, n_pts, rows, cols,
+                                                   h, periodic, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_pts, rows, cols)
+        frames = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        frames.real[rng.random(shape) < 0.1] = -0.0
+        frames.imag[rng.random(shape) < 0.1] = 0.0
+        if periodic:
+            frames[-1] = frames[0]
+            ref = reference_wraparound_derivative(frames, h)
+        else:
+            ref = reference_open_derivative(frames, h)
+        out = invariant.frame_derivative(frames, h, periodic=periodic)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("periodic", [True, False],
+                             ids=["periodic", "open"])
+    def test_derivative_holds_one_extra_series(self, periodic):
+        # the oscillator's W-frame columns: out and one reused stencil term
+        # (the whole-stack expressions held three series at once)
+        rng = np.random.default_rng(8)
+        shape = (513, 56, 6)
+        frames = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        frames[-1] = frames[0]
+        tracemalloc.start()
+        try:
+            invariant.frame_derivative(frames, 0.01, periodic=periodic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * frames.nbytes
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(dim=st.integers(1, 8), n_pts=st.sampled_from([129, 257]),

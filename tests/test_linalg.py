@@ -636,6 +636,27 @@ class TestBlockEigvalsh:
             assert _same_bits(linalg.block_eigvalsh(a[k], blocks), stacked[k])
         assert _same_bits(linalg.block_eigvalsh(a, blocks), stacked)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=block_stacks())
+    def test_parts_of_a_stack_are_each_matrix_parts(self, a):
+        # the parts reader, the mask and the sizes of one partition agree,
+        # and the parts solve to block_eigvalsh's bits
+        d = a.shape[-1]
+        blocks = linalg.block_partition((a != 0).any(axis=0))
+        stacked = linalg.parts(a, blocks)
+        for k in range(a.shape[0]):
+            for p, q in zip(stacked, linalg.parts(a[k], blocks)):
+                assert _same_bits(p[k], q)
+        assert _same_bits(linalg.parts_eigvalsh(stacked, blocks),
+                          linalg.block_eigvalsh(a, blocks))
+        mask = linalg.block_mask(blocks, d)
+        assert not np.any(a[:, ~mask])
+        assert np.count_nonzero(mask) == sum(
+            n * n for n in linalg.block_sizes(blocks, d))
+        assert sum(linalg.block_sizes(blocks, d)) == d
+        assert linalg.block_sizes(blocks, d) == sorted(
+            linalg.block_sizes(blocks, d))
+
     def test_singletons_are_the_real_diagonal(self):
         # components {0}, {1, 3}, {2}; the singleton at 0 drops the
         # imaginary part of its diagonal entry, as hermitize does
