@@ -97,9 +97,9 @@ class InvariantPath:
     union nonzero pattern, or of ``I0``'s pattern for a rotated path.
     :meth:`parts` reads the rows as that partition's parts, one stack of
     blocks per block size, which a rotated path computes from ``I0``'s
-    blocks without forming a dense row; the spectra, and the residuals
-    whose schedule is known to keep the partition (:func:`lvn_residual`),
-    are computed on those parts.  Every sample is exactly zero outside the
+    blocks without forming a dense row; the spectra, and the residual of a
+    constant schedule that keeps the partition (:func:`lvn_residual`), are
+    computed on those parts.  Every sample is exactly zero outside the
     partition, so reading only its blocks drops no entry of ``I(t)``.
 
     Attributes
@@ -399,12 +399,13 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     rows come from that one block, so the extra memory is O(chunk), not
     O(grid).
 
-    The route is that of :func:`lvn_blocks`.  On the block route the
-    stencil, the commutator and the norm are computed on the path's
-    :meth:`~InvariantPath.parts`: ``I(t)``, its stencil and ``H`` are zero
-    outside the partition, so the blocks hold every nonzero entry of the
-    residual, and the norm differs from the dense one only in the order of
-    its sums.  The whole-matrix route has the bits of a per-point
+    The route is that of :func:`lvn_blocks`.  For a constant schedule whose
+    ``base`` lies inside the path's partition, the stencil, the commutator
+    and the norm are computed on the path's :meth:`~InvariantPath.parts`:
+    ``I(t)``, its stencil and ``H`` are zero outside the partition, so the
+    blocks hold every nonzero entry of the residual, and the norm differs
+    from the dense one only in the order of its sums.  Every other schedule
+    is read whole, with the bits of a per-point
     :func:`invphase.linalg.frob`.
 
     Raises
@@ -417,6 +418,7 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     if n_pts < 3:
         raise GridTooCoarse("lvn_residual needs at least 3 grid points")
     h = uniform_spacing(grid)
+    blocks = _residual_blocks(invariant, schedule)
 
     def stencil(s, k0, k1, lo):
         """Rows ``k0:k1`` of dI/dt from the rows ``lo:`` in ``s``."""
@@ -433,19 +435,25 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
             didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
         return didt
 
-    def chunks(blocks):
+    def chunks():
         for k0, k1 in _chunk_bounds(invariant):
             # rows lo:hi hold the chunk, its halo, and the three rows of
             # an endpoint stencil
             lo = max(0, min(k0 - 1, n_pts - 3))
             hi = min(n_pts, max(k1 + 1, 3))
-            s = (invariant.parts(lo, hi) if blocks is not None
-                 else (invariant.rows(lo, hi),))
-            yield (k0, tuple(p[k0 - lo:k1 - lo] for p in s),
-                   tuple(stencil(p, k0, k1, lo) for p in s), None)
+            if blocks is None:
+                s = invariant.rows(lo, hi)
+                yield k0, s[k0 - lo:k1 - lo], stencil(s, k0, k1, lo)
+            else:
+                s = invariant.parts(lo, hi)
+                yield (k0, tuple(p[k0 - lo:k1 - lo] for p in s),
+                       tuple(stencil(p, k0, k1, lo) for p in s))
             del s                 # free this block before the next is built
 
-    return _defect_series(invariant, schedule, chunks)
+    if blocks is None:
+        return _defect_series(invariant, schedule, chunks())
+    return _block_defect_series(invariant,
+                                linalg.parts(schedule.base, blocks), chunks())
 
 
 def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
@@ -454,10 +462,8 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
 
     ``didt`` is an array or any iterable with one row per grid point; it is
     read one chunk of rows at a time, together with the same rows of the
-    path.  The route is that of :func:`lvn_blocks`, as for
-    :func:`lvn_residual`; on the block route the entries of ``dI/dt``
-    outside the partition, where ``i[I, H]`` is zero, add their squares to
-    the norm, so no entry is dropped.
+    path.  Every point is read whole, with the bits of a per-point
+    :func:`invphase.linalg.frob`, so each entry of ``didt`` counts.
 
     Raises
     ------
@@ -468,46 +474,36 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
     n_pts, shape = len(invariant), (invariant.dim, invariant.dim)
     rows = iter(didt)
 
-    def chunks(blocks):
-        if blocks is not None:
-            outside = np.flatnonzero(~linalg.block_mask(blocks, shape[0]))
-        for k0, k1 in _chunk_bounds(invariant):
-            d = list(itertools.islice(rows, k1 - k0))
+    def blocks():
+        for k0, s in _row_chunks(invariant):
+            d = list(itertools.islice(rows, len(s)))
             for k, d_k in enumerate(d, k0):
                 if np.shape(d_k) != shape:
                     raise DimensionMismatch(
                         f"dI/dt row {k} has shape {np.shape(d_k)}, "
                         f"expected {shape}")
-            if len(d) < k1 - k0:
+            if len(d) < len(s):
                 raise DimensionMismatch(
                     f"dI/dt has {k0 + len(d)} rows, the grid {n_pts} points")
-            if blocks is None:
-                yield k0, (invariant.rows(k0, k1),), (d,), None
-            else:
-                d = np.array(d, dtype=complex)
-                extra = _square_norms(
-                    d.reshape(len(d), -1).take(outside, axis=-1))
-                d = linalg.parts(d, blocks)
-                yield k0, invariant.parts(k0, k1), d, extra
-            del d                 # free this block before the next is built
+            yield k0, s, d
+            del s, d              # free this block before the next is built
         if next(rows, None) is not None:
             raise DimensionMismatch(
                 f"dI/dt has more rows than the grid's {n_pts} points")
 
-    return _defect_series(invariant, schedule, chunks)
+    return _defect_series(invariant, schedule, blocks())
 
 
 def lvn_blocks(invariant: InvariantPath, schedule: HamiltonianSchedule
                ) -> list:
-    """Sizes of the blocks :func:`lvn_residual` and :func:`lvn_defect`
-    solve for this path and schedule: ``[dim]`` on the whole-matrix route.
+    """Sizes of the blocks :func:`lvn_residual` solves for this path and
+    schedule: ``[dim]`` on the whole-matrix route.
 
-    The residual takes the path's partition only when the schedule's
-    :attr:`~invphase.propagator.HamiltonianSchedule.known_pattern` (a
-    constant's ``base``, a table's partition) lies inside it: ``H(t)`` is
-    then zero outside the partition at every ``t``, and so is ``[I, H]``.
-    Every other schedule, a callable whose guessed partition may collapse
-    included, is read as one part, the whole matrix.
+    The residual takes the path's partition only for a constant schedule
+    whose ``base`` is zero outside it: ``H`` is then zero outside the
+    partition, and so is ``[I, H]``.  Every other schedule is read as one
+    part, the whole matrix; a callable's partition is a guess from its
+    probes that a later sample may break.
     """
     return linalg.block_sizes(_residual_blocks(invariant, schedule),
                               invariant.dim)
@@ -519,60 +515,57 @@ def _residual_blocks(invariant: InvariantPath,
     matrix."""
     if schedule.dim != invariant.dim:
         raise DimensionMismatch("invariant and schedule dims differ")
-    blocks, pattern = invariant._blocks, schedule.known_pattern
-    if blocks is None or pattern is None or np.any(
-            pattern & ~linalg.block_mask(blocks, invariant.dim)):
+    blocks, base = invariant._blocks, schedule.base
+    if blocks is None or base is None or np.any(
+            (base != 0) & ~linalg.block_mask(blocks, invariant.dim)):
         return None
     return blocks
 
 
-def _square_norms(x: np.ndarray) -> np.ndarray:
-    """Sum of ``|x|^2`` over all axes but the first."""
-    sq = np.square(x.real)
-    sq += np.square(x.imag)
-    return sq.reshape(len(sq), -1).sum(axis=1)
-
-
 def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
-                   chunks) -> np.ndarray:
-    """``||dI/dt - i[I, H(t)]||_F`` per grid point.
+                   blocks) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point, from ``(k0, I rows,
+    dI/dt rows)`` blocks that cover the grid in order.
 
-    ``chunks(blocks)`` yields ``(k0, I parts, dI/dt parts, extra)`` chunks
-    that cover the grid in order, the parts those of ``blocks`` (one dense
-    part for ``None``); ``extra`` is ``None`` or each row's sum of squares
-    of dI/dt entries outside the partition.
+    Each point is one :func:`invphase.linalg.frob` of the whole matrix; the
+    stacked loop of :func:`_block_defect_series` would do the same sums in
+    another order, and this loop is kept for the dense residual's bits.
     """
-    blocks = _residual_blocks(invariant, schedule)
+    if schedule.dim != invariant.dim:
+        raise DimensionMismatch("invariant and schedule dims differ")
     grid = invariant.grid
     out = np.empty(grid.size)
-    if blocks is None:
-        for k0, (s,), (didt,), _ in chunks(None):
-            for k, (s_k, d_k) in enumerate(zip(s, didt), k0):
-                h_k = schedule.sample(grid[k])
-                bracket = s_k @ h_k - h_k @ s_k
-                out[k] = frob(d_k - 1j * bracket)
-            # the row views keep the block alive: drop them before the next
-            s = didt = s_k = d_k = None
-        return out
-    fixed = (linalg.parts(schedule.base, blocks)
-             if schedule.base is not None else None)
-    for k0, s, didt, extra in chunks(blocks):
-        k1 = k0 + len(s[0])
-        h = fixed if fixed is not None else linalg.parts(
-            np.array([schedule.sample(t) for t in grid[k0:k1]]), blocks)
+    for k0, s, didt in blocks:
+        for k, (s_k, d_k) in enumerate(zip(s, didt), k0):
+            h_k = schedule.sample(grid[k])
+            bracket = s_k @ h_k - h_k @ s_k
+            out[k] = frob(d_k - 1j * bracket)
+        # the row views keep the block alive: drop them before the next
+        s = didt = s_k = d_k = None
+    return out
+
+
+def _block_defect_series(invariant: InvariantPath, h_parts: tuple,
+                         chunks) -> np.ndarray:
+    """``||dI/dt - i[I, H]||_F`` per grid point for a constant ``H`` held
+    as ``h_parts``, the parts of the path's partition, from ``(k0, I
+    parts, dI/dt parts)`` chunks that cover the grid in order.  Each row's
+    squares are summed part by part."""
+    out = np.empty(len(invariant))
+    for k0, s, didt in chunks:
         total = 0.0
-        for s_p, d_p, h_p in zip(s, didt, h):
+        for s_p, d_p, h_p in zip(s, didt, h_parts):
             # d - 1j (s h - h s), in place in the product's buffer
             r = s_p @ h_p
             r -= h_p @ s_p
             r *= 1j
             np.subtract(d_p, r, out=r)
-            total = total + _square_norms(r)
-            del r
-        if extra is not None:
-            total = total + extra
-        out[k0:k1] = np.sqrt(total)
-        s = didt = h = None       # free this block before the next is built
+            sq = np.square(r.real)
+            sq += np.square(r.imag)
+            total = total + sq.reshape(len(sq), -1).sum(axis=1)
+            del r, sq
+        out[k0:k0 + len(s[0])] = np.sqrt(total)
+        s = didt = None           # free this block before the next is built
     return out
 
 

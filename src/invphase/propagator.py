@@ -211,9 +211,6 @@ class HamiltonianSchedule:
       A callable schedule checks every sample to be exactly zero outside
       its partition; a sample that is not sets ``blocks`` to ``None`` for
       good, so no coupling is ever dropped.
-    * ``known_pattern`` is the nonzero pattern every sample is known to
-      keep (a constant's ``base``, a table's partition), or ``None``: a
-      callable's guessed partition is not known to hold.
 
     Parameters validated on construction: every tabulated sample, and every
     sample a callable returns, is Hermitian (defect at most
@@ -460,22 +457,6 @@ class HamiltonianSchedule:
     @property
     def is_constant(self) -> bool:
         return self.base is not None
-
-    @property
-    def known_pattern(self):
-        """A ``(dim, dim)`` boolean mask that every sample's nonzero entries
-        are known to lie inside, or ``None`` when none is known.
-
-        It is the pattern of ``base`` for a constant schedule and the mask
-        of the table's partition for a tabulated one (interpolants combine
-        table rows).  A callable's partition is a guess from its probes
-        that a later sample may break, so it gives none.
-        """
-        if self.base is not None:
-            return self.base != 0
-        if self._table is not None:
-            return linalg.block_mask(self.blocks, self.dim)
-        return None
 
     def sample(self, t: float) -> np.ndarray:
         """Dense Hermitian ndarray H(t)."""

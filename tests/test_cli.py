@@ -246,22 +246,27 @@ class TestRun:
 
     @staticmethod
     def _derived_bound(config):
-        """The residual row's bound, derived from the transported path."""
+        """The residual row's bound, derived from the transported path,
+        and its floor ``RESIDUAL_TOL``."""
         sched, i0 = cli._generic_schedule(config)
         path = cli.invariant.transport(
             cli.propagator.evolve(sched, config.t_max, steps=config.steps,
                                   tol=1e-10), i0)
         h = config.t_max / config.steps
-        return (cli.DERIVATIVE_SAFETY
-                * cli.invariant.frame_derivative_error(path.samples, h)
-                / frob(i0))
+        derived = (cli.DERIVATIVE_SAFETY
+                   * cli.invariant.frame_derivative_error(path.samples, h)
+                   / frob(i0))
+        return derived, max(cli.RESIDUAL_TOL, derived)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_generic_residual_passes_correct_run(self, tmp_path, seed):
         config = self._integer_crank_config(tmp_path, seed)
         report = cli.run(config, out_dir=tmp_path / "out")
         row = self._residual_row(report)
-        assert row.tolerance == self._derived_bound(config)
+        derived, bound = self._derived_bound(config)
+        assert row.tolerance == bound
+        # a fine grid: the derived bound is below its floor
+        assert derived < bound == cli.RESIDUAL_TOL
         assert row.status == "pass"
         assert report.all_pass
 
@@ -269,7 +274,8 @@ class TestRun:
     def test_generic_residual_bound_scales_with_the_step(self, tmp_path,
                                                          steps):
         # a correct 2 x 2 schedule run: at 64 steps its fourth-order
-        # residual is 1.3e-6, above a fixed 1e-6, and the bound follows h^4
+        # residual is 1.3e-6, above the 1e-6 floor, and the bound follows
+        # h^4 down to that floor
         config = cli.load_config(write_config(
             tmp_path, system={"schedule": {"terms": [
                 {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},
@@ -279,8 +285,10 @@ class TestRun:
         row = self._residual_row(report)
         assert row.status == "pass"
         assert report.all_pass
-        assert row.tolerance == self._derived_bound(config)
-        assert row.measured <= row.tolerance <= 4 * row.measured
+        derived, bound = self._derived_bound(config)
+        assert row.tolerance == bound
+        assert row.measured <= derived <= 4 * row.measured
+        assert (bound == derived) == (steps < 512)
 
     def test_generic_residual_catches_wrong_propagator(self, tmp_path,
                                                        monkeypatch):

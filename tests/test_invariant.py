@@ -633,8 +633,8 @@ class TestLvnResidual:
         return peaks
 
     def test_diagnostics_run_in_bounded_memory(self):
-        # a dense path, and a two-block one on the block route of every
-        # diagnostic
+        # a dense path, and a two-block one on the block route of the
+        # residual and the spectra
         dim = 32
         grid = np.linspace(0.0, 2.3, 16 * chunk_rows(dim) + 1)
         kd = np.random.default_rng(3).normal(size=dim)
@@ -661,8 +661,8 @@ class TestLvnResidual:
 
 
 class TestResidualRoute:
-    """The residual takes the path's blocks only when the schedule is
-    known to keep them; no coupling is ever dropped."""
+    """The residual takes the path's blocks only for a constant schedule
+    that keeps them; no coupling is ever dropped."""
 
     @staticmethod
     def _two_block_path(dim=8, n_pts=None, seed=5, sign=1.0):
@@ -692,34 +692,23 @@ class TestResidualRoute:
         inside = lvn_residual(path, HamiltonianSchedule.constant(np.diag(kd)))
         assert residual.max() > 1e3 * inside.max()
 
-    def test_callable_never_takes_the_block_route(self):
-        # the callable's probes see the diagonal only, so its guessed
-        # partition lies inside the path's; it is still read whole
-        path, _, kd = self._two_block_path()
-        sched = HamiltonianSchedule.from_callable(lambda t: np.diag(kd),
-                                                  kd.size)
+    @pytest.mark.parametrize("kind", ["callable", "tabulated"])
+    def test_non_constant_schedule_never_takes_the_block_route(self, kind):
+        # each schedule's own partition lies inside the path's; it is
+        # still read whole
+        path, _, kd = self._two_block_path(n_pts=41)
+        if kind == "callable":
+            sched = HamiltonianSchedule.from_callable(
+                lambda t: np.diag(kd), kd.size)
+        else:
+            grid = path.grid - path.grid[0]
+            wobble = np.diag(np.cos(np.arange(kd.size)))
+            sched = HamiltonianSchedule.from_samples(
+                grid, [np.diag(kd) + np.sin(t) * wobble for t in grid])
         assert sched.blocks is not None
-        assert sched.known_pattern is None
         assert invariant.lvn_blocks(path, sched) == [8]
         assert np.array_equal(lvn_residual(path, sched),
                               reference_lvn_residual(path, sched))
-
-    def test_tabulated_schedule_keeps_its_table_partition(self):
-        path, _, kd = self._two_block_path(n_pts=41)
-        grid = path.grid - path.grid[0]
-        wobble = np.diag(np.cos(np.arange(kd.size)))
-        table = [np.diag(kd) + np.sin(t) * wobble for t in grid]
-        sampled = HamiltonianSchedule.from_samples(grid, table)
-        assert invariant.lvn_blocks(path, sampled) == [4, 4]
-        blocks = invariant._residual_blocks(path, sampled)
-        assert np.array_equal(
-            lvn_residual(path, sampled),
-            reference_block_lvn_residual(path, sampled, blocks))
-        table[3][0, 1] = table[3][1, 0] = 1e-3    # one coupled row
-        coupled = HamiltonianSchedule.from_samples(grid, table)
-        assert invariant.lvn_blocks(path, coupled) == [8]
-        assert np.array_equal(lvn_residual(path, coupled),
-                              reference_lvn_residual(path, coupled))
 
     def test_wrong_sign_path_fails_on_the_block_route(self):
         # e^{+iKt} I0 e^{-iKt} keeps the spectrum and the blocks, but is
@@ -730,15 +719,13 @@ class TestResidualRoute:
         assert path.spectrum_drift() < 1e-12
         assert lvn_residual(path, sched).max() / frob(i0) > 1e-2
 
-    @pytest.mark.parametrize("route", ["block", "whole"])
-    def test_defect_counts_dIdt_outside_the_blocks(self, route):
+    def test_defect_reads_the_whole_matrix(self):
+        # a constant schedule inside the path's partition: lvn_defect
+        # still takes every entry of dI/dt, with frob's bits
         path, _, kd = self._two_block_path()
         h = np.diag(kd).astype(complex)
-        if route == "whole":
-            h[0, 1] = h[1, 0] = 1e-3
         sched = HamiltonianSchedule.constant(h)
-        assert len(invariant.lvn_blocks(path, sched)) == (
-            2 if route == "block" else 1)
+        assert invariant.lvn_blocks(path, sched) == [4, 4]
         s = path.samples
         didt = 1j * (s @ h - h @ s)       # exact: the residual is rounding
         didt[7, 0, 3] += 0.25             # an even/odd entry
@@ -746,7 +733,7 @@ class TestResidualRoute:
         ref = np.array([frob(d - 1j * (a @ h - h @ a))
                         for a, d in zip(s, didt)])
         assert residual[7] == pytest.approx(0.25, rel=1e-12)
-        np.testing.assert_allclose(residual, ref, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(residual, ref)
 
 
 def reference_closure(frame):
