@@ -20,8 +20,6 @@ Schrodinger equation.  This module
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import linalg
@@ -64,10 +62,11 @@ SPECTRUM_DRIFT = 1e-8
 _CHUNK_BYTES = 1 << 21
 
 
-def _chunk_bounds(path: "InvariantPath", start: int = 0):
+def _chunk_bounds(path: "InvariantPath", start: int = 0,
+                  nbytes: int = _CHUNK_BYTES):
     """``(k0, k1)`` of consecutive row blocks of a path from row ``start``
-    on, ``_CHUNK_BYTES`` of complex samples each."""
-    step = max(1, _CHUNK_BYTES // (16 * path.dim * path.dim))
+    on, ``nbytes`` of complex samples each."""
+    step = max(1, nbytes // (16 * path.dim * path.dim))
     n_pts = len(path)
     for k0 in range(start, n_pts, step):
         yield k0, min(k0 + step, n_pts)
@@ -90,17 +89,18 @@ class InvariantPath:
     and a read-only one is kept as it is.
     The diagnostics (the Hermiticity gate, :meth:`spectrum_drift`,
     :func:`lvn_residual`, :func:`lvn_defect`, :meth:`at`,
-    :attr:`is_periodic`) read either kind through :meth:`rows`, chunk by
-    chunk, so their extra memory is O(chunk), not O(grid).  The spectra
-    (the spot check and :meth:`spectrum_drift`) are solved on one block
-    partition fixed when the path is built: that of the stored stack's
-    union nonzero pattern, or of ``I0``'s pattern for a rotated path.
-    :meth:`parts` reads the rows as that partition's parts, one stack of
-    blocks per block size, which a rotated path computes from ``I0``'s
-    blocks without forming a dense row; the spectra, and the residual of a
-    constant schedule that keeps the partition (:func:`lvn_residual`), are
-    computed on those parts.  Every sample is exactly zero outside the
-    partition, so reading only its blocks drops no entry of ``I(t)``.
+    :attr:`is_periodic`) read either kind chunk by chunk, through
+    :meth:`rows` or :meth:`parts`, so their extra memory is O(chunk), not
+    O(grid).  The spectra (the spot check and :meth:`spectrum_drift`) are
+    solved on one block partition fixed when the path is built: that of
+    the stored stack's union nonzero pattern, or of ``I0``'s pattern for a
+    rotated path.  :meth:`parts` reads the rows as that partition's parts,
+    one stack of blocks per block size, which a rotated path computes from
+    ``I0``'s blocks without forming a dense row; the spectra, and the
+    residual of a constant schedule that keeps the partition
+    (:func:`lvn_residual`), are computed on those parts.  Every sample is
+    exactly zero outside the partition, so reading only its blocks drops
+    no entry of ``I(t)``.
 
     Attributes
     ----------
@@ -400,13 +400,12 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     O(grid).
 
     The route is that of :func:`lvn_blocks`.  For a constant schedule whose
-    ``base`` lies inside the path's partition, the stencil, the commutator
-    and the norm are computed on the path's :meth:`~InvariantPath.parts`:
-    ``I(t)``, its stencil and ``H`` are zero outside the partition, so the
-    blocks hold every nonzero entry of the residual, and the norm differs
-    from the dense one only in the order of its sums.  Every other schedule
-    is read whole, with the bits of a per-point
-    :func:`invphase.linalg.frob`.
+    ``base`` lies inside the path's partition, the rows are read as the
+    path's :meth:`~InvariantPath.parts`: ``I(t)``, its stencil and ``H``
+    are zero outside the partition, so the blocks hold every nonzero entry
+    of the residual.  Every other schedule reads the whole matrix as one
+    part.  Both routes run the one stacked loop that :func:`lvn_defect`
+    runs on the whole matrix.
 
     Raises
     ------
@@ -435,63 +434,43 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
             didt[-1] = (3 * s[-1] - 4 * s[-2] + s[-3]) / (2 * h)
         return didt
 
-    def chunks():
-        for k0, k1 in _chunk_bounds(invariant):
-            # rows lo:hi hold the chunk, its halo, and the three rows of
-            # an endpoint stencil
-            lo = max(0, min(k0 - 1, n_pts - 3))
-            hi = min(n_pts, max(k1 + 1, 3))
-            if blocks is None:
-                s = invariant.rows(lo, hi)
-                yield k0, s[k0 - lo:k1 - lo], stencil(s, k0, k1, lo)
-            else:
-                s = invariant.parts(lo, hi)
-                yield (k0, tuple(p[k0 - lo:k1 - lo] for p in s),
-                       tuple(stencil(p, k0, k1, lo) for p in s))
-            del s                 # free this block before the next is built
+    def chunk(k0, k1):
+        # rows lo:hi hold the chunk, its halo, and the three rows of an
+        # endpoint stencil
+        lo = max(0, min(k0 - 1, n_pts - 3))
+        hi = min(n_pts, max(k1 + 1, 3))
+        s = (invariant.parts(lo, hi) if blocks is not None
+             else (invariant.rows(lo, hi),))
+        return (tuple(p[k0 - lo:k1 - lo] for p in s),
+                tuple(stencil(p, k0, k1, lo) for p in s))
 
-    if blocks is None:
-        return _defect_series(invariant, schedule, chunks())
-    return _block_defect_series(invariant,
-                                linalg.parts(schedule.base, blocks), chunks())
+    return _defect_series(invariant, schedule, blocks, chunk)
 
 
 def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
                didt) -> np.ndarray:
     """``||dI/dt - i[I, H(t)]||_F`` per grid point for a given ``dI/dt``.
 
-    ``didt`` is an array or any iterable with one row per grid point; it is
-    read one chunk of rows at a time, together with the same rows of the
-    path.  Every point is read whole, with the bits of a per-point
-    :func:`invphase.linalg.frob`, so each entry of ``didt`` counts.
+    ``didt`` is a ``(len(grid), dim, dim)`` array.  It is read one chunk of
+    rows at a time, together with the same rows of the path, through the
+    stacked loop of :func:`lvn_residual`'s whole-matrix route.  Every point
+    is read whole, so each entry of ``didt`` counts.
 
     Raises
     ------
     DimensionMismatch
-        If the dims differ, or ``didt`` has more or fewer rows than the
-        grid, or a row is not ``(dim, dim)``.
+        If the dims differ, or ``didt`` is not ``(len(grid), dim, dim)``.
     """
-    n_pts, shape = len(invariant), (invariant.dim, invariant.dim)
-    rows = iter(didt)
-
-    def blocks():
-        for k0, s in _row_chunks(invariant):
-            d = list(itertools.islice(rows, len(s)))
-            for k, d_k in enumerate(d, k0):
-                if np.shape(d_k) != shape:
-                    raise DimensionMismatch(
-                        f"dI/dt row {k} has shape {np.shape(d_k)}, "
-                        f"expected {shape}")
-            if len(d) < len(s):
-                raise DimensionMismatch(
-                    f"dI/dt has {k0 + len(d)} rows, the grid {n_pts} points")
-            yield k0, s, d
-            del s, d              # free this block before the next is built
-        if next(rows, None) is not None:
-            raise DimensionMismatch(
-                f"dI/dt has more rows than the grid's {n_pts} points")
-
-    return _defect_series(invariant, schedule, blocks())
+    if schedule.dim != invariant.dim:
+        raise DimensionMismatch("invariant and schedule dims differ")
+    didt = np.asarray(didt)
+    shape = (len(invariant), invariant.dim, invariant.dim)
+    if didt.shape != shape:
+        raise DimensionMismatch(
+            f"dI/dt has shape {didt.shape}, expected {shape}")
+    return _defect_series(
+        invariant, schedule, None,
+        lambda k0, k1: ((invariant.rows(k0, k1),), (didt[k0:k1],)))
 
 
 def lvn_blocks(invariant: InvariantPath, schedule: HamiltonianSchedule
@@ -523,38 +502,27 @@ def _residual_blocks(invariant: InvariantPath,
 
 
 def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
-                   blocks) -> np.ndarray:
-    """``||dI/dt - i[I, H(t)]||_F`` per grid point, from ``(k0, I rows,
-    dI/dt rows)`` blocks that cover the grid in order.
+                   blocks, read) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point on the partition
+    ``blocks`` (``None``: the whole matrix as one part).
 
-    Each point is one :func:`invphase.linalg.frob` of the whole matrix; the
-    stacked loop of :func:`_block_defect_series` would do the same sums in
-    another order, and this loop is kept for the dense residual's bits.
+    ``read(k0, k1)`` returns the ``I`` parts and the ``dI/dt`` parts of
+    the rows ``k0:k1``.  ``H`` is the parts of a constant schedule's
+    ``base``, taken once; any other schedule, read whole, gives each
+    chunk's samples stacked as one part.  Each row's squares are summed
+    part by part.  A chunk holds up to five arrays of its size at once
+    (``I``, ``dI/dt``, the stacked ``H``, the bracket and one product), so
+    the chunks are a quarter of ``_CHUNK_BYTES``.
     """
-    if schedule.dim != invariant.dim:
-        raise DimensionMismatch("invariant and schedule dims differ")
     grid = invariant.grid
+    h_base = (None if schedule.base is None
+              else linalg.parts(schedule.base, blocks))
     out = np.empty(grid.size)
-    for k0, s, didt in blocks:
-        for k, (s_k, d_k) in enumerate(zip(s, didt), k0):
-            h_k = schedule.sample(grid[k])
-            bracket = s_k @ h_k - h_k @ s_k
-            out[k] = frob(d_k - 1j * bracket)
-        # the row views keep the block alive: drop them before the next
-        s = didt = s_k = d_k = None
-    return out
-
-
-def _block_defect_series(invariant: InvariantPath, h_parts: tuple,
-                         chunks) -> np.ndarray:
-    """``||dI/dt - i[I, H]||_F`` per grid point for a constant ``H`` held
-    as ``h_parts``, the parts of the path's partition, from ``(k0, I
-    parts, dI/dt parts)`` chunks that cover the grid in order.  Each row's
-    squares are summed part by part."""
-    out = np.empty(len(invariant))
-    for k0, s, didt in chunks:
+    for k0, k1 in _chunk_bounds(invariant, nbytes=_CHUNK_BYTES // 4):
+        s, didt = read(k0, k1)
+        h = h_base or (np.stack([schedule.sample(t) for t in grid[k0:k1]]),)
         total = 0.0
-        for s_p, d_p, h_p in zip(s, didt, h_parts):
+        for s_p, d_p, h_p in zip(s, didt, h):
             # d - 1j (s h - h s), in place in the product's buffer
             r = s_p @ h_p
             r -= h_p @ s_p
@@ -563,9 +531,10 @@ def _block_defect_series(invariant: InvariantPath, h_parts: tuple,
             sq = np.square(r.real)
             sq += np.square(r.imag)
             total = total + sq.reshape(len(sq), -1).sum(axis=1)
-            del r, sq
-        out[k0:k0 + len(s[0])] = np.sqrt(total)
-        s = didt = None           # free this block before the next is built
+        out[k0:k1] = np.sqrt(total)
+        # the loop's names keep this chunk alive: drop them before the
+        # next one is built
+        s = didt = h = s_p = d_p = h_p = r = sq = None
     return out
 
 

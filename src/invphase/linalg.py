@@ -41,16 +41,15 @@ from .errors import (
 
 __all__ = [
     "OperatorMatrix",
-    "block_eigvalsh",
     "block_partition",
     "eigh",
     "expm_igen",
     "comm",
     "comm_norm",
-    "eigvalsh",
     "frob",
     "hermitian_defects",
     "hermitize",
+    "parts_eigvalsh",
     "polar_unitary",
     "require_hermitian",
     "spectral_exp",
@@ -347,29 +346,6 @@ def block_partition(pattern: np.ndarray):
         idx = np.flatnonzero(comp == root)
         by_size.setdefault(idx.size, []).append(flat[np.ix_(idx, idx)])
     return tuple(np.array(by_size[n]) for n in sorted(by_size))
-
-
-def eigvalsh(a) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of each matrix of a
-    ``(..., d, d)`` stack, solved block by block.
-
-    The blocks are those of :func:`block_partition` on the stack's union
-    nonzero pattern, so the partition is exact for every matrix of the
-    stack; :func:`block_eigvalsh` solves them.
-    """
-    arr = _as_stack(a)
-    d = arr.shape[-1]
-    return block_eigvalsh(
-        arr, block_partition((arr != 0).reshape(-1, d, d).any(axis=0)))
-
-
-def block_eigvalsh(a, blocks) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of each matrix of a
-    ``(..., d, d)`` stack whose matrices are block diagonal on ``blocks``,
-    a :func:`block_partition` result that holds for every one of them:
-    :func:`parts_eigvalsh` of the stack's :func:`parts`.
-    """
-    return parts_eigvalsh(parts(_as_stack(a), blocks), blocks)
 
 
 def parts_eigvalsh(parts: tuple, blocks) -> np.ndarray:

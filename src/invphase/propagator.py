@@ -867,8 +867,9 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
     y : HamiltonianSchedule
         Symmetry generator ``Y(t)`` in the initial frame.
     invariant0 : array_like, optional
-        ``I(0)``; when given, ``comm_norm(Y(t), I(0)) <= 1e-8 ||Y(t)||_F``
-        is enforced at every stored grid point.
+        ``I(0)``; when given, :func:`_commutator_defects` of ``I(0)`` and
+        the stored ``Y(t)``, ``||[I(0), Y(t)]||_F / ||Y(t)||_F``, must be at
+        most 1e-8 at every stored grid point.
     tol : float
         Local-error budget for the ``V`` integration.
 

@@ -479,6 +479,26 @@ class TestCommandLine:
         payload = json.loads(result.stdout)
         assert payload["all_pass"] is True
 
+    @pytest.mark.parametrize("steps", [64, 512])
+    def test_loose_tol_correct_run_passes_the_residual(self, tmp_path, steps):
+        # the residual bound has no term for the propagator's tolerance: a
+        # correct 2 x 2 schedule run at --tol 1e-4 must still pass it
+        path = write_config(
+            tmp_path, system={"schedule": {"terms": [
+                {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},
+                {"matrix": [[0.0, 1.0], [1.0, 0.0]], "cos": [3.0, 8.0]}]}},
+            grid={"t_max": 1.0, "steps": steps})
+        result = CliRunner().invoke(cli.main, [
+            "run", str(path), "--out-dir", str(tmp_path / "out"),
+            "--tol", "1e-4", "--json"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        row = next(row for row in payload["checks"]
+                   if row["name"] == "invariant-residual")
+        assert row["status"] == "pass"
+        assert 0 < row["measured"] <= row["tolerance"]
+        assert payload["all_pass"] is True
+
     def test_exit_code_config_error(self, tmp_path):
         path = write_config(
             tmp_path,

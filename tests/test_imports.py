@@ -1,14 +1,21 @@
-"""The import graph: ``import invphase`` loads numpy and click, not scipy.
+"""The import graph: ``import invphase`` loads numpy and click, not scipy,
+and every name the package exports or the benchmark's tracer wraps
+resolves.
 
 ``scipy.linalg`` costs about 0.2 s of CPU and 20 MiB to import, and the
 package needs it only for the periodic closure of a degenerate eigenframe
-block.  Each check runs in a fresh interpreter, so that what the test
-session (pytest plugins, other test modules) has imported does not count.
+block.  Each scipy check runs in a fresh interpreter, so that what the
+test session (pytest plugins, other test modules) has imported does not
+count.
 """
 
+import functools
+import importlib
+import importlib.util
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -17,6 +24,7 @@ from pathlib import Path
 import invphase
 
 SRC = str(Path(invphase.__file__).resolve().parent.parent)
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 # prints the scipy modules the snippet before it left in sys.modules
 REPORT = """
@@ -95,3 +103,30 @@ def test_degenerate_periodic_closure_loads_scipy_linalg():
         assert frame.periodic
     """)
     assert "scipy.linalg" in loaded
+
+
+def _submodules() -> list:
+    return [importlib.import_module(m.name) for m in
+            pkgutil.iter_modules(invphase.__path__, "invphase.")]
+
+
+def test_every_exported_name_resolves():
+    exported = 0
+    for module in _submodules():
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+            exported += 1
+    assert exported > 0
+
+
+def test_every_traced_target_resolves():
+    # the benchmark's tracer wraps these by name; spans.py imports only the
+    # standard library, so loading it is read-only
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(f"invphase.{module}")
+        target = functools.reduce(getattr, attr.split("."), owner)
+        assert callable(target), f"{module}.{attr}"

@@ -121,14 +121,20 @@ def reference_block_lvn_residual(inv, sched, blocks):
     return out
 
 
+def block_eigvalsh(a, blocks):
+    """Eigenvalues of each matrix of a dense stack, solved on the parts of
+    ``blocks``."""
+    return linalg.parts_eigvalsh(linalg.parts(a, blocks), blocks)
+
+
 def reference_chunked_drift(inv):
     """``spectrum_drift`` as it solved dense rows: a per-chunk
     ``block_eigvalsh(rows, blocks)`` on the path's partition."""
     blocks = inv._blocks
-    w0 = linalg.block_eigvalsh(inv.rows(0, 1)[0], blocks)
+    w0 = block_eigvalsh(inv.rows(0, 1)[0], blocks)
     worst = 0.0
     for k0, k1 in invariant._chunk_bounds(inv, start=1):
-        w = linalg.block_eigvalsh(inv.rows(k0, k1), blocks)
+        w = block_eigvalsh(inv.rows(k0, k1), blocks)
         worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
     return worst
 
@@ -359,8 +365,8 @@ class TestInvariantPath:
         inv = InvariantPath(grid, samples)
         union = linalg.block_partition((samples != 0).any(axis=0))
         assert [idx.shape for idx in union] == [(2, 1, 1), (1, 4, 4)]
-        w0 = linalg.block_eigvalsh(samples[0], union)
-        ref = max(float(np.max(np.abs(linalg.block_eigvalsh(s, union) - w0)
+        w0 = block_eigvalsh(samples[0], union)
+        ref = max(float(np.max(np.abs(block_eigvalsh(s, union) - w0)
                                / (1 + np.abs(w0)))) for s in samples[1:])
         drift = inv.spectrum_drift()
         assert drift == ref
@@ -432,10 +438,12 @@ class TestRotatedPath:
             dense = reference_lvn_residual(stored, sched)
             blocks = invariant._residual_blocks(path, sched)
             if blocks is None:
-                assert np.array_equal(residual, dense)
+                # the stacked loop sums each row's squares in another
+                # order than frob
+                np.testing.assert_allclose(residual, dense, rtol=1e-14)
             else:
                 # a two-block I0 under a constant diagonal H: the block
-                # route, whose sums run in another order than frob's
+                # route, summed block by block
                 assert kind == "constant"
                 assert np.array_equal(residual, reference_block_lvn_residual(
                     stored, sched, blocks))
@@ -585,7 +593,8 @@ class TestLvnResidual:
     @pytest.mark.parametrize("kind", ["array", "generator"])
     def test_defect_rejects_row_count_mismatch(self, shape, kind):
         # wrong row counts, and rows of the wrong shape that would
-        # broadcast against the 2 x 2 bracket
+        # broadcast against the 2 x 2 bracket; dI/dt is an array, so a
+        # generator of rows is rejected whatever its rows
         grid = np.linspace(0, 1, 9)
         inv = InvariantPath(grid, np.stack([np.eye(2, dtype=complex)] * 9))
         didt = np.zeros(shape, dtype=complex)
@@ -608,22 +617,22 @@ class TestLvnResidual:
             h1 = random_hermitian(dim, seed + 1)
             sched = HamiltonianSchedule.from_callable(
                 lambda t: np.diag(kd) + np.cos(t) * h1, dim)
-        assert np.array_equal(lvn_residual(path, sched),
-                              reference_lvn_residual(path, sched))
+        np.testing.assert_allclose(lvn_residual(path, sched),
+                                   reference_lvn_residual(path, sched),
+                                   rtol=1e-14)
 
     @staticmethod
     def _diagnostic_peaks(path, kd):
-        """tracemalloc peak of each streamed diagnostic of ``path``."""
-        dim = path.dim
+        """tracemalloc peak of each streamed diagnostic of ``path``; the
+        ``dI/dt`` of ``lvn_defect`` is the caller's, allocated before."""
         sched = HamiltonianSchedule.constant(np.diag(kd))
         peaks = []
         tracemalloc.start()
         try:
+            didt = np.zeros((len(path), path.dim, path.dim), dtype=complex)
             for run in (lambda: lvn_residual(path, sched),
                         path.spectrum_drift,
-                        lambda: lvn_defect(path, sched,
-                                           (np.zeros((dim, dim))
-                                            for _ in path.grid))):
+                        lambda: lvn_defect(path, sched, didt)):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 run()
@@ -688,7 +697,9 @@ class TestResidualRoute:
         sched = HamiltonianSchedule.constant(h)
         assert invariant.lvn_blocks(path, sched) == [8]
         residual = lvn_residual(path, sched)
-        assert np.array_equal(residual, reference_lvn_residual(path, sched))
+        np.testing.assert_allclose(residual,
+                                   reference_lvn_residual(path, sched),
+                                   rtol=1e-14)
         inside = lvn_residual(path, HamiltonianSchedule.constant(np.diag(kd)))
         assert residual.max() > 1e3 * inside.max()
 
@@ -707,8 +718,9 @@ class TestResidualRoute:
                 grid, [np.diag(kd) + np.sin(t) * wobble for t in grid])
         assert sched.blocks is not None
         assert invariant.lvn_blocks(path, sched) == [8]
-        assert np.array_equal(lvn_residual(path, sched),
-                              reference_lvn_residual(path, sched))
+        np.testing.assert_allclose(lvn_residual(path, sched),
+                                   reference_lvn_residual(path, sched),
+                                   rtol=1e-14)
 
     def test_wrong_sign_path_fails_on_the_block_route(self):
         # e^{+iKt} I0 e^{-iKt} keeps the spectrum and the blocks, but is
