@@ -100,7 +100,12 @@ class InvariantPath:
     residual of a constant schedule that keeps the partition
     (:func:`lvn_residual`), are computed on those parts.  Every sample is
     exactly zero outside the partition, so reading only its blocks drops
-    no entry of ``I(t)``.
+    no entry of ``I(t)``.  A part that is tridiagonal in a chunk's data
+    (the oscillator's parity blocks: the su(1,1) generators move the Fock
+    index by 0 or 2, and a diagonal ``K`` keeps that pattern) has its
+    spectrum solved through the real symmetric tridiagonal form of
+    :func:`invphase.linalg.parts_eigvalsh`, which a diagonal unitary
+    similarity makes exact; every sample's spectrum is still computed.
 
     Attributes
     ----------
@@ -281,7 +286,13 @@ class InvariantPath:
         O(chunk), not O(grid).  The parts are the path's blocks (the two
         parity blocks of the oscillator): the partition of the path's union
         nonzero pattern, built once with the path, which is exact for every
-        sample; a dense path is one dense solve per chunk.
+        sample; a dense path is one dense solve per chunk.  A part that is
+        tridiagonal in the chunk's data (3 or more rows, nothing off the
+        three central diagonals in any of its samples) is solved as the
+        real symmetric tridiagonal matrix similar to it, about half the
+        cost of the complex solve, with eigenvalues that agree with it to
+        rounding: the oscillator's parity blocks.  One entry off the band
+        in one sample sends the chunk's part to the dense solve.
         """
         w0 = linalg.parts_eigvalsh(self.parts(0, 1), self._blocks)[0]
         worst = 0.0

@@ -27,6 +27,16 @@ Conventions
 * ``expm_igen(A, s)`` computes ``exp(-1j*s*A)`` for Hermitian ``A``, or for
   each matrix of a stack, through its spectral decomposition, so the result
   is unitary to machine precision.
+* ``parts_eigvalsh`` solves a part that is tridiagonal in its data (3 or
+  more rows, nothing off the three central diagonals) through the real
+  symmetric tridiagonal ``T = D H D^H`` of its Hermitian part ``H``:
+  diagonal ``Re a_ii``, off-diagonals ``|h_{i,i+1}|`` with ``h_{i,i+1} =
+  (a_{i,i+1} + conj a_{i+1,i}) / 2``, and ``D`` diagonal unitary with
+  ``D_{i+1,i+1} = D_ii h_{i,i+1} / |h_{i,i+1}|`` (Parlett, *The Symmetric
+  Eigenvalue Problem*, SIAM 1998, ch. 7).  The similarity keeps the
+  spectrum exactly; the real solve costs about half the complex one and
+  agrees with it to rounding.  Any other part keeps the bits of
+  ``eigvalsh(hermitize(p))``.
 """
 
 from __future__ import annotations
@@ -348,21 +358,63 @@ def block_partition(pattern: np.ndarray):
     return tuple(np.array(by_size[n]) for n in sorted(by_size))
 
 
+def _is_tridiagonal(p: np.ndarray) -> bool:
+    """True when every matrix of the ``(..., n, n)`` stack ``p`` has at
+    least 3 rows and no nonzero entry off its three central diagonals."""
+    if p.shape[-1] < 3:
+        return False
+    band = sum(np.count_nonzero(np.diagonal(p, k, -2, -1))
+               for k in (-1, 0, 1))
+    return np.count_nonzero(p) == band
+
+
+def _tridiagonal_form(p: np.ndarray) -> np.ndarray:
+    """The real symmetric tridiagonal matrix similar to the Hermitian part
+    of each matrix of a tridiagonal ``(..., n, n)`` stack: diagonal
+    ``Re a_ii``, off-diagonals ``|(a_{i,i+1} + conj a_{i+1,i}) / 2|``."""
+    n = p.shape[-1]
+    t = np.zeros(p.shape, dtype=float)
+    flat = t.reshape(p.shape[:-2] + (n * n,))
+    flat[..., ::n + 1] = np.diagonal(p, 0, -2, -1).real
+    off = np.abs(0.5 * (np.diagonal(p, 1, -2, -1)
+                        + np.diagonal(p, -1, -2, -1).conj()))
+    flat[..., 1::n + 1] = off          # (i, i + 1)
+    flat[..., n::n + 1] = off          # (i + 1, i)
+    return t
+
+
+def _part_eigvalsh(p: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of each matrix of the
+    ``(..., n, n)`` stack ``p``: through the real tridiagonal form when
+    ``p`` is tridiagonal in its data, else ``eigvalsh(hermitize(p))``."""
+    if _is_tridiagonal(p):
+        return np.linalg.eigvalsh(_tridiagonal_form(p))
+    return np.linalg.eigvalsh(hermitize(p))
+
+
 def parts_eigvalsh(parts: tuple, blocks) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix held as
     the parts of ``blocks`` (:func:`parts`, with any leading axes).
 
-    ``None`` (one component) is one ``np.linalg.eigvalsh(hermitize(a))``
-    call on the one dense part, the bits of the dense solve.  Otherwise the
-    blocks of each size are Hermitized and solved by one stacked call (a
-    1 x 1 block's eigenvalue is its real diagonal entry), and the
-    concatenated eigenvalues are sorted.
+    ``None`` (one component) solves the one dense part.  Otherwise the
+    blocks of each size are solved by one stacked call (a 1 x 1 block's
+    eigenvalue is its real diagonal entry), and the concatenated
+    eigenvalues are sorted.
+
+    Each part takes one of two routes, chosen from its data.  A part of 3
+    or more rows with no nonzero entry off the three central diagonals in
+    any of its matrices is solved as the real symmetric tridiagonal form
+    ``T = D H D^H`` of its Hermitian part ``H`` (see the module
+    Conventions): exact in spectrum, about half the cost of the complex
+    solve, and within rounding of it.  Every other part, one entry off
+    the band included, is ``np.linalg.eigvalsh(hermitize(p))`` with the
+    dense solve's bits.
     """
     if blocks is None:
-        return np.linalg.eigvalsh(hermitize(parts[0]))
+        return _part_eigvalsh(parts[0])
     return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(hermitize(p)).reshape(p.shape[:-3] + (-1,))
-         for p in parts], axis=-1), axis=-1)
+        [_part_eigvalsh(p).reshape(p.shape[:-3] + (-1,)) for p in parts],
+        axis=-1), axis=-1)
 
 
 def parts(matrix: np.ndarray, blocks) -> tuple:

@@ -393,6 +393,81 @@ class TestInvariantPath:
                                       rel=1e-9, abs=1e-15)
 
 
+def tridiagonal_parity_i0(dim, seed):
+    """Hermitian ``I0`` coupling index ``i`` only to ``i`` and ``i +- 2``,
+    as the su(1,1) generators do: each parity block is tridiagonal."""
+    i = np.arange(dim)
+    return random_hermitian(dim, seed) * np.isin(
+        np.abs(np.subtract.outer(i, i)), (0, 2))
+
+
+class TestTridiagonalParityPath:
+    """Paths whose parity blocks are tridiagonal take the real-form solve
+    in the spectra; the drift and the spot check still see every
+    departure from isospectrality."""
+
+    dim = 8
+
+    def _path(self, kind, n_pts):
+        i0 = tridiagonal_parity_i0(self.dim, 9)
+        kd = np.random.default_rng(9).normal(size=self.dim)
+        grid = np.linspace(0.0, 2.3, n_pts)
+        if kind == "rotated":
+            return InvariantPath.rotated(grid, i0, kd)
+        return InvariantPath(grid, rotation_stack(grid, i0, kd))
+
+    @staticmethod
+    def _scale_row(path, k, factor):
+        """Scale sample ``k`` of a path by ``factor``: a new path from a
+        copy of a stored stack, or the rotated path with its phase row
+        scaled in place (``|p|^2`` scales ``p_i I0_ij conj(p_j)``)."""
+        if path._stack is not None:
+            samples = path.samples.copy()
+            samples[k] *= factor
+            return InvariantPath(path.grid, samples)
+        path._phases[k] *= np.sqrt(factor)
+        return path
+
+    @pytest.mark.parametrize("kind", ["stored", "rotated"])
+    def test_scaled_mid_chunk_sample_drifts(self, kind):
+        c = chunk_rows(self.dim)
+        path = self._path(kind, 3 * c + 1)
+        assert [idx.shape for idx in path._blocks] == [(2, 4, 4)]
+        with mock.patch.object(linalg, "_tridiagonal_form",
+                               wraps=linalg._tridiagonal_form) as spy:
+            assert path.spectrum_drift() < 1e-13
+        assert spy.call_count > 0
+        path = self._scale_row(path, 1 + c + c // 2, 1 + 1e-7)
+        drift = path.spectrum_drift()
+        assert drift > 1e-8
+        assert drift == pytest.approx(reference_spectrum_drift(path), rel=1e-6)
+
+    def test_coupling_off_the_band_takes_the_dense_solve(self):
+        # a (0, 2) coupling of the even block (entries 0 and 4) in one
+        # mid-chunk sample sends that chunk's even part to the dense solve
+        c = chunk_rows(self.dim)
+        samples = self._path("stored", 3 * c + 1).samples.copy()
+        k = 1 + c + c // 2
+        samples[k, 0, 4] += 0.5
+        samples[k, 4, 0] += 0.5
+        path = InvariantPath(np.linspace(0.0, 2.3, 3 * c + 1), samples)
+        assert [idx.shape for idx in path._blocks] == [(2, 4, 4)]
+        even = path.parts(k, k + 1)[0][:, 0]
+        assert not linalg._is_tridiagonal(even)
+        drift = path.spectrum_drift()
+        assert drift > 1e-8
+        assert drift == pytest.approx(reference_spectrum_drift(path), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["stored", "rotated"])
+    def test_spot_check_sees_a_middle_sample_off_the_spectrum(self, kind):
+        # a stored path is checked when it is built, the rotated one when
+        # the check runs again on its scaled phase row
+        n_pts = 33
+        with pytest.raises(ComputeError, match="spectrum drifts"):
+            self._scale_row(self._path(kind, n_pts), n_pts // 2,
+                            1 + 1e-7)._check_spectrum()
+
+
 class TestRotatedPath:
     """``InvariantPath.rotated`` computes its rows chunk by chunk; every
     diagnostic gives the bits of the path stored from the same stack."""

@@ -583,6 +583,97 @@ def _union_eigvalsh(a):
         (np.asarray(a) != 0).reshape(-1, d, d).any(axis=0)))
 
 
+def _reference_tridiagonal_eigvalsh(a):
+    """Eigenvalues of each tridiagonal matrix of a ``(..., n, n)`` stack
+    through its real form, one matrix at a time: ``eigvalsh`` of the real
+    symmetric tridiagonal matrix with diagonal ``Re a_ii`` and
+    off-diagonals ``|(a_{i,i+1} + conj a_{i+1,i}) / 2|``."""
+    arr = np.asarray(a, dtype=complex)
+    n = arr.shape[-1]
+    flat = arr.reshape(-1, n, n)
+    out = np.empty(flat.shape[:-1])
+    for k, m in enumerate(flat):
+        t = np.zeros((n, n))
+        for i in range(n):
+            t[i, i] = m[i, i].real
+        for i in range(n - 1):
+            # numpy's complex modulus: Python's abs() can differ by an ulp
+            t[i, i + 1] = t[i + 1, i] = np.abs(
+                (m[i, i + 1] + np.conj(m[i + 1, i])) / 2)
+        out[k] = np.linalg.eigvalsh(t)
+    return out.reshape(arr.shape[:-1])
+
+
+def _dense_tolerance(a):
+    """``1e-13 (1 + ||a||_2)`` per matrix, broadcast over its eigenvalues."""
+    return 1e-13 * (1 + np.linalg.norm(a, 2, axis=(-2, -1)))[..., None]
+
+
+@st.composite
+def tridiagonal_stacks(draw):
+    """Hermitian tridiagonal matrices of dim 3 to 40, alone or in stacks
+    with one or two leading axes.  Off-diagonals are random complex, some
+    exactly zero; some draws plant near-degenerate pairs: the second half
+    of the diagonal and off-diagonals repeats the first, shifted by 0 to
+    1e-9 and joined by a coupling of 0 or 1e-10."""
+    n = draw(st.integers(3, 40))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = rng.normal(size=lead + (n,))
+    off = (rng.normal(size=lead + (n - 1,))
+           + 1j * rng.normal(size=lead + (n - 1,)))
+    off[rng.random(off.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0
+    if n >= 4 and draw(st.booleans()):
+        m = n // 2
+        diag[..., m:2 * m] = diag[..., :m] + draw(
+            st.sampled_from([0.0, 1e-13, 1e-9]))
+        off[..., m:2 * m - 1] = off[..., :m - 1]
+        off[..., m - 1] = draw(st.sampled_from([0.0, 1e-10]))
+    a = np.zeros(lead + (n, n), dtype=complex)
+    i = np.arange(n)
+    a[..., i, i] = diag
+    a[..., i[:-1], i[1:]] = off
+    a[..., i[1:], i[:-1]] = off.conj()
+    return a
+
+
+class TestTridiagonalEigvalsh:
+    """A part that is tridiagonal in its data is solved through the real
+    symmetric tridiagonal form of its Hermitian part; one entry off the
+    band sends the whole part to the dense solve."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=tridiagonal_stacks(), data=st.data())
+    def test_real_form_matches_the_dense_solve(self, a, data):
+        n = a.shape[-1]
+        got = linalg.parts_eigvalsh((a,), None)
+        assert np.all(np.abs(got - np.linalg.eigvalsh(linalg.hermitize(a)))
+                      <= _dense_tolerance(a))
+        assert _same_bits(got, _reference_tridiagonal_eigvalsh(a))
+        # the same matrices as the two parity blocks of a matrix of dim 2n,
+        # the second block reversed (still tridiagonal)
+        b = a[..., ::-1, ::-1]
+        big = np.zeros(a.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+        big[..., ::2, ::2], big[..., 1::2, 1::2] = a, b
+        blocks = linalg.block_partition(
+            np.abs(np.subtract.outer(np.arange(2 * n), np.arange(2 * n)))
+            % 2 == 0)
+        assert [idx.shape for idx in blocks] == [(2, n, n)]
+        w = linalg.parts_eigvalsh(linalg.parts(big, blocks), blocks)
+        assert _same_bits(w, np.sort(np.concatenate(
+            [_reference_tridiagonal_eigvalsh(a),
+             _reference_tridiagonal_eigvalsh(b)], axis=-1), axis=-1))
+        # one entry off the band, in one matrix, gives the whole stack the
+        # dense solve's bits
+        i = data.draw(st.integers(0, n - 3))
+        j = data.draw(st.integers(i + 2, n - 1))
+        k = data.draw(st.integers(0, max(a[..., 0, 0].size - 1, 0)))
+        off_band = a.copy()
+        off_band.reshape(-1, n, n)[k, i, j] = 0.25 - 0.5j
+        assert _same_bits(linalg.parts_eigvalsh((off_band,), None),
+                          np.linalg.eigvalsh(linalg.hermitize(off_band)))
+
+
 class TestBlockEigvalsh:
     """``parts_eigvalsh`` on the partition of the union nonzero pattern
     solves each connected block and gives the spectrum of the dense
@@ -612,13 +703,24 @@ class TestBlockEigvalsh:
 
     @pytest.mark.parametrize("dim", [1, 2, 9])
     def test_one_component_is_the_dense_solve(self, dim):
-        # a dense stack, and a tridiagonal one (connected through a chain)
+        # a dense stack, and a tridiagonal one (connected through a chain);
+        # a chain of 3 or more rows is solved through its real tridiagonal
+        # form: within rounding of the dense solve, with the bits of the
+        # reference real-form solve
         rng = np.random.default_rng(dim)
         a = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
         chain = np.triu(np.tril(a, 1), -1)
-        for x in (a, chain, chain[1]):
+        assert _same_bits(_union_eigvalsh(a),
+                          np.linalg.eigvalsh(linalg.hermitize(a)))
+        for x in (chain, chain[1]):
+            dense = np.linalg.eigvalsh(linalg.hermitize(x))
+            if dim < 3:
+                assert _same_bits(_union_eigvalsh(x), dense)
+                continue
+            assert np.all(np.abs(_union_eigvalsh(x) - dense)
+                          <= _dense_tolerance(x))
             assert _same_bits(_union_eigvalsh(x),
-                              np.linalg.eigvalsh(linalg.hermitize(x)))
+                              _reference_tridiagonal_eigvalsh(x))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pattern=block_patterns())
