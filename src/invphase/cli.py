@@ -15,8 +15,13 @@ Exactly one system kind is given: ``oscillator`` (mass/frequency pairs),
 ``cranked`` (explicit Hermitian ``h0``/``k`` matrices as nested lists), or
 ``schedule`` (a trig-coefficient table: ``terms`` of ``{"matrix": [[...]],
 "const": c, "cos": [amp, freq], "sin": [amp, freq]}`` summed to ``H(t)``;
-no other time dependence is accepted).  Unknown keys anywhere in the
-config are rejected.  Tasks:
+no other time dependence is accepted).  Both explicit-matrix kinds are
+built once, when the config is loaded, into the schedule that
+``config.system["schedule"]`` holds: :meth:`HamiltonianSchedule.cranked`
+or :meth:`HamiltonianSchedule.from_terms`, whose Hermiticity gate is the
+config's (a term that fails it is a config error naming the term) and
+whose block partition is the exact union of the term matrices.  Unknown
+keys anywhere in the config are rejected.  Tasks:
 
 * ``phases``   — phase time series to CSV (columns ``t, n, delta_unwrapped,
   gamma_unwrapped, total_mod_2pi, fidelity``) plus per-level total-phase
@@ -25,7 +30,7 @@ config are rejected.  Tasks:
   evolve/transport/eigenframe pipeline and get residual checks instead.
   There a ``cranked`` system's evolution is the paper's exact
   ``U(t) = e^{-iKt} e^{-i(h0-k)t}``, and a ``schedule`` is integrated by
-  the CF4 stepper; the report's work counters name which
+  the CF4 stepper, block by block; the report's work counters name which
   (``phases_propagator``) and the path's ``phases_tol_achieved``.
 * ``validate`` — operator-identity and residual checks (oscillator only):
   algebra closure, crank-rotation identity, invariant residual, width
@@ -62,11 +67,11 @@ import click
 import numpy as np
 
 from . import invariant, oscillator, propagator
-from .errors import (ComputeError, ConfigError, InvphaseError, IoError,
-                     NonHermitianInput)
-from .linalg import frob, require_hermitian
+from .errors import (ComputeError, ConfigError, DimensionMismatch,
+                     InvphaseError, IoError, NonHermitianInput)
+from .linalg import frob
 from .phases import abelian_phases, project, wrap_angle
-from .quadrature import cumulative_simpson, simpson
+from .quadrature import cumulative_simpson
 
 N_LEVELS = 6          # phase series cover n = 0 .. 5
 PHASE_TOL = 1e-6      # total-phase and gamma-estimator agreement
@@ -118,11 +123,17 @@ def _square_matrix(value, path):
     return arr
 
 
-def _hermitian_matrix(value, path):
-    try:
-        return require_hermitian(_square_matrix(value, path), "matrix")
-    except NonHermitianInput as exc:
-        raise ConfigError(f"{path} must be Hermitian: {exc}") from None
+def _trig_coefficient(const, cos=None, sin=None):
+    """Coefficient ``const + a cos(w t) + b sin(v t)`` of a schedule term;
+    ``cos`` and ``sin`` are ``(amplitude, frequency)`` pairs or absent."""
+    def coeff(t):
+        value = const
+        for fn, pair in ((np.cos, cos), (np.sin, sin)):
+            if pair is not None:
+                amp, freq = pair
+                value += amp * fn(freq * t)
+        return value
+    return coeff
 
 
 @dataclass(frozen=True)
@@ -205,18 +216,13 @@ def load_config(path, *, steps=None, truncation=None) -> ScenarioConfig:
             raise ConfigError("system.schedule.terms must be a nonempty "
                               "list")
         parsed_terms = []
-        dim = None
         for i, term in enumerate(terms):
             tpath = f"system.schedule.terms[{i}]"
             _require_keys(term, ("matrix", "const", "cos", "sin"),
                           ("matrix",), tpath)
-            mat = _hermitian_matrix(term["matrix"], tpath + ".matrix")
-            dim = dim or mat.shape[0]
-            if mat.shape[0] != dim:
-                raise ConfigError(tpath + ".matrix dim differs from "
-                                  "earlier terms")
-            entry = {"matrix": mat, "const": (_number(term, "const", tpath)
-                                              if "const" in term else 0.0)}
+            mat = _square_matrix(term["matrix"], tpath + ".matrix")
+            entry = {"const": (_number(term, "const", tpath)
+                               if "const" in term else 0.0)}
             for osc_key in ("cos", "sin"):
                 pair = term.get(osc_key)
                 if pair is not None:
@@ -227,8 +233,16 @@ def load_config(path, *, steps=None, truncation=None) -> ScenarioConfig:
                     named = dict(zip(("amplitude", "frequency"), pair))
                     entry[osc_key] = tuple(
                         _number(named, k, f"{tpath}.{osc_key}") for k in named)
-            parsed_terms.append(entry)
-        parsed = {"terms": parsed_terms, "dim": dim}
+            parsed_terms.append((_trig_coefficient(**entry), mat))
+        # the schedule's constructor is the one gate of the term matrices
+        try:
+            parsed = {"schedule": propagator.HamiltonianSchedule.from_terms(
+                parsed_terms, label="schedule")}
+        except NonHermitianInput as exc:
+            raise ConfigError(
+                f"system.schedule must be Hermitian: {exc}") from None
+        except DimensionMismatch as exc:
+            raise ConfigError(f"system.schedule: {exc}") from None
 
     trunc = raw.get("truncation", {})
     _require_keys(trunc, ("N", "N_int"), (), "truncation")
@@ -519,7 +533,7 @@ def _oscillator_validate(config, report):
         fock_c = oscillator.build_fock(params, n_c, "ktilde")
         grid_c = np.linspace(0.0, params.T, conv_steps + 1)
         a_series, _ = _w_column_series(params, fock_c, grid_c, 1)
-        gamma_c = simpson(a_series[:, 0], x=grid_c)
+        gamma_c = cumulative_simpson(a_series[:, 0], x=grid_c)[-1]
         convergence.append({"N": int(n_c),
                             "gamma0_error": float(abs(gamma_c - g_ref))})
     report.convergence = convergence
@@ -560,35 +574,12 @@ def _oscillator_loop(config, report):
 # generic (cranked / schedule) phases pipeline
 
 
-def _generic_schedule(config):
-    """Schedule and initial invariant for explicit-matrix systems."""
-    if config.kind == "cranked":
-        sched = config.system["schedule"]
-        return sched, sched.crank.i0.array
-
-    terms = config.system["terms"]
-    dim = config.system["dim"]
-
-    def sample(t):
-        total = np.zeros((dim, dim), dtype=complex)
-        for term in terms:
-            coeff = term["const"]
-            if "cos" in term:
-                amp, freq = term["cos"]
-                coeff += amp * np.cos(freq * t)
-            if "sin" in term:
-                amp, freq = term["sin"]
-                coeff += amp * np.sin(freq * t)
-            total += coeff * term["matrix"]
-        return total
-
-    return (propagator.HamiltonianSchedule.from_callable(
-        sample, dim, label="schedule"), sample(0.0))
-
-
 def _generic_phases(config, report, tol):
-    """Evolve/transport/eigenframe pipeline for explicit-matrix systems."""
-    sched, i0 = _generic_schedule(config)
+    """Evolve/transport/eigenframe pipeline for explicit-matrix systems;
+    the initial invariant is ``h0 - k`` of a cranked system and ``H(0)`` of
+    a term schedule."""
+    sched = config.system["schedule"]
+    i0 = sched.sample(0.0) if sched.crank is None else sched.crank.i0.array
     grid = np.linspace(0.0, config.t_max, config.steps + 1)
     u_path = propagator.evolve(sched, config.t_max, steps=config.steps,
                                tol=tol)

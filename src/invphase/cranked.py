@@ -50,7 +50,7 @@ from .propagator import (
     compose_geq,
     evolve,
 )
-from .quadrature import simpson
+from .quadrature import cumulative_simpson
 
 __all__ = [
     "CrankedSystem",
@@ -215,5 +215,5 @@ def nondeg_phase_formulas(kn: float, zeta_n, yn, T: float, *,
     gamma = kn * T + float(zeta_fn(T))
     ts = np.linspace(0.0, T, steps + 1)
     vals = np.array([float(yn_fn(t)) for t in ts])
-    delta = -kn * T - float(simpson(vals, x=ts))
+    delta = -kn * T - float(cumulative_simpson(vals, x=ts)[-1])
     return gamma, delta

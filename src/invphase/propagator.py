@@ -182,7 +182,8 @@ class HamiltonianSchedule:
     * :meth:`constant` -- a fixed Hermitian matrix,
     * :meth:`cranked` -- ``e^{-iKt} H0 e^{iKt}``, whose ``U(t)`` is exact,
     * :meth:`from_callable` -- an arbitrary smooth map ``t -> matrix``,
-    * :meth:`scalar_profile` -- ``H(t) = f(t) * H0`` (commuting family),
+    * :meth:`from_terms` -- ``H(t) = sum_j c_j(t) M_j``, real coefficient
+      functions of fixed Hermitian matrices,
     * :meth:`from_samples` -- matrices tabulated on a uniform grid,
       interpolated with cubic Lagrange stencils (periodic wraparound when
       the table spans one declared period),
@@ -193,7 +194,7 @@ class HamiltonianSchedule:
     parts.  The structure a kernel exploits is plain data:
 
     * ``base`` is the read-only matrix of a constant schedule and ``None``
-      for every other schedule, a scalar profile included, which
+      for every other schedule, a one-term schedule included, which
       :func:`propagate` steps like any callable;
     * ``crank`` is the :class:`CrankedSystem` of a cranked schedule, whose
       exact evolution :func:`propagate` takes, and ``None`` for every
@@ -202,20 +203,20 @@ class HamiltonianSchedule:
       :func:`invphase.linalg.block_partition` from a nonzero pattern: the
       declared blocks of :meth:`from_blocks`, or the union pattern of the
       table (:meth:`from_samples`, exact: interpolants combine table
-      rows), of ``base`` (:meth:`scalar_profile`, exact) or of the probes
-      (:meth:`from_callable`: ``t = 0`` and the periodicity probes).  It
-      holds, for each block size ``n`` in ascending order, a ``(k, n, n)``
-      array of the flat indices ``i * dim + j`` of the ``k`` blocks of that
-      size; it is ``None`` for one component and for a constant or a
-      cranked schedule.
+      rows), of the terms (:meth:`from_terms`, exact: samples combine the
+      terms) or of the probes (:meth:`from_callable`: ``t = 0`` and the
+      periodicity probes).  It holds, for each block size ``n`` in
+      ascending order, a ``(k, n, n)`` array of the flat indices
+      ``i * dim + j`` of the ``k`` blocks of that size; it is ``None`` for
+      one component and for a constant or a cranked schedule.
       A callable schedule checks every sample to be exactly zero outside
       its partition; a sample that is not sets ``blocks`` to ``None`` for
       good, so no coupling is ever dropped.
 
-    Parameters validated on construction: every tabulated sample, and every
-    sample a callable returns, is Hermitian (defect at most
-    ``1e-12 * max(1, max|H|)``), a declared ``period`` is finite and
-    positive, and when one is declared,
+    Parameters validated on construction: every term matrix, every
+    tabulated sample, and every sample a callable returns, is Hermitian
+    (defect at most ``1e-12 * max(1, max|H|)``), a declared ``period`` is
+    finite and positive, and when one is declared,
     ``||H(t+T) - H(t)||_F`` is at most ``1e-10`` times the largest
     ``||H||_F`` among the probed samples (the whole table of a sampled
     schedule), so a schedule that vanishes at a probe point still passes.
@@ -224,7 +225,7 @@ class HamiltonianSchedule:
     def __init__(self):
         raise TypeError(
             "use HamiltonianSchedule.constant / .cranked / .from_callable / "
-            ".scalar_profile / .from_samples / .from_blocks")
+            ".from_terms / .from_samples / .from_blocks")
 
     @classmethod
     def _make(cls, fn, dim, period, label, base=None):
@@ -299,19 +300,44 @@ class HamiltonianSchedule:
         return obj
 
     @classmethod
-    def scalar_profile(cls, profile, base, *, period=None,
-                       label="scalar-profile"):
-        """Schedule ``H(t) = profile(t) * base`` with Hermitian ``base``.
+    def from_terms(cls, terms, *, period=None, label="terms"):
+        """Schedule ``H(t) = c_0(t) M_0 + c_1(t) M_1 + ...`` over
+        ``(c_j, M_j)`` pairs of real coefficient functions and Hermitian
+        matrices of one dimension.
 
-        ``base`` is gated once; a real multiple of it is Hermitian, so the
-        samples need no further check.
+        Each ``M_j`` is gated once, named ``term j``; a real combination of
+        Hermitian matrices is Hermitian, so the samples, summed in term
+        order (one term gives ``float(c_0(t)) * M_0``), need no further
+        check.  The partition is that of the terms' union nonzero pattern,
+        exact for every sample.
         """
-        arr = linalg.require_hermitian(base, "profile base")
-        obj = cls._make(lambda t: float(profile(t)) * arr, arr.shape[0],
-                        cls._check_period(period), label)
-        float(profile(0.0))  # must be real scalar
+        terms = list(terms)
+        if not terms:
+            raise DimensionMismatch("a term schedule needs a term")
+        coeffs = [c for c, _ in terms]
+        mats = [linalg.require_hermitian(m, f"term {j}")
+                for j, (_, m) in enumerate(terms)]
+        for j, (c, m) in enumerate(zip(coeffs, mats)):
+            if m.shape != mats[0].shape:
+                raise DimensionMismatch(
+                    f"term {j} has dim {m.shape[0]}, term 0 has dim "
+                    f"{mats[0].shape[0]}")
+            value = c(0.0)
+            if not (np.isrealobj(value) and np.ndim(value) == 0):
+                raise TypeError(f"term {j}: coefficient must be a real "
+                                f"number, got {value!r}")
+
+        def sample(t):
+            h = float(coeffs[0](t)) * mats[0]
+            for c, m in zip(coeffs[1:], mats[1:]):
+                h += float(c(t)) * m
+            return h
+
+        obj = cls._make(sample, mats[0].shape[0], cls._check_period(period),
+                        label)
         obj._check_periodicity()
-        obj.blocks = linalg.block_partition(arr != 0)
+        obj.blocks = linalg.block_partition(
+            np.logical_or.reduce([m != 0 for m in mats]))
         return obj
 
     @classmethod
@@ -811,8 +837,9 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
     t_max : float
         Final time, finite and > 0.
     steps : int, optional
-        Number of grid intervals.  Defaults to 2048 per declared period
-        (2048 total when no period is declared).
+        Number of grid intervals, an integral value (``64`` or ``64.0``).
+        Defaults to 2048 per declared period (2048 total when no period is
+        declared).
     tol : float
         Local-error budget per step, estimated by step-doubling; intervals
         that exceed it are split recursively.  Must be >= 1e-14.
@@ -840,9 +867,9 @@ def evolve(schedule: HamiltonianSchedule, t_max: float, steps: int = None,
                 1, int(np.ceil(t_max / schedule.period - 1e-12)))
         else:
             steps = DEFAULT_STEPS_PER_PERIOD
+    if not float(steps).is_integer() or steps < 1:
+        raise ValueError(f"steps must be a positive integer, got {steps}")
     steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
 
     grid = np.linspace(0.0, t_max, steps + 1)
     keep = _resolve_store(grid, store)
@@ -875,7 +902,7 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
 
     ``V`` comes from :func:`propagate` on ``path.grid`` for every ``Y``:
     spectral for a constant ``Y``, stepped under the error budget and the
-    drift policy otherwise (a scalar profile ``f(t) Y0`` included).
+    drift policy otherwise (a term schedule ``f(t) Y0`` included).
 
     Returns
     -------

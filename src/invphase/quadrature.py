@@ -1,12 +1,12 @@
 """Composite Simpson quadrature of sampled data, in numpy alone.
 
-:func:`simpson` and :func:`cumulative_simpson` evaluate the expressions of
-``scipy.integrate.simpson`` and ``scipy.integrate.cumulative_simpson``
-(scipy 1.17) for samples at given points ``x``, with the same array
-shapes and the same order of operations, so their results are
-bit-identical.  They exist because ``scipy.integrate`` imports
-``scipy.special`` and ``scipy.optimize``, which cost more time than the
-rest of ``import invphase``.
+:func:`cumulative_simpson` evaluates the expressions of
+``scipy.integrate.cumulative_simpson`` (scipy 1.17) for samples at given
+points ``x``, with the same array shapes and the same order of
+operations, so its results are bit-identical.  Its last entry is the
+package's Simpson total over the whole grid.  It exists because
+``scipy.integrate`` imports ``scipy.special`` and ``scipy.optimize``,
+which cost more time than the rest of ``import invphase``.
 
 ``x`` is one-dimensional, as long as ``y`` along ``axis`` and strictly
 increasing.
@@ -16,76 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson", "cumulative_simpson"]
-
-
-def _along(nd: int, axis: int, index) -> tuple:
-    """Index tuple selecting ``index`` along ``axis`` of an ``nd``-D array."""
-    out = [slice(None)] * nd
-    out[axis] = index
-    return tuple(out)
-
-
-def _basic_simpson(y, stop, x, axis):
-    """Simpson's rule over the interval pairs ``[0, stop]`` of ``y``,
-    allowing unequal spacings in ``x``."""
-    nd = y.ndim
-    slice0 = _along(nd, axis, slice(0, stop, 2))
-    slice1 = _along(nd, axis, slice(1, stop + 1, 2))
-    slice2 = _along(nd, axis, slice(2, stop + 2, 2))
-    h = np.diff(x, axis=axis)
-    h0 = h[slice0].astype(float, copy=False)
-    h1 = h[slice1].astype(float, copy=False)
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-    tmp = hsum / 6.0 * (
-        y[slice0] * (2.0 - np.true_divide(1.0, h0divh1,
-                                          out=np.zeros_like(h0divh1),
-                                          where=h0divh1 != 0))
-        + y[slice1] * (hsum * np.true_divide(hsum, hprod,
-                                             out=np.zeros_like(hsum),
-                                             where=hprod != 0))
-        + y[slice2] * (2.0 - h0divh1))
-    return np.sum(tmp, axis=axis)
-
-
-def simpson(y, *, x, axis: int = -1):
-    """Integral of the samples ``y`` at the points ``x`` along ``axis`` by
-    the composite Simpson rule (bits of ``scipy.integrate.simpson``).
-
-    An even point count integrates all but the last interval by Simpson's
-    rule and adds Cartwright's correction for the last one; two points are
-    the trapezoid.
-    """
-    y = np.asarray(y)
-    nd = y.ndim
-    n = y.shape[axis]
-    shape = [1] * nd
-    shape[axis] = n
-    x = np.asarray(x).reshape(shape)
-    if n % 2:
-        return _basic_simpson(y, n - 2, x, axis)
-    last, before, third = (_along(nd, axis, k) for k in (-1, -2, -3))
-    if n == 2:
-        return 0.0 + (0.0 + 0.5 * (x[last] - x[before])
-                      * (y[last] + y[before]))
-    result = _basic_simpson(y, n - 3, x, axis)
-    diffs = np.float64(np.diff(x, axis=axis))
-    h = [np.squeeze(diffs[_along(nd, axis, slice(-2, -1))], axis=axis),
-         np.squeeze(diffs[_along(nd, axis, slice(-1, None))], axis=axis)]
-    den = 6 * (h[1] + h[0])
-    alpha = np.true_divide(2 * h[1] ** 2 + 3 * h[0] * h[1], den,
-                           out=np.zeros_like(den), where=den != 0)
-    den = 6 * h[0]
-    beta = np.true_divide(h[1] ** 2 + 3.0 * h[0] * h[1], den,
-                          out=np.zeros_like(den), where=den != 0)
-    den = 6 * h[0] * (h[0] + h[1])
-    eta = np.true_divide(1 * h[1] ** 3, den,
-                         out=np.zeros_like(den), where=den != 0)
-    result += alpha * y[last] + beta * y[before] - eta * y[third]
-    result += 0.0
-    return result
+__all__ = ["cumulative_simpson"]
 
 
 def _simpson_subintervals(y, dx):

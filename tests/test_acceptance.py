@@ -263,8 +263,8 @@ def test_criterion_07_geometric_equivalence_suite():
     )
     worst = {"gamma": 0.0, "delta": 0.0, "u": 0.0}
     for name, f, f_total in cases:
-        ytilde = HamiltonianSchedule.scalar_profile(
-            lambda t, f=f: 1.0 + f(t), i0, label=name)
+        ytilde = HamiltonianSchedule.from_terms(
+            [(lambda t, f=f: 1.0 + f(t), i0)], label=name)
         hsched, upath = geq_member(system, ytilde, t_max, steps=1024)
         u_tilde = upath.final()
         u_ref = u_base @ expm_igen(i0, f_total)

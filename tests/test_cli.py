@@ -103,8 +103,9 @@ class TestLoadConfig:
 
     def test_schedule_terms_validated(self, tmp_path):
         bad_herm = {"schedule": {"terms": [
+            {"matrix": [[1.0, 0.0], [0.0, -1.0]], "const": 2.0},
             {"matrix": [[0.0, 1.0], [0.0, 0.0]]}]}}
-        with pytest.raises(ConfigError, match="Hermitian"):
+        with pytest.raises(ConfigError, match="Hermitian: term 1:"):
             cli.load_config(write_config(tmp_path, system=bad_herm))
         bad_pair = {"schedule": {"terms": [
             {"matrix": [[1.0, 0.0], [0.0, -1.0]], "cos": [0.5]}]}}
@@ -115,6 +116,11 @@ class TestLoadConfig:
             {"matrix": [[1.0]]}]}}
         with pytest.raises(ConfigError):
             cli.load_config(write_config(tmp_path, system=bad_dims))
+        mixed_dims = {"schedule": {"terms": [
+            {"matrix": [[1.0, 0.0], [0.0, -1.0]]},
+            {"matrix": np.eye(3).tolist()}]}}
+        with pytest.raises(ConfigError, match="term 1 has dim 3"):
+            cli.load_config(write_config(tmp_path, system=mixed_dims))
 
     def test_truncation_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -248,7 +254,9 @@ class TestRun:
     def _derived_bound(config):
         """The residual row's bound, derived from the transported path,
         and its floor ``RESIDUAL_TOL``."""
-        sched, i0 = cli._generic_schedule(config)
+        sched = config.system["schedule"]
+        i0 = (sched.sample(0.0) if sched.crank is None
+              else sched.crank.i0.array)
         path = cli.invariant.transport(
             cli.propagator.evolve(sched, config.t_max, steps=config.steps,
                                   tol=1e-10), i0)
@@ -330,7 +338,6 @@ class TestRun:
 
         monkeypatch.setattr(cli.propagator.linalg, "require_hermitian",
                             counted)
-        monkeypatch.setattr(cli, "require_hermitian", counted)
         config = self._integer_crank_config(tmp_path, 2, dim=3, steps=64)
         cli.run(config, out_dir=tmp_path / "out")
         # transport gates I0 at its own boundary; H0 and K pass one gate
@@ -365,6 +372,27 @@ class TestRun:
         assert work["cranked"]["phases_tol_achieved"] == 0.0
         assert work["schedule"]["phases_propagator"] == "cf4"
         assert 0.0 < work["schedule"]["phases_tol_achieved"] <= 1e-10
+
+    def test_sin_coupling_keeps_the_exact_partition(self, tmp_path):
+        # levels 0 and 1 coupled by a sin term, level 2 constant: the
+        # schedule holds the union partition of its terms from the start
+        # (a probe at t = 0 sees three 1 x 1 blocks) and keeps it through
+        # the run
+        system = {"schedule": {"terms": [
+            {"matrix": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
+             "const": 2.0},
+            {"matrix": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+             "sin": [0.3, 2.0]},
+            {"matrix": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 3.0]],
+             "const": 1.0}]}}
+        config = cli.load_config(write_config(
+            tmp_path, system=system, grid={"t_max": 1.0, "steps": 256}))
+        sched = config.system["schedule"]
+        sizes = [idx.shape[-1] for idx in sched.blocks]
+        assert sizes == [1, 2]
+        report = cli.run(config, out_dir=tmp_path / "out")
+        assert [idx.shape[-1] for idx in sched.blocks] == sizes
+        assert report.all_pass
 
     def test_generic_schedule_run(self, tmp_path):
         system = {"schedule": {"terms": [

@@ -177,8 +177,8 @@ class TestGeqMember:
         # Y~ = f(t) I0: H~ = f H + (1-f) K and U~ = e^{-iKt} e^{-iF(t) I0}
         f = lambda t: 0.6 + 0.4 * np.cos(t)
         F = lambda t: 0.6 * t + 0.4 * np.sin(t)
-        y = HamiltonianSchedule.scalar_profile(f, sys6.i0.array,
-                                               period=T_CYCLE)
+        y = HamiltonianSchedule.from_terms([(f, sys6.i0.array)],
+                                           period=T_CYCLE)
         hsched, upath = geq_member(sys6, y, T_CYCLE, steps=512)
         for k in (0, 133, 407, 512):
             t = upath.grid[k]
@@ -191,8 +191,8 @@ class TestGeqMember:
 
     def test_family_member_solves_schrodinger(self, sys6):
         f = lambda t: 0.6 + 0.4 * np.cos(t)
-        y = HamiltonianSchedule.scalar_profile(f, sys6.i0.array,
-                                               period=T_CYCLE)
+        y = HamiltonianSchedule.from_terms([(f, sys6.i0.array)],
+                                           period=T_CYCLE)
         hsched, upath = geq_member(sys6, y, T_CYCLE, steps=512)
         path = evolve(hsched, T_CYCLE, steps=1024, tol=1e-12)
         assert frob(path.final() - upath.final()) < 1e-8
@@ -338,7 +338,7 @@ def gauge_setup():
 
     f = lambda t: 0.5 + 0.3 * np.cos(t)
     F = lambda t: 0.5 * t + 0.3 * np.sin(t)
-    y = HamiltonianSchedule.scalar_profile(f, i0, period=T_CYCLE)
+    y = HamiltonianSchedule.from_terms([(f, i0)], period=T_CYCLE)
     steps = 2048
     hsched, _ = geq_member(sys, y, T_CYCLE, steps=steps)
     grid = np.linspace(0.0, T_CYCLE, steps + 1)
@@ -424,7 +424,7 @@ class TestNondegPipeline:
         k = integer_spectrum_hermitian(dim, seed=11)
         sys = CrankedSystem(i0 + k, k)
         f = lambda t: 0.8 + 0.2 * np.sin(t)
-        y = HamiltonianSchedule.scalar_profile(f, i0, period=T_CYCLE)
+        y = HamiltonianSchedule.from_terms([(f, i0)], period=T_CYCLE)
         steps = 1024
         hsched, _ = geq_member(sys, y, T_CYCLE, steps=steps)
         grid = np.linspace(0.0, T_CYCLE, steps + 1)

@@ -619,8 +619,8 @@ class TestGhoFamily:
         def f_integral(t):
             return 0.6 * t + 0.2 * np.sin(2 * params.omega * t) / params.omega
 
-        ysched = HamiltonianSchedule.scalar_profile(
-            f, fock.I0.array, period=params.T, label="f*I0")
+        ysched = HamiltonianSchedule.from_terms(
+            [(f, fock.I0.array)], period=params.T, label="f*I0")
         hsched, u_geq = geq_member(system, ysched, params.T, steps=512)
         for t in np.linspace(0.0, params.T, 7):
             coeff = (f(t) * gho_H(params, fock, t).array

@@ -49,8 +49,8 @@ class TestSchedule:
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         grid = np.linspace(0.0, 1.0, 9)
         if form == "scalar_profile":
-            HamiltonianSchedule.scalar_profile(
-                lambda t: np.sin(2 * np.pi * t), x, period=1.0)
+            HamiltonianSchedule.from_terms(
+                [(lambda t: np.sin(2 * np.pi * t), x)], period=1.0)
         elif form == "callable":
             HamiltonianSchedule.from_callable(
                 lambda t: np.sin(t) * x, 2, period=2 * np.pi)
@@ -61,8 +61,8 @@ class TestSchedule:
     def test_wrong_periods_still_rejected(self):
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="declared period 0.7"):
-            HamiltonianSchedule.scalar_profile(
-                lambda t: np.sin(2 * np.pi * t), x, period=0.7)
+            HamiltonianSchedule.from_terms(
+                [(lambda t: np.sin(2 * np.pi * t), x)], period=0.7)
         grid = np.linspace(0.0, 1.0, 9)
         table = np.array([np.cos(2 * np.pi * t) * x for t in grid])
         table[-1] *= 1 + 1e-6
@@ -77,7 +77,7 @@ class TestSchedule:
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="finite and positive"):
             if form == "scalar_profile":
-                HamiltonianSchedule.scalar_profile(np.sin, x, period=period)
+                HamiltonianSchedule.from_terms([(np.sin, x)], period=period)
             else:
                 HamiltonianSchedule.from_callable(lambda t: np.cos(t) * x, 2,
                                                   period=period)
@@ -86,8 +86,8 @@ class TestSchedule:
         # NaN > bound is False: the probe must fail, not pass, a NaN defect
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="declared period 1.0"):
-            HamiltonianSchedule.scalar_profile(
-                lambda t: np.nan if t > 0.2 else 1.0, x, period=1.0)
+            HamiltonianSchedule.from_terms(
+                [(lambda t: np.nan if t > 0.2 else 1.0, x)], period=1.0)
 
     def test_callable_must_be_hermitian(self):
         bad = lambda t: np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -122,7 +122,7 @@ class TestSchedule:
 
     def test_scalar_profile(self):
         base = np.diag([1.0, 3.0])
-        sched = HamiltonianSchedule.scalar_profile(np.sin, base)
+        sched = HamiltonianSchedule.from_terms([(np.sin, base)])
         assert np.allclose(sched.sample(0.7), np.sin(0.7) * base)
         assert sched.base is None and not sched.is_constant
 
@@ -327,8 +327,8 @@ class TestScheduleStructure:
             sched = HamiltonianSchedule.from_callable(parts["fn"], dim)
         elif kind == "scalar_profile":
             parts["profile"] = lambda t: np.cos(2 * np.pi * t / t_max)
-            sched = HamiltonianSchedule.scalar_profile(
-                parts["profile"], a, period=period)
+            sched = HamiltonianSchedule.from_terms(
+                [(parts["profile"], a)], period=period)
         else:
             table = np.stack([np.cos(t) * a + np.sin(3 * t) * b
                               for t in grid])
@@ -468,6 +468,22 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(sched, 1.0, tol=1e-18)
 
+    def test_non_integral_steps_rejected(self):
+        # steps=2.5 used to run 2 intervals without a word
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        sched = HamiltonianSchedule.from_callable(lambda t: np.cos(t) * x, 2)
+        with pytest.raises(ValueError, match="steps must be a positive "
+                                             "integer, got 2.5"):
+            evolve(sched, 1.0, steps=2.5)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive integer"):
+                evolve(sched, 1.0, steps=bad)
+        paths = [evolve(sched, 1.0, steps=n)
+                 for n in (64, 64.0, np.int64(64), np.float64(64.0))]
+        for path in paths:
+            assert len(path) == 65
+            assert _same_bits(path.samples, paths[0].samples)
+
 
 def _crank_pair(dim, seed, shape):
     """``(H0, K)``: random Hermitian (``"generic"``), ``K`` with a
@@ -594,7 +610,7 @@ class TestComposeGeq:
     def test_scalar_profile_matches_cumulative_integral(self):
         f = lambda t: np.sin(3 * t)
         F = lambda t: (1 - np.cos(3 * t)) / 3
-        y = HamiltonianSchedule.scalar_profile(f, self.i0)
+        y = HamiltonianSchedule.from_terms([(f, self.i0)])
         out = compose_geq(self.path, y, invariant0=self.i0)
         for t in (0.5, 1.0):
             expected = self.path.at(t) @ expm_igen(self.i0, F(t))
@@ -622,7 +638,7 @@ class TestComposeGeq:
         steps, tol = 64, 1e-10
         path = evolve(HamiltonianSchedule.constant(self.k), 1.0, steps=steps)
         outs = [compose_geq(path, y, invariant0=self.i0, tol=tol) for y in (
-            HamiltonianSchedule.scalar_profile(f, self.i0),
+            HamiltonianSchedule.from_terms([(f, self.i0)]),
             HamiltonianSchedule.from_callable(lambda t: f(t) * self.i0, 5))]
         assert np.array_equal(outs[0].samples, outs[1].samples)
         assert outs[0].tol_achieved == outs[1].tol_achieved > 0
@@ -638,7 +654,7 @@ class TestComposeGeq:
         def f(t):
             return np.sin(np.pi * (t - 0.5)) ** 2 if 0.5 < t < 1.5 else 0.0
         if form == "scalar_profile":
-            y = HamiltonianSchedule.scalar_profile(f, self.i0)
+            y = HamiltonianSchedule.from_terms([(f, self.i0)])
         else:
             y = HamiltonianSchedule.from_callable(lambda t: f(t) * self.i0, 5)
         path = evolve(HamiltonianSchedule.constant(self.k), 2.0, steps=64)
@@ -967,6 +983,71 @@ class TestBlockPropagation:
         want[0] = np.eye(5)
         assert _same_bits(out.samples, want)
         assert (out.tol_achieved, out.drift_max) == (err, drift)
+
+
+class TestTermSchedule:
+    """``from_terms``: ``sum_j c_j(t) M_j`` with gated matrices, unchecked
+    samples and the exact partition of the terms."""
+
+    TOL = 1e-10
+
+    def test_one_term_has_the_bits_of_a_real_multiple(self):
+        # f > 0, so no sample has a signed zero that a gate would fold
+        rng = np.random.default_rng(3)
+        base = _block_hermitian(rng, [2, 3], rng.permutation(5))
+        f = lambda t: 1.5 + np.cos(3 * t)
+        sched = HamiltonianSchedule.from_terms([(f, base)])
+        assert sched.base is None and not sched.is_constant
+        assert _block_sizes(sched) == [2, 3]
+        for t in (0.0, 0.3, 0.77, 1.0):
+            assert _same_bits(sched.sample(t), float(f(t)) * hermitize(base))
+        # the callable of the same samples, whose probe sees the same blocks
+        callable_ = HamiltonianSchedule.from_callable(
+            lambda t: float(f(t)) * base, 5)
+        path = evolve(sched, 1.0, steps=16, tol=self.TOL)
+        ref = evolve(callable_, 1.0, steps=16, tol=self.TOL)
+        assert callable_.blocks is not None
+        assert _same_bits(path.samples, ref.samples)
+        assert (path.tol_achieved, path.drift_max) == (ref.tol_achieved,
+                                                       ref.drift_max)
+
+    def test_coupling_no_probe_sees_is_in_the_partition(self):
+        # the sin(t) coupling C is zero at t = 0, the only probe of the
+        # same callable, which collapses when it steps; the term schedule
+        # has the union partition from the start and keeps it
+        rng = np.random.default_rng(7)
+        b = _block_hermitian(rng, [1, 1, 3], np.arange(5))
+        c = np.zeros((5, 5), dtype=complex)
+        c[0, 1], c[1, 0] = 0.4 + 0.1j, 0.4 - 0.1j
+        sched = HamiltonianSchedule.from_terms([(lambda t: 1.0, b),
+                                                (np.sin, c)])
+        blocks = sched.blocks
+        assert _block_sizes(sched) == [2, 3]
+        callable_ = HamiltonianSchedule.from_callable(
+            lambda t: b + np.sin(t) * c, 5)
+        assert _block_sizes(callable_) == [1, 1, 3]
+        path = evolve(sched, 1.0, steps=16, tol=self.TOL)
+        assert sched.blocks is blocks
+        dense = evolve(callable_, 1.0, steps=16, tol=self.TOL)
+        assert callable_.blocks is None
+        assert np.abs(path.final()[0, 1]) > 1e-3
+        for u, r in zip(path.samples, dense.samples):
+            assert frob(u - r) <= 1e-13
+
+    def test_bad_terms_rejected(self):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DimensionMismatch, match="needs a term"):
+            HamiltonianSchedule.from_terms([])
+        with pytest.raises(DimensionMismatch, match="term 1 has dim 3"):
+            HamiltonianSchedule.from_terms([(np.sin, x),
+                                            (np.cos, np.eye(3))])
+        with pytest.raises(NonHermitianInput, match="term 1:"):
+            HamiltonianSchedule.from_terms(
+                [(np.sin, x), (np.cos, [[0.0, 1.0], [0.0, 0.0]])])
+        for complex_coefficient in (lambda t: 1.0 + 0.5j,
+                                    lambda t: np.complex128(1.0)):
+            with pytest.raises(TypeError, match="term 0: coefficient"):
+                HamiltonianSchedule.from_terms([(complex_coefficient, x)])
 
 
 class TestLoopCheck:
