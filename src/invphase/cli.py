@@ -590,9 +590,9 @@ def _generic_phases(config, report, tol):
     w0 = frame.initial()
     levels = [n for n in range(frame.n_blocks)
               if frame.degeneracies[n] == 1][:N_LEVELS]
-    cols = [w0[:, frame.block_slice(n)][:, 0] for n in levels]
-    fidelity = np.array([[abs(np.vdot(col, u_t @ col)) for col in cols]
-                         for u_t in u_path.samples])
+    cols = w0[:, [frame.block_slice(n).start for n in levels]]
+    fidelity = np.abs(np.einsum("in,tij,jn->tn", cols.conj(),
+                                u_path.samples, cols))
     csv_rows = _phase_rows(
         grid, levels, np.array([record.delta_angle[n] for n in levels]).T,
         np.array([record.gamma_angle[n] for n in levels]).T, fidelity)

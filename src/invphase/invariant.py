@@ -61,6 +61,10 @@ SPECTRUM_DRIFT = 1e-8
 #: temporaries of that step are a small multiple of it
 _CHUNK_BYTES = 1 << 21
 
+#: bytes of samples that :func:`eigenframe` decomposes in one stacked call;
+#: its temporaries are about eight times that
+_FRAME_CHUNK_BYTES = 1 << 15
+
 
 def _chunk_bounds(path: "InvariantPath", start: int = 0,
                   nbytes: int = _CHUNK_BYTES):
@@ -524,19 +528,34 @@ def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
     part by part.  A chunk holds up to five arrays of its size at once
     (``I``, ``dI/dt``, the stacked ``H``, the bracket and one product), so
     the chunks are a quarter of ``_CHUNK_BYTES``.
+
+    When every part of a constant ``H`` is exactly diagonal (validate's
+    ``K``), the bracket is formed elementwise, ``s_ij k_j - k_i s_ij``,
+    instead of by two matrix products.  Each entry is the one term of its
+    product sum that is not an exact zero, so the two routes agree to
+    rounding (bit for bit on validate's oscillator path); the bracket is
+    written in C order, as a product is, so each row's squares are summed
+    in the same order on both.
     """
     grid = invariant.grid
     h_base = (None if schedule.base is None
               else linalg.parts(schedule.base, blocks))
+    diag = None
+    if h_base is not None and all(_is_diagonal(p) for p in h_base):
+        diag = [np.diagonal(p, 0, -2, -1) for p in h_base]
     out = np.empty(grid.size)
     for k0, k1 in _chunk_bounds(invariant, nbytes=_CHUNK_BYTES // 4):
         s, didt = read(k0, k1)
-        h = h_base or (np.stack([schedule.sample(t) for t in grid[k0:k1]]),)
+        h = diag or h_base or (schedule.samples(grid[k0:k1]),)
         total = 0.0
         for s_p, d_p, h_p in zip(s, didt, h):
-            # d - 1j (s h - h s), in place in the product's buffer
-            r = s_p @ h_p
-            r -= h_p @ s_p
+            # d - 1j (s h - h s), in place in the bracket's buffer
+            if diag is None:
+                r = s_p @ h_p
+                r -= h_p @ s_p
+            else:                        # in C order, as a product is
+                r = np.multiply(s_p, h_p[..., None, :], order="C")
+                r -= h_p[..., :, None] * s_p
             r *= 1j
             np.subtract(d_p, r, out=r)
             sq = np.square(r.real)
@@ -547,6 +566,31 @@ def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
         # next one is built
         s = didt = h = s_p = d_p = h_p = r = sq = None
     return out
+
+
+def _is_diagonal(p: np.ndarray) -> bool:
+    """True when every matrix of the ``(..., n, n)`` stack ``p`` has no
+    nonzero entry off its diagonal."""
+    return np.count_nonzero(p) == np.count_nonzero(np.diagonal(p, 0, -2, -1))
+
+
+def _frame_failure(grid, k, w, thresh, sizes, crossed, drifted, small,
+                   least, levels) -> None:
+    """Raise what :func:`eigenframe`'s matching raises at row ``k``: a
+    structure change first, then drift, then the first block (in column
+    order) whose overlap is below 0.5."""
+    if crossed:
+        raise DegeneracyCrossing(
+            f"degeneracy structure changed at t={grid[k]:.6g}: "
+            f"{np.diff(linalg.cluster_bounds(w, thresh)).tolist()} vs "
+            f"{sizes} at t=0")
+    if drifted:
+        raise ComputeError(f"invariant spectrum drifted at t={grid[k]:.6g}")
+    b = int(np.argmax(small))
+    what = "overlap" if sizes[b] == 1 else "block overlap"
+    raise OverlapTooSmall(
+        f"{what} {least[b]:.3f} for eigenvalue {levels[b]:.6g} "
+        f"between t={grid[k - 1]:.6g} and t={grid[k]:.6g}")
 
 
 def eigenframe(invariant: InvariantPath,
@@ -565,6 +609,23 @@ def eigenframe(invariant: InvariantPath,
     ``Q exp(i arg(diag T) k/K) Q^H``) so the frame closes exactly while
     staying smooth.
 
+    The first sample takes the canonical decomposition of
+    :func:`invphase.linalg.eigh`.  The others are read in chunks of
+    ``_FRAME_CHUNK_BYTES`` of samples, each decomposed by one stacked
+    :func:`invphase.linalg.eigh` call of its Hermitian parts, whose
+    eigenvectors ``v_k`` carry an arbitrary gauge; the chunk's
+    degeneracy-structure, drift and overlap checks run on the whole chunk.
+    The matching is then written through the raw overlaps
+    ``M_k = v_{k-1}^H v_k`` of each block, which the previous frame's
+    gauge only rotates: a non-degenerate column is ``v_k p_k`` with the
+    phase chain ``p_k = p_{k-1} conj(M_k) / |M_k|``, and a degenerate
+    block is ``v_k R_k`` with the running product ``R_k = P_k^H R_{k-1}``
+    of the polar factors ``P_k`` of ``M_k``, stacked over the chunk.  The
+    overlap magnitudes and singular values are those of the row-by-row
+    matching, and the frames agree with it to rounding.  The first row
+    that fails a check raises what the row-by-row matching raises there,
+    in its order: structure, drift, then each block's overlap.
+
     Raises
     ------
     DegeneracyCrossing
@@ -574,57 +635,79 @@ def eigenframe(invariant: InvariantPath,
     ComputeError
         If the spectrum drifts beyond the invariant-path bound.
     """
-    s = invariant.samples
     grid = invariant.grid
     n_pts = grid.size
     dim = invariant.dim
 
     # transported samples are Hermitian only to rounding: take the
     # Hermitian part of each one that is decomposed
-    w0, v0 = linalg.eigh(hermitize(s[0]), check_hermitian=False)
-    thresh = DEGENERACY_GAP * max(frob(s[0]), 1.0)
+    s0 = invariant.rows(0, 1)[0]
+    w0, v0 = linalg.eigh(hermitize(s0), check_hermitian=False)
+    thresh = DEGENERACY_GAP * max(frob(s0), 1.0)
     bounds = linalg.cluster_bounds(w0, thresh)
     starts, sizes = bounds[:-1].tolist(), np.diff(bounds).tolist()
     eigenvalues = w0[starts]
+    # adjacent levels of one cluster, and the drift bound of each level
+    close0 = np.ones(max(dim - 1, 0), dtype=bool)
+    close0[bounds[1:-1] - 1] = False
+    drift_tol = SPECTRUM_DRIFT * (1 + np.abs(w0))
+    # the blocks, by position in ``starts``: the non-degenerate ones and
+    # their columns, and the degenerate ones of each size with their
+    # column slices
+    single = [b for b, d in enumerate(sizes) if d == 1]
+    single_cols = np.array([starts[b] for b in single], dtype=int)
+    groups = [([b for b, size in enumerate(sizes) if size == d],
+               [slice(st, st + d) for st, size in zip(starts, sizes)
+                if size == d]) for d in sorted(set(sizes) - {1})]
 
     frames = np.empty((n_pts, dim, dim), dtype=complex)
     frames[0] = v0
+    prev = v0                            # the last row's raw eigenvectors
+    phase = np.ones(single_cols.size, dtype=complex)     # p_{k-1}
+    gauge = [np.eye(cols[0].stop - cols[0].start, dtype=complex)
+             for _, cols in groups]      # R_{k-1}, broadcast over blocks
     min_overlap = 1.0
 
-    for k in range(1, n_pts):
-        w, v = linalg.eigh(hermitize(s[k]), check_hermitian=False)
-        bounds_k = linalg.cluster_bounds(w, thresh)
-        if not np.array_equal(bounds_k, bounds):
-            raise DegeneracyCrossing(
-                f"degeneracy structure changed at t={grid[k]:.6g}: "
-                f"{np.diff(bounds_k).tolist()} vs {sizes} at t=0")
-        if np.any(np.abs(w - w0) > SPECTRUM_DRIFT * (1 + np.abs(w0))):
-            raise ComputeError(
-                f"invariant spectrum drifted at t={grid[k]:.6g}")
-        prev = frames[k - 1]
-        for st, d in zip(starts, sizes):
-            sl = slice(st, st + d)
-            overlap = prev[:, sl].conj().T @ v[:, sl]
-            if d == 1:
-                o = overlap[0, 0]
-                mag = abs(o)
-                if mag < 0.5:
-                    raise OverlapTooSmall(
-                        f"overlap {mag:.3f} for eigenvalue {w0[st]:.6g} "
-                        f"between t={grid[k-1]:.6g} and t={grid[k]:.6g}")
-                v[:, st] *= np.conj(o) / mag
-                min_overlap = min(min_overlap, mag)
-            else:
-                sv = np.linalg.svd(overlap, compute_uv=False)
-                if sv[-1] < 0.5:
-                    raise OverlapTooSmall(
-                        f"block overlap {sv[-1]:.3f} for eigenvalue "
-                        f"{w0[st]:.6g} between t={grid[k-1]:.6g} and "
-                        f"t={grid[k]:.6g}")
-                q = linalg.polar_unitary(overlap)
-                v[:, sl] = v[:, sl] @ q.conj().T
-                min_overlap = min(min_overlap, float(sv[-1]))
-        frames[k] = v
+    for k0, k1 in _chunk_bounds(invariant, 1, _FRAME_CHUNK_BYTES):
+        w, v = linalg.eigh(hermitize(invariant.rows(k0, k1)),
+                           check_hermitian=False)
+        back = np.concatenate([prev[None], v[:-1]])   # raw row k - 1
+        least = np.empty((k1 - k0, len(sizes)))       # overlap per block
+        overlap = np.einsum("kij,kij->kj", back[:, :, single_cols].conj(),
+                            v[:, :, single_cols])
+        least[:, single] = np.abs(overlap)
+        polars = []
+        for bs, cols in groups:
+            m = np.stack([back[:, :, c].conj().swapaxes(1, 2) @ v[:, :, c]
+                          for c in cols], axis=1)
+            left, sv, right = np.linalg.svd(m)
+            least[:, bs] = sv[..., -1]
+            polars.append((left @ right).conj().swapaxes(-1, -2))
+        crossed = ((w[:, 1:] - w[:, :-1] < thresh) != close0).any(axis=1)
+        drifted = (np.abs(w - w0) > drift_tol).any(axis=1)
+        small = least < 0.5
+        failed = crossed | drifted | small.any(axis=1)
+        if failed.any():
+            j = int(np.argmax(failed))
+            _frame_failure(grid, k0 + j, w[j], thresh, sizes, crossed[j],
+                           drifted[j], small[j], least[j], eigenvalues)
+        min_overlap = min(min_overlap, float(least.min()))
+
+        out = frames[k0:k1]
+        out[...] = v
+        chain = np.cumprod(overlap.conj() / least[:, single], axis=0) * phase
+        chain /= np.abs(chain)
+        out[:, :, single_cols] *= chain[:, None, :]
+        phase = chain[-1]
+        for g, ((_, cols), adjoint) in enumerate(zip(groups, polars)):
+            run = np.empty_like(adjoint)         # R_k = P_k^H R_{k-1}
+            r = gauge[g]
+            for i, p_h in enumerate(adjoint):
+                r = run[i] = p_h @ r
+            gauge[g] = r
+            for j, c in enumerate(cols):
+                out[:, :, c] = v[:, :, c] @ run[:, j]
+        prev = v[-1].copy()
 
     periodic = False
     if enforce_periodic:
@@ -661,8 +744,7 @@ def symmetry_check(x: HamiltonianSchedule, invariant: InvariantPath,
     ``rel_tol * ||X(t)||_F``.
     """
     grid = invariant.grid
-    defects = _commutator_defects(invariant.samples,
-                                  np.array([x.sample(t) for t in grid]))
+    defects = _commutator_defects(invariant.samples, x.samples(grid))
     k = int(np.argmax(defects > rel_tol))
     if defects[k] > rel_tol:
         raise SymmetryViolation(

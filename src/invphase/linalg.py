@@ -62,6 +62,7 @@ __all__ = [
     "parts_eigvalsh",
     "polar_unitary",
     "require_hermitian",
+    "require_hermitian_stack",
     "spectral_exp",
     "unitary_schur",
     "HERMITIAN_TOL",
@@ -144,12 +145,37 @@ def require_hermitian(a, what: str) -> np.ndarray:
     arr = as_matrix(a)
     bad, defect, scale = hermitian_defects(arr)
     if bad:
-        if not np.isfinite(scale):       # max|A| is NaN or inf
-            raise NonHermitianInput(f"{what}: entries are not all finite")
-        raise NonHermitianInput(
-            f"{what}: max|A - A^H| = {defect:.3e} > "
-            f"{HERMITIAN_TOL:g} * {scale:.3e}")
+        raise _not_hermitian(what, defect, scale)
     return 0.5 * (arr + arr.conj().T)
+
+
+def require_hermitian_stack(a: np.ndarray, what) -> np.ndarray:
+    """:func:`require_hermitian` of each matrix of a ``(k, d, d)`` stack,
+    in one pass: the Hermitian parts, each with the bits of its own gate.
+
+    The first matrix that breaks the rule raises the message its own gate
+    would raise, naming it ``what(k)``.
+    """
+    bad, defect, scale = hermitian_defects(a)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _not_hermitian(what(k), defect[k], scale[k])
+    # hermitize's (A + A^H) / 2 in one buffer: the sum commutes, so the
+    # bits are the same
+    out = np.conjugate(a.swapaxes(-1, -2), out=np.empty(a.shape, complex))
+    out += a
+    out *= 0.5
+    return out
+
+
+def _not_hermitian(what: str, defect, scale) -> NonHermitianInput:
+    """The gate's error for a matrix with :func:`hermitian_defects` values
+    ``defect`` and ``scale``."""
+    if not np.isfinite(scale):           # max|A| is NaN or inf
+        return NonHermitianInput(f"{what}: entries are not all finite")
+    return NonHermitianInput(
+        f"{what}: max|A - A^H| = {defect:.3e} > "
+        f"{HERMITIAN_TOL:g} * {scale:.3e}")
 
 
 class OperatorMatrix:

@@ -32,8 +32,8 @@ from .errors import (
 )
 from .invariant import InvariantFrame, frame_derivative
 from .linalg import block_rows, expm_igen, hermitize, size_groups
-from .propagator import (HamiltonianSchedule, UnitaryPath, _closes,
-                         grid_index, propagate, uniform_spacing)
+from .propagator import (_SAMPLE_CHUNK_BYTES, HamiltonianSchedule, UnitaryPath,
+                         _closes, grid_index, propagate, uniform_spacing)
 from .quadrature import cumulative_simpson
 
 __all__ = [
@@ -149,7 +149,13 @@ def project(frame: InvariantFrame, schedule: HamiltonianSchedule
     # temporaries on the left, so `* 1j` reuses their memory
     aw = (w.conj().swapaxes(1, 2)
           @ frame_derivative(w, uniform_spacing(grid), frame.periodic)) * 1j
-    hw = np.array([schedule.sample(t) for t in grid]) @ w
+    # H W by chunks of samples: the temporaries of a whole-grid stack of H
+    # would be several grid-sized arrays
+    hw = np.empty_like(w)
+    per = max(1, _SAMPLE_CHUNK_BYTES // (16 * frame.dim ** 2))
+    for k0 in range(0, grid.size, per):
+        np.matmul(schedule.samples(grid[k0:k0 + per]), w[k0:k0 + per],
+                  out=hw[k0:k0 + per])
     E, A, a_residual = [], [], 0.0
     for n in range(frame.n_blocks):
         sl = frame.block_slice(n)

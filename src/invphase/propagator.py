@@ -27,6 +27,21 @@ Design notes
   invariant, so no reference propagator is needed); the fine value is kept.
   Intervals whose estimate exceeds ``tol`` are split recursively, and each
   half takes the parent's fine half-step as its coarse step.
+* Gauss samples ahead of the product: the six first-level nodes of an
+  interval (the coarse step's two and each half step's two) depend on
+  ``H`` only, never on ``U`` (Blanes, Casas, Oteo & Ros, Phys. Rep. 470
+  (2009) 151), so the kernel samples a chunk of intervals' nodes, about
+  64 KiB of dense samples, in one :meth:`HamiltonianSchedule.parts_many`
+  call, with the float expressions of the on-demand sampling, and then
+  steps the chunk.  Nodes below the first split level are sampled on demand.
+  The exponentials stay one :func:`invphase.linalg.expm_igen` call each:
+  each is one LAPACK solve however it is batched, and
+  ``perfbench/selftest.py`` pins one ``linalg.eigh`` call per exponential.
+* Many-times sampler: every schedule evaluates a sequence of times in one
+  call (:meth:`HamiltonianSchedule.samples`), each row with the bits of
+  its one-time sample; the kernel's nodes, the periodicity check,
+  :func:`invphase.phases.project`, the LvN defect of a varying ``H`` and
+  the symmetry checks read ``H`` through it.
 * Drift policy: after each interval the accumulated product is
   re-unitarized (polar factor) when ``||U U^H - 1||_F > 1e-12``; the largest
   defect seen is reported as ``drift_max``.
@@ -91,6 +106,14 @@ _CF4_A2 = 0.25 - _SQRT3 / 6.0
 DEFAULT_STEPS_PER_PERIOD = 2048
 
 _MAX_SPLIT_DEPTH = 16
+
+#: uniform times of the first period at which a declared period is checked
+_PERIOD_PROBES = 32
+
+#: bytes of dense samples that one many-times sampler call of the stepping
+#: kernel (six first-level Gauss nodes per interval) or of the periodicity
+#: check reads
+_SAMPLE_CHUNK_BYTES = 1 << 16
 
 
 class CrankedSystem:
@@ -157,10 +180,13 @@ class CrankedSystem:
             self._i0_eig = linalg.eigh(self.i0.array, check_hermitian=False)
         return linalg.spectral_exp(*self._i0_eig, t)
 
-    def rotate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Hermitian ndarray ``e^{-iKt} X e^{iKt}`` of a Hermitian ndarray X."""
-        e = self._expk(float(t))
-        return hermitize(e @ x @ e.conj().T)
+    def rotate(self, x: np.ndarray, t) -> np.ndarray:
+        """Hermitian ndarray ``e^{-iKt} X e^{iKt}`` of a Hermitian ndarray
+        X: one matrix for a float ``t``, a stack over the times of a 1-D
+        array ``t`` (one stacked exponential, batched products, and each
+        matrix with the bits of its time's own call)."""
+        e = self._expk(t if np.ndim(t) else float(t))
+        return hermitize(e @ x @ e.conj().swapaxes(-1, -2))
 
     def evolution(self, t) -> np.ndarray:
         """Exact ``U(t) = e^{-iKt} e^{-i I0 t}``, which solves
@@ -189,9 +215,19 @@ class HamiltonianSchedule:
       the table spans one declared period),
     * :meth:`from_blocks` -- one such table per diagonal block.
 
-    Each constructor builds the evaluation function once; :meth:`sample`
-    only calls it, and :meth:`parts_at` gives a sample as the kernel's
-    parts.  The structure a kernel exploits is plain data:
+    Each constructor builds its evaluation function once, a many-times
+    sampler: :meth:`samples` calls it on a sequence of times,
+    :meth:`parts_many` gives the result as the kernel's parts, and
+    :meth:`sample` and :meth:`parts_at` are its one-time calls.  It does
+    per call what a per-time sampler would do per time: a cranked schedule
+    takes one stacked exponential and batched products, a callable one
+    stacked Hermiticity gate and partition check after one call of the
+    callable per time, a term schedule sums ``c_j M_j`` in term order
+    over a time axis, and a table interpolates every time at once.
+    :func:`propagate`'s first-level Gauss nodes, the periodicity check,
+    :func:`invphase.phases.project`, the LvN defect of a varying ``H`` and
+    the symmetry checks read ``H`` through it.  The structure a kernel
+    exploits is plain data:
 
     * ``base`` is the read-only matrix of a constant schedule and ``None``
       for every other schedule, a one-term schedule included, which
@@ -216,10 +252,12 @@ class HamiltonianSchedule:
     Parameters validated on construction: every term matrix, every
     tabulated sample, and every sample a callable returns, is Hermitian
     (defect at most ``1e-12 * max(1, max|H|)``), a declared ``period`` is
-    finite and positive, and when one is declared,
-    ``||H(t+T) - H(t)||_F`` is at most ``1e-10`` times the largest
-    ``||H||_F`` among the probed samples (the whole table of a sampled
-    schedule), so a schedule that vanishes at a probe point still passes.
+    finite and positive, and when one is declared, ``H(t + T)`` and
+    ``H(t)`` agree at each of 32 uniform times ``t = 0, T/32, ...,
+    31 T/32`` of the first period: ``||H(t+T) - H(t)||_F`` is at most
+    ``1e-10`` times the largest ``||H||_F`` among the probed samples (the
+    whole table of a sampled schedule), so a schedule that vanishes at a
+    probe point still passes.
     """
 
     def __init__(self):
@@ -228,9 +266,9 @@ class HamiltonianSchedule:
             ".from_terms / .from_samples / .from_blocks")
 
     @classmethod
-    def _make(cls, fn, dim, period, label, base=None):
+    def _make(cls, many, dim, period, label, base=None):
         obj = object.__new__(cls)
-        obj._fn = fn
+        obj._many = many
         obj.dim = int(dim)
         obj.period = period
         obj.label = label
@@ -249,7 +287,9 @@ class HamiltonianSchedule:
         """Schedule for a time-independent Hermitian ``matrix``."""
         arr = linalg.require_hermitian(matrix, "constant matrix")
         arr.setflags(write=False)
-        return cls._make(lambda t: arr, arr.shape[0], None, label, base=arr)
+        return cls._make(
+            lambda times: np.broadcast_to(arr, (len(times),) + arr.shape),
+            arr.shape[0], None, label, base=arr)
 
     @classmethod
     def cranked(cls, h0, k, *, label="cranked"):
@@ -262,8 +302,8 @@ class HamiltonianSchedule:
         """
         crank = CrankedSystem(h0, k)
         h0 = crank.h0.array
-        obj = cls._make(lambda t: crank.rotate(h0, t), crank.dim, None,
-                        label)
+        obj = cls._make(lambda times: crank.rotate(h0, times), crank.dim,
+                        None, label)
         obj.crank = crank
         return obj
 
@@ -274,26 +314,30 @@ class HamiltonianSchedule:
         The partition is the union pattern of the probes the constructor
         makes (``t = 0`` and the periodicity probes).  Every later sample
         is checked to be zero outside it; the first one that is not
-        collapses the partition to one component for good.
+        collapses the partition to one component for good.  Many times
+        call ``fn`` once per time, then gate the stack at once; the first
+        non-Hermitian sample raises the gate's message, naming ``H(t)``.
         """
         outside = None
 
-        def sample(t):
+        def samples(times):
             nonlocal outside
-            h = linalg.require_hermitian(fn(t), f"H({t})")
-            if outside is not None and np.count_nonzero(h.take(outside)):
+            raw = np.empty((len(times), obj.dim, obj.dim), dtype=complex)
+            for k, t in enumerate(times):
+                m = linalg.as_matrix(fn(t))
+                if m.shape != raw.shape[1:]:
+                    raise DimensionMismatch(
+                        f"H({t}) has shape {m.shape}, expected "
+                        f"({obj.dim}, {obj.dim})")
+                raw[k] = m
+            h = linalg.require_hermitian_stack(raw, lambda k: f"H({times[k]})")
+            if outside is not None and np.count_nonzero(
+                    h.reshape(len(h), -1)[:, outside]):
                 obj.blocks = outside = None   # never drop a coupling
             return h
 
-        obj = cls._make(sample, dim, cls._check_period(period), label)
-        probe = obj.sample(0.0)
-        if probe.shape != (obj.dim, obj.dim):
-            raise DimensionMismatch(
-                f"callable returned shape {probe.shape}, "
-                f"expected ({dim}, {dim})")
-        pattern = probe != 0
-        for m in obj._check_periodicity():
-            pattern |= m != 0
+        obj = cls._make(samples, dim, cls._check_period(period), label)
+        pattern = (obj.sample(0.0) != 0) | obj._check_periodicity()
         obj.blocks = linalg.block_partition(pattern)
         if obj.blocks is not None:
             outside = np.flatnonzero(~linalg.block_mask(obj.blocks, obj.dim))
@@ -327,13 +371,15 @@ class HamiltonianSchedule:
                 raise TypeError(f"term {j}: coefficient must be a real "
                                 f"number, got {value!r}")
 
-        def sample(t):
-            h = float(coeffs[0](t)) * mats[0]
+        def samples(times):
+            def column(c):
+                return np.array([float(c(t)) for t in times])[:, None, None]
+            h = column(coeffs[0]) * mats[0]
             for c, m in zip(coeffs[1:], mats[1:]):
-                h += float(c(t)) * m
+                h += column(c) * m
             return h
 
-        obj = cls._make(sample, mats[0].shape[0], cls._check_period(period),
+        obj = cls._make(samples, mats[0].shape[0], cls._check_period(period),
                         label)
         obj._check_periodicity()
         obj.blocks = linalg.block_partition(
@@ -442,8 +488,8 @@ class HamiltonianSchedule:
         # no reference to self: the schedule and its table are freed as
         # soon as the last caller lets go, not at the next cyclic collection
         blocks, dim, period = self.blocks, self.dim, self.period
-        self._fn = lambda t: linalg.dense(_interp(grid, table, period, t),
-                                          blocks, dim)
+        self._many = lambda times: linalg.dense(
+            _interp(grid, table, period, times), blocks, dim)
         return self
 
     # ------------------------------------------------------------------ #
@@ -460,21 +506,34 @@ class HamiltonianSchedule:
                 f"period must be finite and positive, got {period}")
         return period
 
-    def _check_periodicity(self):
-        """Probe ``H(t)`` and ``H(t + period)`` at three times; returns the
-        six probed samples (none without a period)."""
+    def _check_periodicity(self) -> np.ndarray:
+        """Compare ``H(t)`` and ``H(t + period)`` at ``_PERIOD_PROBES``
+        uniform times ``t`` of the first period, read by :meth:`samples`
+        in batches of about ``_SAMPLE_CHUNK_BYTES``; returns the union
+        nonzero pattern of the probed samples (all False without a
+        period)."""
+        pattern = np.zeros((self.dim, self.dim), dtype=bool)
         if self.period is None:
-            return []
-        times = (0.0, 0.31 * self.period, 0.77 * self.period)
-        pairs = [(self.sample(t), self.sample(t + self.period))
-                 for t in times]
-        ref = max(max(frob(m) for pair in pairs for m in pair), 1e-300)
-        for t, (a, b) in zip(times, pairs):
-            if not frob(b - a) <= 1e-10 * ref:   # a NaN defect fails too
-                raise ValueError(
-                    f"declared period {self.period} violated at t={t}: "
-                    f"relative defect {frob(b - a) / ref:.3e}")
-        return [m for pair in pairs for m in pair]
+            return pattern
+        times = self.period * np.arange(_PERIOD_PROBES) / _PERIOD_PROBES
+        per = max(1, _SAMPLE_CHUNK_BYTES // (16 * self.dim ** 2))
+        norms, defects = [], []
+        for k0 in range(0, _PERIOD_PROBES, per):
+            first = self.samples(times[k0:k0 + per])
+            later = self.samples(times[k0:k0 + per] + self.period)
+            for probes in (first, later):
+                pattern |= (probes != 0).any(axis=0)
+                norms.append(np.linalg.norm(probes, axis=(1, 2)))
+            defects.append(np.linalg.norm(later - first, axis=(1, 2)))
+        ref = max(float(np.concatenate(norms).max()), 1e-300)
+        defects = np.concatenate(defects)
+        bad = ~(defects <= 1e-10 * ref)          # a NaN defect fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"declared period {self.period} violated at t={times[k]}: "
+                f"relative defect {defects[k] / ref:.3e}")
+        return pattern
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -485,22 +544,36 @@ class HamiltonianSchedule:
         return self.base is not None
 
     def sample(self, t: float) -> np.ndarray:
-        """Dense Hermitian ndarray H(t)."""
-        return self._fn(t)
+        """Dense Hermitian ndarray H(t): row 0 of :meth:`samples` at
+        ``[t]``."""
+        return self._many(np.array([t], dtype=float))[0]
+
+    def samples(self, times) -> np.ndarray:
+        """``H(t)`` at each of a 1-D sequence of ``times``, as one
+        ``(len(times), dim, dim)`` stack (a constant schedule gives a
+        read-only broadcast of its ``base``)."""
+        return self._many(times)
 
     def parts_at(self, t: float, blocks) -> tuple:
         """``H(t)`` as the kernel's parts for the partition ``blocks``
-        (``schedule.blocks``, or ``None`` for the whole matrix).
+        (``schedule.blocks``, or ``None`` for the whole matrix): row 0 of
+        :meth:`parts_many` at ``[t]``."""
+        return tuple(p[0] for p in self.parts_many(np.array([t], dtype=float),
+                                                  blocks))
+
+    def parts_many(self, times, blocks) -> tuple:
+        """``H(t)`` at each of a 1-D sequence of ``times`` as the kernel's
+        parts, each with a leading time axis.
 
         A tabulated schedule interpolates its stored parts, whose
         partition is its own, so it never forms the dense matrix.  Any
-        other schedule gathers the parts from :meth:`sample`, which keeps
+        other schedule gathers the parts from :meth:`samples`, which keeps
         a callable's check of its partition.
         """
         if self._table is None:
-            return linalg.parts(self.sample(t), blocks)
+            return linalg.parts(self.samples(times), blocks)
         grid, table = self._table
-        return _interp(grid, table, self.period, t)
+        return _interp(grid, table, self.period, times)
 
     def __repr__(self):
         return (f"HamiltonianSchedule(dim={self.dim}, "
@@ -536,24 +609,30 @@ def _table_period(grid: np.ndarray, period):
     return period
 
 
-def _interp(grid: np.ndarray, table: tuple, period, t: float) -> tuple:
+def _interp(grid: np.ndarray, table: tuple, period, t) -> tuple:
     """Cubic Lagrange interpolation on the uniform ``grid`` of each part
-    of ``table`` (one array per part, rows along the first axis); the
-    stencil and its weights are computed once for all parts."""
+    of ``table`` (one array per part, rows along the first axis) at each
+    of a 1-D sequence of times ``t``, a leading time axis of each part;
+    the stencil and its weights are computed once for all parts, and row
+    ``k`` has the bits of an interpolation at ``t[k]`` alone.
+    """
     n_iv = grid.size - 1
     step = grid[1] - grid[0]
+    t = np.asarray(t, dtype=float)
     if period is not None:
         t = t % period
     s = t / step
-    j0 = int(np.floor(s))
+    j0 = np.floor(s).astype(int)
     u = s - j0
     if period is not None:
         idx = [(j0 + off) % n_iv for off in (-1, 0, 1, 2)]
     else:
-        if t < grid[0] - 1e-9 * step or t > grid[-1] + 1e-9 * step:
+        out = (t < grid[0] - 1e-9 * step) | (t > grid[-1] + 1e-9 * step)
+        if out.any():
             raise ValueError(
-                f"t={t} outside tabulated range [0, {grid[-1]}]")
-        j0 = min(max(j0, 1), n_iv - 2)
+                f"t={t[int(np.argmax(out))]} outside tabulated range "
+                f"[0, {grid[-1]}]")
+        j0 = np.clip(j0, 1, n_iv - 2)
         u = s - j0
         idx = [j0 - 1, j0, j0 + 1, j0 + 2]
     w = (
@@ -563,13 +642,19 @@ def _interp(grid: np.ndarray, table: tuple, period, t: float) -> tuple:
         u * (u * u - 1.0) / 6.0,
     )
     # real weights on rows of Hermitized tables: each sum is Hermitian, and
-    # the sums are elementwise, so a part has the bits of the dense entries
+    # the sums are elementwise, so a part has the bits of the dense entries;
+    # a zero weight past the first adds nothing, not even a signed zero
+    skip = [c == 0.0 for c in w[1:]]
     out = []
     for rows in table:
-        x = w[0] * rows[idx[0]]
-        for c, j in zip(w[1:], idx[1:]):
-            if c != 0.0:
-                x += c * rows[j]
+        axes = (-1,) + (1,) * (rows.ndim - 1)
+        x = w[0].reshape(axes) * rows[idx[0]]
+        for c, j, zero in zip(w[1:], idx[1:], skip):
+            if not zero.any():
+                x += c.reshape(axes) * rows[j]
+            elif not zero.all():
+                np.add(x, c.reshape(axes) * rows[j], out=x,
+                       where=~zero.reshape(axes))
         out.append(x)
     return tuple(out)
 
@@ -693,27 +778,52 @@ def _frob_parts(parts) -> float:
     return math.hypot(*(np.linalg.norm(p) for p in parts))
 
 
-def _cf4_step(schedule, blocks, t0: float, h: float) -> tuple:
-    """One commutator-free 4th-order step over [t0, t0+h] (exactly unitary),
-    as parts."""
-    h1 = schedule.parts_at(t0 + _GAUSS_C1 * h, blocks)
-    h2 = schedule.parts_at(t0 + _GAUSS_C2 * h, blocks)
+def _cf4(x1: tuple, x2: tuple, h: float) -> tuple:
+    """One commutator-free 4th-order step of length ``h`` (exactly
+    unitary) from the parts ``x1`` and ``x2`` of ``H`` at its two Gauss
+    nodes, as parts."""
     return tuple(
-        expm_igen(_CF4_A2 * x1 + _CF4_A1 * x2, h, check_hermitian=False)
-        @ expm_igen(_CF4_A1 * x1 + _CF4_A2 * x2, h, check_hermitian=False)
-        for x1, x2 in zip(h1, h2))
+        expm_igen(_CF4_A2 * a + _CF4_A1 * b, h, check_hermitian=False)
+        @ expm_igen(_CF4_A1 * a + _CF4_A2 * b, h, check_hermitian=False)
+        for a, b in zip(x1, x2))
 
 
-def _adaptive_step(schedule, blocks, t0, h, tol, coarse=None, depth=0):
+def _cf4_step(schedule, blocks, t0: float, h: float) -> tuple:
+    """One CF4 step over [t0, t0+h], sampling its two Gauss nodes."""
+    return _cf4(schedule.parts_at(t0 + _GAUSS_C1 * h, blocks),
+                schedule.parts_at(t0 + _GAUSS_C2 * h, blocks), h)
+
+
+def _node_times(t0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The six first-level Gauss nodes of each interval ``[t0, t0 + h]``,
+    ``(len(t0), 6)``: the coarse step's two, then the first and the second
+    half step's two, with the float expressions of :func:`_cf4_step`."""
+    half = 0.5 * h
+    mid = t0 + half
+    return np.stack([t0 + _GAUSS_C1 * h, t0 + _GAUSS_C2 * h,
+                     t0 + _GAUSS_C1 * half, t0 + _GAUSS_C2 * half,
+                     mid + _GAUSS_C1 * half, mid + _GAUSS_C2 * half], axis=1)
+
+
+def _adaptive_step(schedule, blocks, t0, h, tol, coarse=None, depth=0,
+                   nodes=None):
     """Step-doubled CF4 over [t0, t0+h]: returns (transfer, error-estimate).
 
-    ``coarse`` is the CF4 step over the whole interval when the caller
-    already has it: a split passes each half its own fine half-step.
+    ``nodes`` holds the parts of ``H`` at the six Gauss nodes of
+    :func:`_node_times` when the caller sampled them ahead; otherwise they
+    are sampled here.  ``coarse`` is the CF4 step over the whole interval
+    when the caller already has it: a split passes each half its own fine
+    half-step, and the halves sample their nodes on demand.
     """
-    if coarse is None:
-        coarse = _cf4_step(schedule, blocks, t0, h)
-    first = _cf4_step(schedule, blocks, t0, 0.5 * h)
-    second = _cf4_step(schedule, blocks, t0 + 0.5 * h, 0.5 * h)
+    if nodes is not None:
+        coarse = _cf4(nodes[0], nodes[1], h)
+        first = _cf4(nodes[2], nodes[3], 0.5 * h)
+        second = _cf4(nodes[4], nodes[5], 0.5 * h)
+    else:
+        if coarse is None:
+            coarse = _cf4_step(schedule, blocks, t0, h)
+        first = _cf4_step(schedule, blocks, t0, 0.5 * h)
+        second = _cf4_step(schedule, blocks, t0 + 0.5 * h, 0.5 * h)
     fine = _products(second, first)
     err = _frob_parts(c - f for c, f in zip(coarse, fine))
     if err <= tol:
@@ -748,7 +858,8 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
     defect are the Frobenius norms of the whole matrix,
     ``sqrt(sum_b x_b^2)``.  When a sample leaves the partition (the
     schedule collapses it), the integration restarts from ``t = 0`` on the
-    whole matrix.
+    whole matrix; a collapse seen while a chunk's Gauss nodes are sampled
+    ahead restarts before that chunk is stepped.
 
     Parameters
     ----------
@@ -787,7 +898,14 @@ def propagate(schedule: HamiltonianSchedule, grid: np.ndarray, tol: float,
 
 def _stepped(schedule, grid, tol, keep):
     """:func:`propagate` by step-doubled CF4 steps, for a schedule with no
-    closed form."""
+    closed form.
+
+    The first-level Gauss nodes of a chunk of intervals, about
+    ``_SAMPLE_CHUNK_BYTES`` of dense samples, come from one
+    :meth:`HamiltonianSchedule.parts_many` call before the chunk is
+    stepped; a partition that collapses in that call restarts the
+    integration densely before any of the chunk's steps.
+    """
     blocks = schedule.blocks
     keep_set = {int(k): row for row, k in enumerate(keep)}
     u = linalg.parts(np.eye(schedule.dim, dtype=complex), blocks)
@@ -797,22 +915,33 @@ def _stepped(schedule, grid, tol, keep):
     eyes = [np.eye(p.shape[-1]) for p in u]
     err_max = 0.0
     drift_max = 0.0
-    for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        transfer, err = _adaptive_step(schedule, blocks, grid[k], h, tol)
+    per_chunk = max(1, _SAMPLE_CHUNK_BYTES // (6 * 16 * schedule.dim ** 2))
+    n_iv = grid.size - 1
+    for k0 in range(0, n_iv, per_chunk):
+        k1 = min(k0 + per_chunk, n_iv)
+        times = _node_times(grid[k0:k1], grid[k0 + 1:k1 + 1] - grid[k0:k1])
+        nodes = schedule.parts_many(times.ravel(), blocks)
         if schedule.blocks is not blocks:    # a coupling outside the blocks
             return _stepped(schedule, grid, tol, keep)
-        u = _products(transfer, u)
-        err_max = max(err_max, err)
-        drift = _frob_parts(p @ p.conj().swapaxes(-1, -2) - eye
-                            for p, eye in zip(u, eyes))
-        drift_max = max(drift_max, drift)
-        if drift > 1e-12:
-            u = tuple(linalg.polar_unitary(p) for p in u)
-        row = keep_set.get(k + 1)
-        if row is not None:
-            for r, p in zip(rows, u):
-                r[row] = p
+        nodes = [p.reshape(times.shape + p.shape[1:]) for p in nodes]
+        for k in range(k0, k1):
+            h = grid[k + 1] - grid[k]
+            transfer, err = _adaptive_step(
+                schedule, blocks, grid[k], h, tol,
+                nodes=[tuple(p[k - k0, j] for p in nodes) for j in range(6)])
+            if schedule.blocks is not blocks:
+                return _stepped(schedule, grid, tol, keep)
+            u = _products(transfer, u)
+            err_max = max(err_max, err)
+            drift = _frob_parts(p @ p.conj().swapaxes(-1, -2) - eye
+                                for p, eye in zip(u, eyes))
+            drift_max = max(drift_max, drift)
+            if drift > 1e-12:
+                u = tuple(linalg.polar_unitary(p) for p in u)
+            row = keep_set.get(k + 1)
+            if row is not None:
+                for r, p in zip(rows, u):
+                    r[row] = p
     return rows, err_max, drift_max
 
 
@@ -922,7 +1051,7 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
     grid = path.grid
     if invariant0 is not None:
         defects = _commutator_defects(linalg.as_matrix(invariant0),
-                                      np.array([y.sample(t) for t in grid]))
+                                      y.samples(grid))
         k = int(np.argmax(defects > 1e-8))
         if defects[k] > 1e-8:
             raise SymmetryViolation(

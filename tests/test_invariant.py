@@ -99,7 +99,18 @@ def reference_lvn_residual(inv, sched):
     return out
 
 
-def reference_block_lvn_residual(inv, sched, blocks):
+def product_bracket(s, h):
+    return s @ h - h @ s
+
+
+def diagonal_bracket(s, h):
+    """``[s, h]`` of a diagonal ``h`` (one matrix or a stack), elementwise:
+    ``s_ij k_j - k_i s_ij``."""
+    k = np.diagonal(h, 0, -2, -1)
+    return s * k[..., None, :] - k[..., :, None] * s
+
+
+def reference_block_lvn_residual(inv, sched, blocks, bracket=product_bracket):
     """``lvn_residual`` on the block route, as a per-point, per-block loop:
     the whole-stack stencil, each block's commutator, and the squares
     summed block by block in the partition's order."""
@@ -115,7 +126,7 @@ def reference_block_lvn_residual(inv, sched, blocks):
         for s_b, d_b, h_b in zip(linalg.parts(s[k], blocks),
                                  linalg.parts(didt[k], blocks),
                                  linalg.parts(sched.sample(t), blocks)):
-            r = d_b - 1j * (s_b @ h_b - h_b @ s_b)
+            r = d_b - 1j * bracket(s_b, h_b)
             total = total + np.sum(np.square(r.real) + np.square(r.imag))
         out[k] = np.sqrt(total)
     return out
@@ -765,6 +776,53 @@ class TestResidualRoute:
             lvn_residual(path, sched),
             reference_block_lvn_residual(path, sched, blocks))
 
+    @staticmethod
+    def _residual_and_route(path, sched):
+        """``lvn_residual`` and the diagonal test of each part of ``H``
+        (True: the elementwise bracket)."""
+        routes = []
+        is_diagonal = invariant._is_diagonal
+
+        def spy(p):
+            routes.append(is_diagonal(p))
+            return routes[-1]
+        with mock.patch.object(invariant, "_is_diagonal", spy):
+            return lvn_residual(path, sched), routes
+
+    def test_diagonal_base_takes_the_elementwise_bracket(self):
+        # validate's case: a diagonal K on 28 x 28 parity blocks; the
+        # elementwise bracket has the products' values, entry by entry, as
+        # the zero terms of each product add nothing
+        path, _, kd = self._two_block_path(dim=56, n_pts=90)
+        sched = HamiltonianSchedule.constant(np.diag(kd))
+        blocks = invariant._residual_blocks(path, sched)
+        assert invariant.lvn_blocks(path, sched) == [28, 28]
+        residual, routes = self._residual_and_route(path, sched)
+        assert routes == [True]
+        assert np.array_equal(residual, reference_block_lvn_residual(
+            path, sched, blocks, diagonal_bracket))
+        np.testing.assert_allclose(residual, reference_block_lvn_residual(
+            path, sched, blocks), rtol=1e-14)
+        np.testing.assert_allclose(residual,
+                                   reference_lvn_residual(path, sched),
+                                   rtol=1e-14)
+
+    def test_non_diagonal_base_keeps_the_product_bits(self):
+        # one coupling inside a parity block: the two products, as before
+        path, _, kd = self._two_block_path(dim=56, n_pts=90)
+        h = np.diag(kd).astype(complex)
+        h[0, 2] = h[2, 0] = 0.3
+        sched = HamiltonianSchedule.constant(h)
+        blocks = invariant._residual_blocks(path, sched)
+        assert invariant.lvn_blocks(path, sched) == [28, 28]
+        residual, routes = self._residual_and_route(path, sched)
+        assert routes == [False]
+        assert np.array_equal(residual, reference_block_lvn_residual(
+            path, sched, blocks))
+        np.testing.assert_allclose(residual,
+                                   reference_lvn_residual(path, sched),
+                                   rtol=1e-14)
+
     def test_constant_with_a_coupling_outside_takes_the_whole_matrix(self):
         path, _, kd = self._two_block_path()
         h = np.diag(kd).astype(complex)
@@ -1295,3 +1353,168 @@ class TestGaugeTransform:
         z = UnitaryPath(grid, np.stack([np.eye(frame.dim, dtype=complex)] * 8))
         with pytest.raises(DimensionMismatch):
             gauge_transform(frame, z)
+
+
+def reference_eigenframe(inv):
+    """The row-by-row matching ``eigenframe`` made before it decomposed
+    chunks: a canonical ``eigh`` per sample, its checks in the order
+    structure, drift, then each block's overlap, and each block matched to
+    the previous frame (phase for one column, adjoint polar factor of the
+    overlap for a degenerate block).  Returns ``(frames, min_overlap)``."""
+    s = inv.samples
+    grid = inv.grid
+    w0, v0 = linalg.eigh(hermitize(s[0]), check_hermitian=False)
+    thresh = invariant.DEGENERACY_GAP * max(frob(s[0]), 1.0)
+    bounds = linalg.cluster_bounds(w0, thresh)
+    starts, sizes = bounds[:-1].tolist(), np.diff(bounds).tolist()
+    frames = [v0]
+    min_overlap = 1.0
+    for k in range(1, grid.size):
+        w, v = linalg.eigh(hermitize(s[k]), check_hermitian=False)
+        bounds_k = linalg.cluster_bounds(w, thresh)
+        if not np.array_equal(bounds_k, bounds):
+            raise DegeneracyCrossing(
+                f"degeneracy structure changed at t={grid[k]:.6g}: "
+                f"{np.diff(bounds_k).tolist()} vs {sizes} at t=0")
+        if np.any(np.abs(w - w0) > invariant.SPECTRUM_DRIFT
+                  * (1 + np.abs(w0))):
+            raise ComputeError(
+                f"invariant spectrum drifted at t={grid[k]:.6g}")
+        prev = frames[-1]
+        for st, d in zip(starts, sizes):
+            sl = slice(st, st + d)
+            overlap = prev[:, sl].conj().T @ v[:, sl]
+            if d == 1:
+                o = overlap[0, 0]
+                mag = abs(o)
+                if mag < 0.5:
+                    raise OverlapTooSmall(
+                        f"overlap {mag:.3f} for eigenvalue {w0[st]:.6g} "
+                        f"between t={grid[k-1]:.6g} and t={grid[k]:.6g}")
+                v[:, st] *= np.conj(o) / mag
+                min_overlap = min(min_overlap, mag)
+            else:
+                sv = np.linalg.svd(overlap, compute_uv=False)
+                if sv[-1] < 0.5:
+                    raise OverlapTooSmall(
+                        f"block overlap {sv[-1]:.3f} for eigenvalue "
+                        f"{w0[st]:.6g} between t={grid[k-1]:.6g} and "
+                        f"t={grid[k]:.6g}")
+                v[:, sl] = v[:, sl] @ polar_unitary(overlap).conj().T
+                min_overlap = min(min_overlap, float(sv[-1]))
+        frames.append(v)
+    return np.array(frames), min_overlap
+
+
+def mixed_degenerate_path(n_pts, seed, t_max=2.3):
+    """A rotated path whose ``I0`` has levels of multiplicity 1, 2 and 3
+    in a random basis: single columns and degenerate blocks of two sizes,
+    each moving with ``e^{-iKt}``."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.5, 1.0, 1.0, 1.7, 2.2, 2.2, 2.2, 3.0])
+    q = np.linalg.qr(rng.normal(size=(8, 8))
+                     + 1j * rng.normal(size=(8, 8)))[0]
+    i0 = hermitize((q * levels) @ q.conj().T)
+    grid = np.linspace(0.0, t_max, n_pts)
+    return InvariantPath.rotated(grid, i0, rng.normal(size=8)), levels
+
+
+def failure_of(fn, *args):
+    """``(type, message)`` of what ``fn(*args)`` raises."""
+    with pytest.raises((DegeneracyCrossing, ComputeError,
+                        OverlapTooSmall)) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value)
+
+
+class TestChunkedEigenframe:
+    """``eigenframe`` decomposes chunks of samples at once and matches
+    them through phase chains and running polar products; it agrees with
+    the row-by-row matching and fails where and as it failed."""
+
+    def test_longer_than_one_chunk_matches_the_row_loop(self):
+        path, levels = mixed_degenerate_path(
+            2 * invariant._FRAME_CHUNK_BYTES // (16 * 64) + 77, 3)
+        frame = eigenframe(path)
+        ref, ref_min = reference_eigenframe(path)
+        assert list(frame.degeneracies) == [1, 2, 1, 3, 1]
+        assert np.abs(frame.frames - ref).max() < 1e-12
+        assert frame.min_overlap == pytest.approx(ref_min, abs=1e-14)
+        frame.validate(path)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n_pts=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, 7))
+    def test_any_chunking_matches_the_row_loop(self, n_pts, seed, rows):
+        path, _ = mixed_degenerate_path(n_pts, seed, t_max=0.02 * n_pts)
+        with mock.patch.object(invariant, "_FRAME_CHUNK_BYTES",
+                               rows * 16 * 64):
+            frame = eigenframe(path)
+        ref, ref_min = reference_eigenframe(path)
+        assert np.abs(frame.frames - ref).max() < 1e-12
+        assert frame.min_overlap == pytest.approx(ref_min, abs=1e-14)
+
+    @staticmethod
+    def _stack(n_pts=30):
+        """Levels 0, 1 (two-fold) and 2 in a random basis, rotated slowly."""
+        grid = np.linspace(0.0, 1.0, n_pts)
+        q = np.linalg.qr(random_hermitian(4, 8))[0]
+        kd = np.array([0.3, -0.2, 0.5, 0.1])
+        p = np.exp(-1j * np.outer(grid, kd))
+        i0 = (q * np.array([0.0, 1.0, 1.0, 2.0])) @ q.conj().T
+        return grid, np.einsum("ti,ij,tj->tij", p, i0, p.conj())
+
+    @staticmethod
+    def _break(s, what, k):
+        """Make row ``k`` fail: ``crossing`` splits the two-fold level
+        (which also drifts), ``drift`` scales the row, ``overlap`` reflects
+        rows ``k:`` to swap the two single levels (both overlaps vanish),
+        ``block`` turns rows ``k:`` so the two-fold block and the top level
+        overlap by cos 1.2."""
+        w, v = np.linalg.eigh(s[k])
+        if what == "crossing":
+            w[2] -= 1e-3
+            s[k] = (v * w) @ v.conj().T
+        elif what == "drift":
+            s[k] *= 1 + 1e-6
+        else:
+            if what == "overlap":
+                u = v[:, 0] - v[:, 3]
+                r = np.eye(4) - np.outer(u, u.conj())
+            else:
+                a, b = v[:, 2], v[:, 3]
+                c, sn = np.cos(1.2), np.sin(1.2)
+                r = (np.eye(4) + (c - 1) * (np.outer(a, a.conj())
+                                            + np.outer(b, b.conj()))
+                     + sn * (np.outer(b, a.conj()) - np.outer(a, b.conj())))
+            s[k:] = r @ s[k:] @ r.conj().T
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    @pytest.mark.parametrize("breaks, expected", [
+        ([("crossing", 11)], DegeneracyCrossing),
+        ([("drift", 11)], ComputeError),
+        ([("overlap", 11)], OverlapTooSmall),
+        ([("block", 11)], OverlapTooSmall),
+        ([("overlap", 11), ("drift", 11)], ComputeError),
+        ([("block", 11), ("crossing", 11)], DegeneracyCrossing),
+        ([("drift", 23), ("overlap", 17)], OverlapTooSmall),
+        ([("overlap", 23), ("drift", 17)], ComputeError),
+    ], ids=["crossing", "drift", "overlap", "block", "drift-first",
+            "crossing-first", "earlier-overlap", "earlier-drift"])
+    def test_failures_match_the_row_loop(self, breaks, expected, rows):
+        grid, s = self._stack()
+        for what, k in breaks:
+            self._break(s, what, k)
+        path = InvariantPath(grid, hermitize(s))
+        with mock.patch.object(invariant, "_FRAME_CHUNK_BYTES",
+                               rows * 16 * 16):
+            got = failure_of(eigenframe, path)
+        assert got == failure_of(reference_eigenframe, path)
+        assert got[0] is expected
+        k = min(k for _, k in breaks)
+        assert got[1].endswith(f"t={grid[k]:.6g}") or (
+            f"t={grid[k]:.6g}:" in got[1])
+        if breaks[0][0] == "block" and expected is OverlapTooSmall:
+            assert got[1].startswith("block overlap 0.3")
+        if breaks[0][0] == "overlap" and expected is OverlapTooSmall:
+            assert got[1].startswith("overlap 0.0")

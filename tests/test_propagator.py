@@ -187,8 +187,9 @@ class TestSchedule:
         _, parts = sched._table
         assert [p.tobytes() for p in parts] == [r.tobytes() for r in ref]
         for t in (0.0, 0.3, 0.77, 1.0):
-            want = linalg.dense(propagator._interp(grid, ref, 1.0, t),
-                                sched.blocks, 48)
+            want = linalg.dense(
+                propagator._interp(grid, ref, 1.0, np.array([t])),
+                sched.blocks, 48)[0]
             assert _same_bits(sched.sample(t), want)
 
 
@@ -1149,3 +1150,141 @@ class TestEvolveProperties:
             # interval against the bound's 0.067; swapped CF4 weights, a
             # second-order step, reach 1.8)
             assert defect <= self.TOL * (k2 + shift_steps) / 15
+
+
+def _six_schedules(kind, dim, seed, period):
+    """One schedule of each constructor, with signed zeros in its data and
+    a block structure for the kinds that keep one."""
+    rng = np.random.default_rng(seed)
+    a = _signed_zero_hermitian(rng, dim)
+    b = _signed_zero_hermitian(rng, dim)
+    t_max = period or 1.7
+    grid = np.linspace(0.0, t_max, 9)
+    if kind == "constant":
+        return HamiltonianSchedule.constant(a)
+    if kind == "cranked":
+        return HamiltonianSchedule.cranked(a, b)
+    if kind == "callable":
+        return HamiltonianSchedule.from_callable(
+            lambda t: np.cos(2 * np.pi * t / t_max) * a
+            + np.sin(2 * np.pi * t / t_max) ** 2 * b, dim, period=period)
+    if kind == "terms":
+        return HamiltonianSchedule.from_terms(
+            [(lambda t: np.cos(2 * np.pi * t / t_max), a),
+             (lambda t: 0.0 * np.sin(2 * np.pi * t / t_max), b),
+             (lambda t: np.sin(4 * np.pi * t / t_max), a + b)],
+            period=period)
+    if kind == "samples":
+        table = np.stack([np.cos(2 * np.pi * t / t_max) * a
+                          + np.sin(2 * np.pi * t / t_max) * b for t in grid])
+        if period is not None:
+            table[-1] = table[0]
+        return HamiltonianSchedule.from_samples(grid, table, period=period)
+    sizes = [1 + int(rng.integers(3)) for _ in range(1 + int(rng.integers(3)))]
+    wave = np.cos(2 * np.pi * grid / t_max)[:, None, None]
+    series = [_block_hermitian(rng, [d], np.arange(d))
+              + wave * _block_hermitian(rng, [d], np.arange(d))
+              for d in sizes]
+    return HamiltonianSchedule.from_blocks(grid, series, period=period)
+
+
+class TestManyTimesSampler:
+    """``samples`` and ``parts_many`` give, row by row, the bits of
+    ``sample`` and ``parts_at``; the stepper's first-level Gauss nodes come
+    from them."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["constant", "cranked", "callable", "terms",
+                                 "samples", "blocks"]),
+           dim=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           periodic=st.booleans(),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=9),
+           nodes=st.sets(st.integers(0, 8), max_size=4))
+    def test_rows_have_the_bits_of_one_time_calls(self, kind, dim, seed,
+                                                  periodic, fractions, nodes):
+        period = 1.7 if periodic else None
+        sched = _six_schedules(kind, dim, seed, period)
+        t_max = 1.7
+        # table nodes (exact zero Lagrange weights), inner times, and for
+        # the schedules that allow it times before 0 and past the span
+        times = [t_max * x for x in fractions] + [t_max * j / 8 for j in nodes]
+        if periodic or kind not in ("samples", "blocks"):
+            times += [-0.3 * t_max, 2.6 * t_max]
+        times = np.array(times)
+        many = sched.samples(times)
+        assert many.shape == (times.size, sched.dim, sched.dim)
+        for k, t in enumerate(times):
+            assert _same_bits(np.asarray(many[k]), sched.sample(t)), (k, t)
+        for blocks in {id(sched.blocks): sched.blocks, 0: None}.values():
+            if sched._table is not None and blocks is not sched.blocks:
+                continue                 # a table reads its own partition
+            parts = sched.parts_many(times, blocks)
+            for k, t in enumerate(times):
+                one = sched.parts_at(t, blocks)
+                assert len(parts) == len(one)
+                assert all(_same_bits(np.ascontiguousarray(p[k]), q)
+                           for p, q in zip(parts, one)), (k, t)
+
+    def test_stacked_gate_names_the_first_bad_time(self):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+        def fn(t):
+            if t > 0.75:
+                return np.full((2, 2), np.inf)
+            return x + (t > 0.5) * skew
+        sched = HamiltonianSchedule.from_callable(fn, 2)
+        with pytest.raises(NonHermitianInput) as one:
+            linalg.require_hermitian(fn(0.625), "H(0.625)")
+        with pytest.raises(NonHermitianInput) as many:
+            sched.samples(np.array([0.25, 0.625, 0.6875, 0.875]))
+        assert str(many.value) == str(one.value)
+        with pytest.raises(NonHermitianInput,
+                           match=r"^H\(0\.875\): entries are not all"):
+            sched.samples(np.array([0.25, 0.875, 0.625]))
+        with pytest.raises(DimensionMismatch, match=r"H\(0\.5\) has shape"):
+            HamiltonianSchedule.from_callable(
+                lambda t: x if t < 0.5 else np.eye(3), 2).samples([0.0, 0.5])
+
+    def test_stepper_raises_at_the_first_bad_gauss_node(self):
+        # the chunk's nodes are gated at once, and the first bad one in the
+        # order the steps sample them is named, as the per-step gate did
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        fn = lambda t: x + (t > 0.3) * skew
+        sched = HamiltonianSchedule.from_callable(fn, 2)
+        with pytest.raises(NonHermitianInput) as ref:
+            _reference_stepping(sched, np.linspace(0.0, 1.0, 9), 1e-10)
+        with pytest.raises(NonHermitianInput) as got:
+            evolve(sched, 1.0, steps=8)
+        assert str(got.value) == str(ref.value)
+
+    def test_prefetched_nodes_keep_the_bits_across_chunks(self, monkeypatch):
+        # chunks of 3 intervals: every chunk boundary, a split inside a
+        # chunk and the last short chunk step as the per-interval loop
+        monkeypatch.setattr(propagator, "_SAMPLE_CHUNK_BYTES", 3 * 6 * 16 * 4)
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        z = np.diag([1.0, -1.0])
+        sched = HamiltonianSchedule.from_callable(
+            lambda t: np.cos(9 * t) * x + np.sin(t) * z, 2)
+        grid = np.linspace(0.0, 1.0, 12)
+        path = evolve(sched, 1.0, steps=11, tol=1e-7)
+        ref, err, drift = _reference_stepping(sched, grid, 1e-7)
+        assert np.array_equal(path.samples, ref)
+        assert (path.tol_achieved, path.drift_max) == (err, drift)
+
+    @pytest.mark.parametrize("form", ["callable", "terms"])
+    def test_periodicity_is_checked_over_the_whole_period(self, form):
+        # A + t sin(100 pi t / T) B equals A at t = 0, 0.31 T and 0.77 T
+        # and one period later, but it is not periodic
+        a = np.diag([1.0, -1.0])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        T = 1.0
+        wobble = lambda t: t * np.sin(100 * np.pi * t / T)
+        with pytest.raises(ValueError, match="declared period 1.0 violated"):
+            if form == "callable":
+                HamiltonianSchedule.from_callable(
+                    lambda t: a + wobble(t) * b, 2, period=T)
+            else:
+                HamiltonianSchedule.from_terms(
+                    [(lambda t: 1.0, a), (wobble, b)], period=T)
