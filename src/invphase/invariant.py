@@ -609,11 +609,11 @@ def eigenframe(invariant: InvariantPath,
     ``Q exp(i arg(diag T) k/K) Q^H``) so the frame closes exactly while
     staying smooth.
 
-    The first sample takes the canonical decomposition of
-    :func:`invphase.linalg.eigh`.  The others are read in chunks of
-    ``_FRAME_CHUNK_BYTES`` of samples, each decomposed by one stacked
-    :func:`invphase.linalg.eigh` call of its Hermitian parts, whose
-    eigenvectors ``v_k`` carry an arbitrary gauge; the chunk's
+    The first sample's eigenvectors fix the gauge through
+    :func:`invphase.linalg.canonical_basis`.  The others are read in
+    chunks of ``_FRAME_CHUNK_BYTES`` of samples, each decomposed by one
+    stacked :func:`invphase.linalg.eigh` call of its Hermitian parts, whose
+    eigenvectors ``v_k`` carry LAPACK's gauge; the chunk's
     degeneracy-structure, drift and overlap checks run on the whole chunk.
     The matching is then written through the raw overlaps
     ``M_k = v_{k-1}^H v_k`` of each block, which the previous frame's
@@ -643,6 +643,7 @@ def eigenframe(invariant: InvariantPath,
     # Hermitian part of each one that is decomposed
     s0 = invariant.rows(0, 1)[0]
     w0, v0 = linalg.eigh(hermitize(s0), check_hermitian=False)
+    v0 = linalg.canonical_basis(w0, v0)
     thresh = DEGENERACY_GAP * max(frob(s0), 1.0)
     bounds = linalg.cluster_bounds(w0, thresh)
     starts, sizes = bounds[:-1].tolist(), np.diff(bounds).tolist()
@@ -745,8 +746,8 @@ def symmetry_check(x: HamiltonianSchedule, invariant: InvariantPath,
     """
     grid = invariant.grid
     defects = _commutator_defects(invariant.samples, x.samples(grid))
-    k = int(np.argmax(defects > rel_tol))
-    if defects[k] > rel_tol:
+    k = int(np.argmax(~(defects <= rel_tol)))   # a NaN defect fails too
+    if not defects[k] <= rel_tol:
         raise SymmetryViolation(
             f"[I(t), X(t)] relative norm {defects[k]:.3e} > {rel_tol:.1e} "
             f"at grid point t={grid[k]:.9g}")
@@ -935,8 +936,8 @@ def gauge_transform(frame: InvariantFrame, z) -> tuple:
     lam = np.repeat(frame.eigenvalues, frame.degeneracies)
     defects = _commutator_defects(np.diag(lam), z_samples)
     bound = 1e-8 * max(float(np.max(np.abs(lam))), 1.0)
-    k = int(np.argmax(defects > bound))
-    if defects[k] > bound:
+    k = int(np.argmax(~(defects <= bound)))     # a NaN defect fails too
+    if not defects[k] <= bound:
         raise SymmetryViolation(
             f"gauge Z(t) mixes invariant eigenblocks at grid index {k} "
             f"(t={frame.grid[k]:.6g})")

@@ -7,8 +7,8 @@ either form.  Operators the package builds are Hermitian or unitary by
 construction and are not checked; outside data passes the one
 Hermiticity gate, :func:`require_hermitian`, where it enters.  The module
 provides exactly-unitary matrix exponentials of Hermitian generators, a
-deterministic Hermitian eigensolver (ascending eigenvalues, canonical
-eigenvector choice inside degenerate clusters), commutator norms, the
+gated Hermitian eigensolver, the canonical eigenvector gauge for the
+callers that choose one (:func:`canonical_basis`), commutator norms, the
 one block-partition rule (:func:`block_partition`) with the helpers that
 hold a block-diagonal matrix as per-size stacks of its blocks, and a
 handful of small helpers (Hermitization, polar re-unitarization, the
@@ -17,13 +17,13 @@ Schur form of a unitary) used by the propagation and invariant layers.
 Conventions
 -----------
 * hbar = 1 throughout.
-* ``eigh`` returns eigenvalues ascending; for a matrix, within a degenerate
+* ``eigh`` returns LAPACK's ascending eigenvalues and eigenvectors, for a
+  matrix and for each matrix of a ``(k, d, d)`` stack alike.  A caller
+  that chooses a gauge applies ``canonical_basis``: within a degenerate
   cluster the eigenvectors are the Gram-Schmidt orthonormalization, in
   index order, of the projections of the standard basis vectors onto the
   cluster eigenspace, and every eigenvector's largest-magnitude component
-  (lowest index on ties) is made real and positive.  Equal inputs therefore
-  give bit-identical output.  A ``(k, d, d)`` stack is decomposed by one
-  LAPACK call whose eigenvectors are kept as they are.
+  (lowest index on ties) is made real and positive.
 * ``expm_igen(A, s)`` computes ``exp(-1j*s*A)`` for Hermitian ``A``, or for
   each matrix of a stack, through its spectral decomposition, so the result
   is unitary to machine precision.
@@ -52,6 +52,7 @@ from .errors import (
 __all__ = [
     "OperatorMatrix",
     "block_partition",
+    "canonical_basis",
     "eigh",
     "expm_igen",
     "comm",
@@ -142,24 +143,21 @@ def require_hermitian(a, what: str) -> np.ndarray:
     ``max|A - A^H| > 1e-12 * max(1, max|A|)``.  The result has the bits of
     :func:`hermitize`, so an exactly Hermitian input keeps its values.
     """
-    arr = as_matrix(a)
-    bad, defect, scale = hermitian_defects(arr)
-    if bad:
-        raise _not_hermitian(what, defect, scale)
-    return 0.5 * (arr + arr.conj().T)
+    return require_hermitian_stack(as_matrix(a), lambda _: what)
 
 
 def require_hermitian_stack(a: np.ndarray, what) -> np.ndarray:
-    """:func:`require_hermitian` of each matrix of a ``(k, d, d)`` stack,
-    in one pass: the Hermitian parts, each with the bits of its own gate.
+    """:func:`require_hermitian` of a matrix, or of each matrix of a
+    ``(k, d, d)`` stack in one pass: the Hermitian parts, each with the
+    bits of :func:`hermitize`.
 
-    The first matrix that breaks the rule raises the message its own gate
-    would raise, naming it ``what(k)``.
+    The first matrix that breaks the rule raises the gate's message,
+    naming it ``what(k)``.
     """
     bad, defect, scale = hermitian_defects(a)
     if bad.any():
         k = int(np.argmax(bad))
-        raise _not_hermitian(what(k), defect[k], scale[k])
+        raise _not_hermitian(what(k), defect.flat[k], scale.flat[k])
     # hermitize's (A + A^H) / 2 in one buffer: the sum commutes, so the
     # bits are the same
     out = np.conjugate(a.swapaxes(-1, -2), out=np.empty(a.shape, complex))
@@ -271,50 +269,39 @@ def _hermitian_input(a, what: str, check: bool) -> np.ndarray:
     """A matrix or a ``(k, d, d)`` stack as a complex ndarray, through the
     Hermiticity gate when ``check`` (Hermitian part of each matrix)."""
     arr = _as_stack(a)
-    if arr.ndim == 2:
-        return require_hermitian(arr, what) if check else arr
-    if arr.ndim != 3:
+    if arr.ndim > 3:
         raise DimensionMismatch(
             f"expected a matrix or a (k, d, d) stack, got shape {arr.shape}")
-    if not check:
-        return arr
-    bad, _, _ = hermitian_defects(arr)
-    if bad.any():
-        raise NonHermitianInput(
-            f"{what} {int(np.argmax(bad))} of the stack is not Hermitian")
-    return hermitize(arr)
+    if check:
+        return require_hermitian_stack(arr, lambda k: what if arr.ndim == 2
+                                       else f"{what} {k} of the stack")
+    return arr
 
 
 def eigh(a, *, check_hermitian: bool = True):
-    """Hermitian eigendecomposition with deterministic output, of a matrix
-    or of each matrix of a ``(k, d, d)`` stack.
+    """Hermitian eigendecomposition of a matrix or of each matrix of a
+    ``(k, d, d)`` stack: ``np.linalg.eigh``'s, through the gate.
 
-    A stack takes one stacked LAPACK call and keeps LAPACK's eigenvectors:
-    orthonormal and reproducible, but not canonicalized, which a function
-    of the matrix (such as :func:`expm_igen`'s exponential) does not need.
+    The eigenvectors are LAPACK's: orthonormal and reproducible, in no
+    chosen gauge, which a function of the matrix does not need; a caller
+    that chooses one applies :func:`canonical_basis`.
 
     Parameters
     ----------
     a : array_like or OperatorMatrix
         Hermitian matrix, or a ``(k, d, d)`` stack of them.
     check_hermitian : bool
-        If True (default), pass ``a`` through :func:`require_hermitian` (a
-        stack: every matrix through the same rule) and decompose its
-        Hermitian part.  If False, ``a`` is decomposed as given: the caller
-        passes an exactly Hermitian matrix (``A == A^H`` entrywise, e.g. a
-        :func:`require_hermitian` or :func:`hermitize` result, or a real
-        combination of such).
+        If True (default), decompose the Hermitian part that the gate
+        returns for ``a`` (each matrix of a stack).  If False, decompose
+        ``a`` as given: the caller passes an exactly Hermitian matrix (a
+        gate or :func:`hermitize` result, or a real combination of such).
 
     Returns
     -------
     w : ndarray, shape (dim,) or (k, dim)
         Eigenvalues in ascending order.
     v : ndarray, shape (dim, dim) or (k, dim, dim)
-        Orthonormal eigenvectors as columns.  For a matrix they are
-        canonicalized: inside each near-degenerate cluster (gaps
-        < 1e-9 max(1, ||A||_F)) the basis is the deterministic projection
-        construction, and every column's largest-magnitude entry is made
-        real positive.
+        Orthonormal eigenvectors as columns.
 
     Raises
     ------
@@ -325,21 +312,23 @@ def eigh(a, *, check_hermitian: bool = True):
     """
     h = _hermitian_input(a, "eigh input", check_hermitian)
     try:
-        w, v = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed to converge: {exc}") from exc
-    if h.ndim == 3:
-        return w, v
 
-    # canonicalize within near-degenerate clusters
-    # ||h||_F from the spectrum: sqrt(sum w^2) for Hermitian h
+
+def canonical_basis(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The canonical eigenvectors (module Conventions) of a matrix's
+    :func:`eigh` result, without writing into ``v``.  A cluster's adjacent
+    gaps are < 1e-9 max(1, ||A||_F), with ``||A||_F = sqrt(w . w)``."""
     thresh = _CLUSTER_GAP * max(float(np.sqrt(w @ w)), 1.0)
     bounds = cluster_bounds(w, thresh)
     if bounds.size <= w.size:            # some cluster has two or more members
+        v = v.copy()
         for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
             if stop - start > 1:
                 v[:, start:stop] = _canonical_cluster_basis(v[:, start:stop])
-    return w, _fix_phase(v)
+    return _fix_phase(v)
 
 
 def _component_labels(adjacency: np.ndarray) -> np.ndarray:
@@ -514,7 +503,8 @@ def expm_igen(a, s: float = 1.0, *, check_hermitian: bool = True) -> np.ndarray:
     Uses the spectral decomposition of ``A`` so the result is unitary to
     machine precision for any real ``s``.  An exactly diagonal matrix is
     exponentiated entrywise; any other input takes one :func:`eigh` call
-    (one stacked LAPACK call for a stack) and one :func:`spectral_exp`.
+    (one stacked LAPACK call for a stack) and one :func:`spectral_exp`, so
+    such a matrix gets the bits of its row of a stack call.
 
     Parameters
     ----------

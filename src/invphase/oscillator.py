@@ -308,9 +308,10 @@ class FockSpace:
         return linalg.as_matrix(a)[: self.N_int, : self.N_int]
 
     def cached_eig(self, name: str, matrix) -> tuple:
-        """Memoized deterministic eigendecomposition keyed by ``name``."""
+        """Memoized canonical eigendecomposition keyed by ``name``."""
         if name not in self._eig_cache:
-            self._eig_cache[name] = linalg.eigh(matrix, check_hermitian=False)
+            w, v = linalg.eigh(matrix, check_hermitian=False)
+            self._eig_cache[name] = w, linalg.canonical_basis(w, v)
         return self._eig_cache[name]
 
     def __repr__(self):

@@ -82,6 +82,7 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     GridTooCoarse,
+    NonHermitianInput,
     SymmetryViolation,
     ToleranceNotMet,
 )
@@ -350,10 +351,12 @@ class HamiltonianSchedule:
         matrices of one dimension.
 
         Each ``M_j`` is gated once, named ``term j``; a real combination of
-        Hermitian matrices is Hermitian, so the samples, summed in term
-        order (one term gives ``float(c_0(t)) * M_0``), need no further
-        check.  The partition is that of the terms' union nonzero pattern,
-        exact for every sample.
+        Hermitian matrices is Hermitian, so a sample, summed in term order
+        (one term gives ``float(c_0(t)) * M_0``), needs only finite
+        coefficients (else ``NonHermitianInput`` names ``term j`` and the
+        first such ``t``; a declared period's probes are checked first).
+        The partition is that of the terms' union nonzero pattern, exact
+        for every sample.
         """
         terms = list(terms)
         if not terms:
@@ -372,16 +375,21 @@ class HamiltonianSchedule:
                                 f"number, got {value!r}")
 
         def samples(times):
-            def column(c):
-                return np.array([float(c(t)) for t in times])[:, None, None]
-            h = column(coeffs[0]) * mats[0]
-            for c, m in zip(coeffs[1:], mats[1:]):
-                h += column(c) * m
+            c = np.array([[float(cj(t)) for t in times] for cj in coeffs])
+            if gated and not np.isfinite(c).all():
+                k, j = np.argwhere(~np.isfinite(c.T))[0]   # earliest t
+                raise NonHermitianInput(
+                    f"term {j}: coefficient is not finite at t={times[k]}")
+            h = c[0, :, None, None] * mats[0]
+            for cj, m in zip(c[1:], mats[1:]):
+                h += cj[:, None, None] * m
             return h
 
+        gated = False   # the period probes see a NaN coefficient as NaN
         obj = cls._make(samples, mats[0].shape[0], cls._check_period(period),
                         label)
         obj._check_periodicity()
+        gated = True
         obj.blocks = linalg.block_partition(
             np.logical_or.reduce([m != 0 for m in mats]))
         return obj
@@ -1052,8 +1060,8 @@ def compose_geq(path: UnitaryPath, y: HamiltonianSchedule,
     if invariant0 is not None:
         defects = _commutator_defects(linalg.as_matrix(invariant0),
                                       y.samples(grid))
-        k = int(np.argmax(defects > 1e-8))
-        if defects[k] > 1e-8:
+        k = int(np.argmax(~(defects <= 1e-8)))   # a NaN defect fails too
+        if not defects[k] <= 1e-8:
             raise SymmetryViolation(
                 f"[Y(t), I(0)] relative norm {defects[k]:.3e} > 1e-8 "
                 f"at grid point t={grid[k]:.9g}")

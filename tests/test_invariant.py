@@ -1303,6 +1303,27 @@ class TestFirstFailingPoint:
         with pytest.raises(SymmetryViolation, match="grid index 3 "):
             gauge_transform(self._frame(), z)
 
+    def test_commutator_checks_fail_on_nan(self):
+        # a NaN defect is not within the bound, so its point fails; an X
+        # whose commutator overflows gives one
+        t4 = self.grid[4]
+        x = HamiltonianSchedule.from_callable(
+            lambda t: np.diag(self.lam) + (t > t4 - 1e-12) * 1e308 * self.mix,
+            3)
+        with np.errstate(all="ignore"), pytest.raises(
+                SymmetryViolation, match=f"norm nan > 1.0e-08 .* t={t4:.9g}$"):
+            symmetry_check(x, self._invariant())
+        path = evolve(HamiltonianSchedule.constant(np.diag(self.lam)), 1.0,
+                      steps=8)
+        y = HamiltonianSchedule.constant(np.diag(self.lam))
+        with pytest.raises(SymmetryViolation,
+                           match=r"norm nan > 1e-8 at grid point t=0$"):
+            compose_geq(path, y, invariant0=np.diag([np.nan, 2.0, 3.0]))
+        z = np.stack([np.eye(3, dtype=complex)] * 9)
+        z[4, 0, 0] = np.nan
+        with pytest.raises(SymmetryViolation, match="grid index 4 "):
+            gauge_transform(self._frame(), z)
+
 
 class TestGaugeTransform:
     def _frame(self):
@@ -1357,13 +1378,16 @@ class TestGaugeTransform:
 
 def reference_eigenframe(inv):
     """The row-by-row matching ``eigenframe`` made before it decomposed
-    chunks: a canonical ``eigh`` per sample, its checks in the order
-    structure, drift, then each block's overlap, and each block matched to
-    the previous frame (phase for one column, adjoint polar factor of the
-    overlap for a degenerate block).  Returns ``(frames, min_overlap)``."""
+    chunks: an ``eigh`` per sample (row 0 in the gauge of
+    ``canonical_basis``, as ``eigenframe`` takes it), its checks in the
+    order structure, drift, then each block's overlap, and each block
+    matched to the previous frame (phase for one column, adjoint polar
+    factor of the overlap for a degenerate block).  Returns
+    ``(frames, min_overlap)``."""
     s = inv.samples
     grid = inv.grid
     w0, v0 = linalg.eigh(hermitize(s[0]), check_hermitian=False)
+    v0 = linalg.canonical_basis(w0, v0)
     thresh = invariant.DEGENERACY_GAP * max(frob(s[0]), 1.0)
     bounds = linalg.cluster_bounds(w0, thresh)
     starts, sizes = bounds[:-1].tolist(), np.diff(bounds).tolist()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
@@ -10,7 +10,8 @@ from invphase.errors import (
     DimensionMismatch,
     NonHermitianInput,
 )
-from invphase.linalg import OperatorMatrix, comm_norm, eigh, expm_igen
+from invphase.linalg import (OperatorMatrix, canonical_basis, comm_norm, eigh,
+                             expm_igen)
 
 
 def taylor_expm(a, s, terms=60):
@@ -61,11 +62,17 @@ class TestOperatorMatrix:
         assert m.array[0, 0] == 1.0
 
 
+def canonical_eigh(a):
+    """``eigh`` with its eigenvectors in the gauge of ``canonical_basis``."""
+    w, v = eigh(a)
+    return w, canonical_basis(w, v)
+
+
 class TestEigh:
     def test_pauli_x_convention(self):
         # Pauli X: eigenvalues (-1, 1),
         # eigenvectors (1,-1)/sqrt(2) then (1,1)/sqrt(2)
-        w, v = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w, v = canonical_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
         s = 1 / np.sqrt(2)
         assert np.allclose(v[:, 0], [s, -s], atol=1e-14)
@@ -104,7 +111,7 @@ class TestEigh:
 
     def test_degenerate_cluster_canonical(self):
         # identity block: canonical basis must be the standard basis itself
-        w, v = eigh(np.eye(4))
+        w, v = canonical_eigh(np.eye(4))
         assert np.allclose(v, np.eye(4), atol=1e-12)
 
     def test_degenerate_cluster_rotation_independent(self):
@@ -116,8 +123,8 @@ class TestEigh:
         q1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         q = np.block([[q1, np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]])
         a = q @ d @ q.conj().T
-        w1, v1 = eigh(d)
-        w2, v2 = eigh(a)
+        w1, v1 = canonical_eigh(d)
+        w2, v2 = canonical_eigh(a)
         assert np.allclose(w1, w2, atol=1e-12)
         # same eigenvalue-1 subspace, canonically fixed basis -> same vectors
         assert np.allclose(v1[:, :2], v2[:, :2], atol=1e-9)
@@ -126,7 +133,7 @@ class TestEigh:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         a = a + a.conj().T
-        _, v = eigh(a)
+        _, v = canonical_eigh(a)
         for j in range(12):
             i = int(np.argmax(np.abs(v[:, j])))
             piv = v[i, j]
@@ -210,7 +217,8 @@ def _reference_fix_phase(vecs):
 
 
 def _reference_eigh(a):
-    """``eigh`` with the scalar cluster scan and the per-column phase loop."""
+    """Canonical ``eigh`` with the scalar cluster scan and the per-column
+    phase loop."""
     h = linalg.require_hermitian(a, "eigh input")
     try:
         w, v = np.linalg.eigh(h)
@@ -231,7 +239,8 @@ def _reference_eigh(a):
 
 
 def _reference_expm_igen(a, s):
-    """``expm_igen`` with the elementwise diagonal test."""
+    """``expm_igen`` with the elementwise diagonal test, through the
+    canonical reference eigenvectors."""
     arr = linalg.require_hermitian(a, "expm_igen generator")
     if not np.any(arr - np.diag(np.diag(arr))):
         return np.diag(np.exp(-1j * s * np.diag(arr).real))
@@ -258,9 +267,24 @@ def _same_outcome(x, y):
 
 
 def _matches_reference(a, s):
-    return (_same_outcome(_outcome(eigh, a), _outcome(_reference_eigh, a))
-            and _same_outcome(_outcome(expm_igen, a, s),
-                              _outcome(_reference_expm_igen, a, s)))
+    """``canonical_basis`` of ``eigh`` gives the reference loops' bits, and
+    ``expm_igen`` (on LAPACK's eigenvectors) agrees with the canonical
+    reference route to 1e-13, or both raise the same error.
+
+    The canonical route takes a cluster's basis for its eigenvectors, so
+    it drops up to ``|s|`` times the widest cluster's spread, which the
+    bound allows on top."""
+    got, ref = _outcome(expm_igen, a, s), _outcome(_reference_expm_igen, a, s)
+    if isinstance(got[0], np.ndarray) and isinstance(ref[0], np.ndarray):
+        w = np.linalg.eigvalsh(linalg.hermitize(a))
+        b = linalg.cluster_bounds(w, 1e-9 * max(float(np.sqrt(w @ w)), 1.0))
+        width = (w[b[1:] - 1] - w[b[:-1]]).max()
+        expm_agrees = (np.abs(got[0] - ref[0]).max()
+                       <= 1e-13 + abs(s) * width)
+    else:
+        expm_agrees = got == ref
+    return (_same_outcome(_outcome(canonical_eigh, a),
+                          _outcome(_reference_eigh, a)) and expm_agrees)
 
 
 @st.composite
@@ -295,7 +319,8 @@ def hermitian_inputs(draw):
 
 
 class TestBitIdentityWithLoops:
-    """The vectorized canonicalization gives exactly what the loops gave."""
+    """The vectorized canonicalization gives exactly what the loops gave;
+    the exponential, on LAPACK's eigenvectors, agrees with their route."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=hermitian_inputs())
@@ -871,9 +896,25 @@ class TestStackedExpm:
         got = expm_igen(stack, s, check_hermitian=False)
         assert got.shape == stack.shape
         for a, u in zip(stack, got):
-            assert linalg.frob(u - expm_igen(a, s)) <= 1e-13
-            assert _same_bits(expm_igen(a, s), _reference_expm_igen(a, s))
+            assert linalg.frob(u - _reference_expm_igen(a, s)) <= 1e-13
         assert _same_bits(expm_igen(stack, s), got)   # gate keeps the bits
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=hermitian_inputs(), k=st.integers(1, 4), data=st.data())
+    def test_matrix_has_the_bits_of_its_stack_row(self, case, k, data):
+        # an exactly diagonal matrix takes the entrywise path instead
+        a, s = case
+        assume(np.isfinite(a).all()
+               and np.count_nonzero(a) != np.count_nonzero(np.diag(a)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(k,) + a.shape) + 1j * rng.normal(
+            size=(k,) + a.shape)
+        stack = linalg.hermitize(g)
+        row = data.draw(st.integers(0, k - 1))
+        stack[row] = a
+        for p, q in zip(eigh(a), eigh(stack)):
+            assert _same_bits(p, q[row])
+        assert _same_bits(expm_igen(a, s), expm_igen(stack, s)[row])
 
     def test_stack_gate_rejects_any_non_hermitian_member(self):
         stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])

@@ -1050,6 +1050,30 @@ class TestTermSchedule:
             with pytest.raises(TypeError, match="term 0: coefficient"):
                 HamiltonianSchedule.from_terms([(complex_coefficient, x)])
 
+    def test_non_finite_coefficient_is_named(self):
+        # 2 Z + c(t) X with c NaN from t = 0.5 on: the first sample past it
+        # raises the gate's error, as the callable of the same H does,
+        # instead of splitting to a tolerance failure
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        c = lambda t: 0.3 if t < 0.5 else np.nan
+        sched = HamiltonianSchedule.from_terms([(lambda t: 2.0, z), (c, x)])
+        with pytest.raises(NonHermitianInput,
+                           match=r"^term 1: coefficient is not finite at "
+                                 r"t=0\.50"):
+            evolve(sched, 1.0, steps=64, tol=self.TOL)
+        with pytest.raises(NonHermitianInput, match=r"H\(0\.50"):
+            evolve(HamiltonianSchedule.from_callable(
+                lambda t: 2.0 * z + c(t) * x, 2), 1.0, steps=64, tol=self.TOL)
+        # the earliest bad time is named, then the first term bad there
+        late_inf = lambda t: np.inf if t > 0.9 else 1.0
+        both = HamiltonianSchedule.from_terms([(late_inf, z), (c, x)])
+        with pytest.raises(NonHermitianInput,
+                           match=r"^term 1: coefficient is not finite at "
+                                 r"t=0\.75$"):
+            both.samples(np.array([0.0, 0.75, 1.0]))
+        with pytest.raises(NonHermitianInput, match=r"^term 0: .* t=1\.0$"):
+            both.samples(np.array([0.0, 1.0]))
+
 
 class TestLoopCheck:
     def test_sho_loops(self):
