@@ -20,6 +20,8 @@ Schrodinger equation.  This module
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 from . import linalg
@@ -82,6 +84,79 @@ def _row_chunks(path: "InvariantPath", start: int = 0):
         yield k0, path.rows(k0, k1)
 
 
+class _Entries(NamedTuple):
+    """The entries a rotated path computes in one part of ``k`` blocks of
+    ``n`` rows (one component: no ``k`` axis): ``I0``'s nonzero entries
+    over the blocks, or the three diagonals (main, upper, lower) when
+    they hold them all (``band``, 3 or more rows)."""
+
+    members: np.ndarray               # (k, n): the rows of each block
+    r: np.ndarray                     # (m,): each entry's row in a block
+    c: np.ndarray                     # (m,): and its column
+    values: np.ndarray                # (k, m): I0 there
+    flat: Optional[np.ndarray]        # (m,): r * n + c; None: all, C order
+    band: bool
+
+    @property
+    def n(self) -> int:
+        return self.members.shape[-1]
+
+    def compute(self, p: np.ndarray) -> np.ndarray:
+        """``p_i I0_ij conj(p_j)`` for the phase rows ``p``, ``(len(p), k,
+        m)``: one ``einsum`` over the gathered phase columns (broadcast for
+        whole blocks, which a gather would slow)."""
+        if self.flat is None:
+            pb = p.take(self.members, axis=1)
+            row, col = pb[..., :, None], pb.conj()[..., None, :]
+            values = self.values.reshape(self.members.shape + (self.n,))
+        else:
+            row = p.take(self.members[..., self.r], axis=1)
+            col = p.take(self.members[..., self.c], axis=1).conj()
+            values = self.values
+        out = np.einsum("t...,...,t...->t...", row, values, col, order="C")
+        return out.reshape((len(p),) + self.values.shape)
+
+    def place(self, values: np.ndarray) -> np.ndarray:
+        """``values`` (last axis) in a block's flat ``n * n`` layout, zeros
+        elsewhere."""
+        if self.flat is None:
+            return values
+        out = np.zeros(values.shape[:-1] + (self.n * self.n,), values.dtype)
+        out[..., self.flat] = values
+        return out
+
+
+def _entry_layout(i0: np.ndarray, blocks) -> tuple:
+    """The :class:`_Entries` of each part of ``blocks`` for ``I0``."""
+    dim = i0.shape[0]
+    members = ((np.arange(dim),) if blocks is None
+               else tuple(idx[:, 0] % dim for idx in blocks))
+    out = []
+    for m in members:
+        n = m.shape[-1]
+        i0_b = i0[m[..., :, None], m[..., None, :]]
+        band = linalg._is_tridiagonal(i0_b)
+        if band:
+            i = np.arange(n)
+            r = np.concatenate([i, i[:-1], i[1:]])
+            c = np.concatenate([i, i[1:], i[:-1]])
+        else:
+            r, c = np.nonzero((i0_b != 0).reshape(-1, n, n).any(axis=0))
+        flat = None if r.size == n * n else r * n + c
+        out.append(_Entries(m, r, c, i0_b[..., r, c], flat, band))
+    return tuple(out)
+
+
+def _row_source(layout: tuple, dim: int) -> np.ndarray:
+    """Each entry of a flat ``dim * dim`` row as an index into the parts'
+    entries laid end to end, followed by one zero."""
+    where = np.concatenate([(e.members[..., e.r] * dim
+                             + e.members[..., e.c]).ravel() for e in layout])
+    source = np.full(dim * dim, where.size)
+    source[where] = np.arange(where.size)
+    return source
+
+
 class InvariantPath:
     """Hermitian invariant ``I(t)`` sampled on a time grid.
 
@@ -99,17 +174,17 @@ class InvariantPath:
     solved on one block partition fixed when the path is built: that of
     the stored stack's union nonzero pattern, or of ``I0``'s pattern for a
     rotated path.  :meth:`parts` reads the rows as that partition's parts,
-    one stack of blocks per block size, which a rotated path computes from
-    ``I0``'s blocks without forming a dense row; the spectra, and the
-    residual of a constant schedule that keeps the partition
-    (:func:`lvn_residual`), are computed on those parts.  Every sample is
-    exactly zero outside the partition, so reading only its blocks drops
-    no entry of ``I(t)``.  A part that is tridiagonal in a chunk's data
-    (the oscillator's parity blocks: the su(1,1) generators move the Fock
-    index by 0 or 2, and a diagonal ``K`` keeps that pattern) has its
-    spectrum solved through the real symmetric tridiagonal form of
-    :func:`invphase.linalg.parts_eigvalsh`, which a diagonal unitary
-    similarity makes exact; every sample's spectrum is still computed.
+    one stack of blocks per block size; the spectra, and the residual of a
+    constant schedule that keeps the partition (:func:`lvn_residual`), are
+    computed on those parts.  Every sample is exactly zero outside the
+    partition, so reading only its blocks drops no entry of ``I(t)``.  A
+    rotated path computes only ``I0``'s nonzero entries (:meth:`rotated`).
+    A tridiagonal part (the oscillator's parity blocks: the su(1,1)
+    generators move the Fock index by 0 or 2, and a diagonal ``K`` keeps
+    that pattern) has its spectrum solved through the real symmetric
+    tridiagonal form of :func:`invphase.linalg.parts_eigvalsh`, which a
+    diagonal unitary similarity makes exact; every sample's spectrum is
+    still computed.
 
     Attributes
     ----------
@@ -122,7 +197,8 @@ class InvariantPath:
         if stack.flags.writeable:        # the gate below must stay valid
             stack = stack.copy()
             stack.setflags(write=False)
-        self._set_source(grid, stack)
+        self.grid, self._stack = grid, stack
+        self._phases = self._layout = None
         # every sample passes the Hermiticity rule; the same pass takes the
         # stack's union nonzero pattern, which cannot go stale: the stack
         # is read-only
@@ -146,11 +222,15 @@ class InvariantPath:
         """The path ``I(t) = e^{-iKt} I0 e^{iKt}`` of a diagonal ``K``.
 
         In the basis where ``K = diag(k_diag)`` every sample is the
-        similarity ``D I0 D^H`` with ``D = diag(exp(-1j k_diag t))``.  The
-        path keeps ``I0`` and the phase table ``exp(-1j outer(grid,
-        k_diag))`` (``len(grid) * dim`` numbers), not the samples: each
-        read computes its rows with one ``einsum`` over them, and the rows
-        of any chunk have the bits of the whole-stack ``einsum``.
+        similarity ``D I0 D^H`` with ``D = diag(exp(-1j k_diag t))``, which
+        keeps ``I0``'s pattern.  The path keeps the phase table
+        ``exp(-1j outer(grid, k_diag))`` and, per part of its partition,
+        the positions and values of ``I0``'s nonzero entries (the union
+        over the part's blocks; the three central diagonals when they hold
+        it).  A read computes only those, ``p_i I0_ij conj(p_j)``, by one
+        ``einsum``: O(nnz) work per sample, with the bits of the
+        whole-stack ``einsum("ti,ij,tj->tij")``.  :meth:`rows` and
+        :meth:`parts` put them into zeros.
 
         ``I0`` passes :func:`invphase.linalg.require_hermitian`.  A
         unitary diagonal similarity keeps it Hermitian, so no per-sample
@@ -183,25 +263,14 @@ class InvariantPath:
         if not np.all(np.isfinite(kd)):
             raise NonHermitianInput("k_diag: entries are not all finite")
         path = cls.__new__(cls)
-        path._set_source(grid, i0=i0, k_diag=kd)
+        path.grid, path._stack = grid, None
+        path._phases = np.exp(-1j * np.outer(grid, kd))
         # a unit-modulus diagonal similarity keeps the pattern of I0
         path._blocks = linalg.block_partition(i0 != 0)
-        if path._blocks is not None:
-            # each block's rows (= its columns), and I0's blocks
-            path._members = tuple(idx[:, 0] % kd.size for idx in path._blocks)
-            path._i0_parts = linalg.parts(i0, path._blocks)
+        path._layout = _entry_layout(i0, path._blocks)
+        path._row_source = _row_source(path._layout, kd.size)
         path._check_spectrum()
         return path
-
-    def _set_source(self, grid, stack=None, *, i0=None, k_diag=None):
-        """Set the grid and the rows' source: a stored ``stack``, or ``I0``
-        and the phase table of ``k_diag``.  ``grid`` is a checked path
-        grid (:func:`invphase.propagator._path_grid`)."""
-        self.grid = grid
-        self._stack = stack
-        self._i0 = i0
-        self._phases = (None if k_diag is None
-                        else np.exp(-1j * np.outer(grid, k_diag)))
 
     def _check_spectrum(self) -> None:
         """Spot check of the spectrum at the first, middle and last
@@ -217,32 +286,56 @@ class InvariantPath:
                 f"invariant spectrum drifts at t={self.grid[k]:.6g}: not a "
                 "dynamical invariant path")
 
+    def _entries(self, k0: int, k1: int) -> list:
+        """A rotated path's :class:`_Entries` values of the rows ``k0:k1``,
+        part by part."""
+        p = self._phases[k0:k1]
+        return [e.compute(p) for e in self._layout]
+
     def rows(self, k0: int, k1: int) -> np.ndarray:
         """``I(t_k)`` for ``k0 <= k < k1`` as a ``(k1 - k0, dim, dim)``
-        array: a view of a stored stack, or new rows of a rotated path."""
+        array: a view of a stored stack, or new rows of a rotated path,
+        its entries put into zeros."""
         if self._stack is not None:
             return self._stack[k0:k1]
-        p = self._phases[k0:k1]
-        return np.einsum("ti,ij,tj->tij", p, self._i0, p.conj())
+        dim = self.dim
+        values = self._entries(k0, k1)
+        if self._blocks is None:
+            return self._layout[0].place(values[0]).reshape(-1, dim, dim)
+        # gathered, not scattered into zeros: about twice as fast
+        n_rows = len(values[0])
+        values = [v.reshape(n_rows, -1) for v in values]
+        values.append(np.zeros((n_rows, 1), dtype=complex))
+        return np.concatenate(values, axis=1).take(
+            self._row_source, axis=1).reshape(-1, dim, dim)
 
     def parts(self, k0: int, k1: int) -> tuple:
         """The rows ``k0 <= k < k1`` as the parts of the path's partition:
         one ``(k1 - k0, k, n, n)`` stack per block size, or ``(rows(k0,
         k1),)`` for one component.
 
-        A stored path gathers them from its stack.  A rotated path computes
-        each block ``D_b I0_b D_b^H`` from ``I0``'s block and the block's
-        columns of the phase table, with the bits of the same entries of
-        :meth:`rows`.
+        A stored path gathers them from its stack.  A rotated path puts
+        each part's entries into zeros, with the bits of the same entries
+        of :meth:`rows`.
         """
         if self._blocks is None:
             return (self.rows(k0, k1),)
         if self._stack is not None:
             return linalg.parts(self._stack[k0:k1], self._blocks)
+        return tuple(e.place(v).reshape(v.shape[:-1] + (e.n, e.n))
+                     for e, v in zip(self._layout, self._entries(k0, k1)))
+
+    def _spectral_parts(self, k0: int, k1: int) -> tuple:
+        """:meth:`parts` for :func:`invphase.linalg.parts_eigvalsh`, with a
+        rotated path's band parts as their three diagonals."""
+        if self._stack is not None:
+            return self.parts(k0, k1)
         out = []
-        for members, i0_b in zip(self._members, self._i0_parts):
-            p = self._phases[k0:k1, members]
-            out.append(np.einsum("tki,kij,tkj->tkij", p, i0_b, p.conj()))
+        for e, v in zip(self._layout, self._entries(k0, k1)):
+            n = e.n
+            out.append((v[..., :n], v[..., n:2 * n - 1], v[..., 2 * n - 1:])
+                       if e.band else
+                       e.place(v).reshape(v.shape[:-1] + (n, n)))
         return tuple(out)
 
     @property
@@ -263,7 +356,7 @@ class InvariantPath:
 
     @property
     def dim(self) -> int:
-        source = self._stack if self._stack is not None else self._i0
+        source = self._stack if self._stack is not None else self._phases
         return source.shape[-1]
 
     def __len__(self) -> int:
@@ -285,23 +378,27 @@ class InvariantPath:
         """max over grid and levels of |lam(t) - lam(0)| / (1 + |lam(0)|).
 
         The spectra come from stacked
-        :func:`invphase.linalg.parts_eigvalsh` calls on the :meth:`parts`
-        of chunks of ``_CHUNK_BYTES`` of samples, so the extra memory is
-        O(chunk), not O(grid).  The parts are the path's blocks (the two
-        parity blocks of the oscillator): the partition of the path's union
+        :func:`invphase.linalg.parts_eigvalsh` calls on the parts of chunks
+        of ``_CHUNK_BYTES`` of samples, so the extra memory is O(chunk),
+        not O(grid).  The parts are the path's blocks (the two parity
+        blocks of the oscillator): the partition of the path's union
         nonzero pattern, built once with the path, which is exact for every
-        sample; a dense path is one dense solve per chunk.  A part that is
-        tridiagonal in the chunk's data (3 or more rows, nothing off the
-        three central diagonals in any of its samples) is solved as the
-        real symmetric tridiagonal matrix similar to it, about half the
-        cost of the complex solve, with eigenvalues that agree with it to
-        rounding: the oscillator's parity blocks.  One entry off the band
-        in one sample sends the chunk's part to the dense solve.
+        sample; a dense path is one dense solve per chunk.  A tridiagonal
+        part (3 or more rows, nothing off the three central diagonals) is
+        solved as the real symmetric tridiagonal matrix similar to it,
+        about half the cost of the complex solve, with eigenvalues that
+        agree with it to rounding: the oscillator's parity blocks.  A
+        stored chunk's data decides, so one entry off the band in one
+        sample sends the chunk's part to the dense solve.  A rotated band
+        part builds its form from its three diagonals' entries, with no
+        scan and no dense part; the bits are the stored path's.
         """
-        w0 = linalg.parts_eigvalsh(self.parts(0, 1), self._blocks)[0]
+        w0 = linalg.parts_eigvalsh(self._spectral_parts(0, 1),
+                                   self._blocks)[0]
         worst = 0.0
         for k0, k1 in _chunk_bounds(self, start=1):
-            w = linalg.parts_eigvalsh(self.parts(k0, k1), self._blocks)
+            w = linalg.parts_eigvalsh(self._spectral_parts(k0, k1),
+                                      self._blocks)
             worst = max(worst, float(np.max(np.abs(w - w0) / (1 + np.abs(w0)))))
         return worst
 
@@ -418,9 +515,11 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
     ``base`` lies inside the path's partition, the rows are read as the
     path's :meth:`~InvariantPath.parts`: ``I(t)``, its stencil and ``H``
     are zero outside the partition, so the blocks hold every nonzero entry
-    of the residual.  Every other schedule reads the whole matrix as one
-    part.  Both routes run the one stacked loop that :func:`lvn_defect`
-    runs on the whole matrix.
+    of the residual.  A rotated path under a diagonal ``base``
+    (validate's ``K``) is read as ``I0``'s entries alone, with the stored
+    path's bits.  Every other schedule reads the whole matrix as one part.
+    All routes run the one stacked loop that :func:`lvn_defect` runs on
+    the whole matrix.
 
     Raises
     ------
@@ -433,6 +532,10 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
         raise GridTooCoarse("lvn_residual needs at least 3 grid points")
     h = uniform_spacing(grid)
     blocks = _residual_blocks(invariant, schedule)
+    bracket = _constant_bracket(schedule, blocks)
+    # a diagonal H keeps I0's pattern: its entries are all that is nonzero
+    layout = (invariant._layout if bracket is not None and bracket[1]
+              and blocks is invariant._blocks else None)
 
     def stencil(s, k0, k1, lo):
         """Rows ``k0:k1`` of dI/dt from the rows ``lo:`` in ``s``."""
@@ -454,12 +557,16 @@ def lvn_residual(invariant: InvariantPath, schedule: HamiltonianSchedule
         # endpoint stencil
         lo = max(0, min(k0 - 1, n_pts - 3))
         hi = min(n_pts, max(k1 + 1, 3))
-        s = (invariant.parts(lo, hi) if blocks is not None
-             else (invariant.rows(lo, hi),))
+        if layout is not None:
+            s = invariant._entries(lo, hi)
+        elif blocks is not None:
+            s = invariant.parts(lo, hi)
+        else:
+            s = (invariant.rows(lo, hi),)
         return (tuple(p[k0 - lo:k1 - lo] for p in s),
                 tuple(stencil(p, k0, k1, lo) for p in s))
 
-    return _defect_series(invariant, schedule, blocks, chunk)
+    return _defect_series(invariant, schedule, bracket, chunk, layout)
 
 
 def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
@@ -484,7 +591,7 @@ def lvn_defect(invariant: InvariantPath, schedule: HamiltonianSchedule,
         raise DimensionMismatch(
             f"dI/dt has shape {didt.shape}, expected {shape}")
     return _defect_series(
-        invariant, schedule, None,
+        invariant, schedule, _constant_bracket(schedule, None),
         lambda k0, k1: ((invariant.rows(k0, k1),), (didt[k0:k1],)))
 
 
@@ -516,18 +623,30 @@ def _residual_blocks(invariant: InvariantPath,
     return blocks
 
 
-def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
-                   blocks, read) -> np.ndarray:
-    """``||dI/dt - i[I, H(t)]||_F`` per grid point on the partition
-    ``blocks`` (``None``: the whole matrix as one part).
+def _constant_bracket(schedule: HamiltonianSchedule, blocks):
+    """``(parts, diagonal)`` of a constant schedule's ``base`` on the
+    partition ``blocks``: its parts, held as their diagonals when every
+    part is exactly diagonal.  ``None`` for any other schedule."""
+    if schedule.base is None:
+        return None
+    parts = linalg.parts(schedule.base, blocks)
+    if all(_is_diagonal(p) for p in parts):
+        return [np.diagonal(p, 0, -2, -1) for p in parts], True
+    return parts, False
 
-    ``read(k0, k1)`` returns the ``I`` parts and the ``dI/dt`` parts of
-    the rows ``k0:k1``.  ``H`` is the parts of a constant schedule's
-    ``base``, taken once; any other schedule, read whole, gives each
-    chunk's samples stacked as one part.  Each row's squares are summed
-    part by part.  A chunk holds up to five arrays of its size at once
-    (``I``, ``dI/dt``, the stacked ``H``, the bracket and one product), so
-    the chunks are a quarter of ``_CHUNK_BYTES``.
+
+def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
+                   bracket, read, layout=None) -> np.ndarray:
+    """``||dI/dt - i[I, H(t)]||_F`` per grid point.
+
+    ``read(k0, k1)`` returns the ``I`` and ``dI/dt`` values of the rows
+    ``k0:k1`` part by part: whole parts, or a rotated path's entries at
+    the positions of ``layout``.  ``bracket`` is :func:`_constant_bracket`
+    on those parts, or ``None``: any other schedule, read whole, gives
+    each chunk's samples stacked as one part.  Each row's squares are
+    summed part by part.  A chunk holds up to five arrays of its size at
+    once (``I``, ``dI/dt``, the stacked ``H``, the bracket and one
+    product), so the chunks are a quarter of ``_CHUNK_BYTES``.
 
     When every part of a constant ``H`` is exactly diagonal (validate's
     ``K``), the bracket is formed elementwise, ``s_ij k_j - k_i s_ij``,
@@ -535,31 +654,38 @@ def _defect_series(invariant: InvariantPath, schedule: HamiltonianSchedule,
     product sum that is not an exact zero, so the two routes agree to
     rounding (bit for bit on validate's oscillator path); the bracket is
     written in C order, as a product is, so each row's squares are summed
-    in the same order on both.
+    in the same order on both.  On entries it takes each entry's ``k_i``
+    and ``k_j``, and the squares are put into the part's dense layout
+    before the sum, so the sum reads what the dense bracket gives.
     """
     grid = invariant.grid
-    h_base = (None if schedule.base is None
-              else linalg.parts(schedule.base, blocks))
-    diag = None
-    if h_base is not None and all(_is_diagonal(p) for p in h_base):
-        diag = [np.diagonal(p, 0, -2, -1) for p in h_base]
+    h_parts, diagonal = bracket or (None, False)
+    if layout is not None:               # k_i and k_j of every entry
+        ends = [(h_p[..., e.r], h_p[..., e.c])
+                for h_p, e in zip(h_parts, layout)]
     out = np.empty(grid.size)
     for k0, k1 in _chunk_bounds(invariant, nbytes=_CHUNK_BYTES // 4):
         s, didt = read(k0, k1)
-        h = diag or h_base or (schedule.samples(grid[k0:k1]),)
+        h = h_parts or (schedule.samples(grid[k0:k1]),)
         total = 0.0
-        for s_p, d_p, h_p in zip(s, didt, h):
+        for j, (s_p, d_p, h_p) in enumerate(zip(s, didt, h)):
             # d - 1j (s h - h s), in place in the bracket's buffer
-            if diag is None:
+            if not diagonal:
                 r = s_p @ h_p
                 r -= h_p @ s_p
-            else:                        # in C order, as a product is
+            elif layout is None:         # in C order, as a product is
                 r = np.multiply(s_p, h_p[..., None, :], order="C")
                 r -= h_p[..., :, None] * s_p
+            else:
+                k_i, k_j = ends[j]
+                r = s_p * k_j
+                r -= k_i * s_p
             r *= 1j
             np.subtract(d_p, r, out=r)
             sq = np.square(r.real)
             sq += np.square(r.imag)
+            if layout is not None:
+                sq = layout[j].place(sq)
             total = total + sq.reshape(len(sq), -1).sum(axis=1)
         out[k0:k1] = np.sqrt(total)
         # the loop's names keep this chunk alive: drop them before the

@@ -27,6 +27,10 @@ Conventions
 * ``expm_igen(A, s)`` computes ``exp(-1j*s*A)`` for Hermitian ``A``, or for
   each matrix of a stack, through its spectral decomposition, so the result
   is unitary to machine precision.
+* The Hermitian part of ``A`` (``hermitize``, and what the gate returns)
+  is ``A/2 + A^H/2``: halving first keeps entries near the float range
+  finite.  It has the bits of ``(A + A^H)/2`` wherever every real and
+  imaginary part is ``+0.0`` or of magnitude ``2**-1021`` to the range.
 * ``parts_eigvalsh`` solves a part that is tridiagonal in its data (3 or
   more rows, nothing off the three central diagonals) through the real
   symmetric tridiagonal ``T = D H D^H`` of its Hermitian part ``H``:
@@ -35,8 +39,11 @@ Conventions
   ``D_{i+1,i+1} = D_ii h_{i,i+1} / |h_{i,i+1}|`` (Parlett, *The Symmetric
   Eigenvalue Problem*, SIAM 1998, ch. 7).  The similarity keeps the
   spectrum exactly; the real solve costs about half the complex one and
-  agrees with it to rounding.  Any other part keeps the bits of
-  ``eigvalsh(hermitize(p))``.
+  agrees with it to rounding.  ``T`` is built from the three diagonals
+  alone, so a part may also be handed over as its diagonals ``(main,
+  upper, lower)``: a caller that knows its band (a rotated invariant
+  path's entries) skips the scan and the dense part, with the same bits.
+  Any other part keeps the bits of ``eigvalsh(hermitize(p))``.
 """
 
 from __future__ import annotations
@@ -108,10 +115,20 @@ def _as_stack(a) -> np.ndarray:
 
 
 def hermitize(a) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2 of a matrix, or of every matrix of
-    a ``(..., d, d)`` stack, as a complex ndarray."""
-    arr = _as_stack(a)
-    return 0.5 * (arr + arr.conj().swapaxes(-1, -2))
+    """Hermitian part of a matrix, or of every matrix of a ``(..., d, d)``
+    stack, as a complex ndarray: ``A/2 + A^H/2``.
+
+    Halving before the sum keeps every finite input finite (``A + A^H``
+    overflows for entries near the float range).  For other inputs the
+    bits are those of ``(A + A^H)/2``, except where an entry's half is
+    subnormal (magnitude below ``2**-1021``, about 4.5e-308) or a zero's
+    sign follows a ``-0.0`` input.
+    """
+    half = np.multiply(_as_stack(a), 0.5)
+    # A^H/2 in one contiguous buffer, then A/2 added in place
+    out = np.conjugate(half.swapaxes(-1, -2), out=np.empty_like(half))
+    out += half
+    return out
 
 
 def hermitian_defects(a: np.ndarray):
@@ -135,7 +152,7 @@ def hermitian_defects(a: np.ndarray):
 
 
 def require_hermitian(a, what: str) -> np.ndarray:
-    """Hermitian part ``(A + A^H)/2`` of ``a``, checked first: the one
+    """Hermitian part ``A/2 + A^H/2`` of ``a``, checked first: the one
     Hermiticity gate of the package.
 
     Raises :class:`NonHermitianInput` when ``a`` breaks the rule of
@@ -158,12 +175,7 @@ def require_hermitian_stack(a: np.ndarray, what) -> np.ndarray:
     if bad.any():
         k = int(np.argmax(bad))
         raise _not_hermitian(what(k), defect.flat[k], scale.flat[k])
-    # hermitize's (A + A^H) / 2 in one buffer: the sum commutes, so the
-    # bits are the same
-    out = np.conjugate(a.swapaxes(-1, -2), out=np.empty(a.shape, complex))
-    out += a
-    out *= 0.5
-    return out
+    return hermitize(a)
 
 
 def _not_hermitian(what: str, defect, scale) -> NonHermitianInput:
@@ -383,27 +395,33 @@ def _is_tridiagonal(p: np.ndarray) -> bool:
     return np.count_nonzero(p) == band
 
 
-def _tridiagonal_form(p: np.ndarray) -> np.ndarray:
-    """The real symmetric tridiagonal matrix similar to the Hermitian part
-    of each matrix of a tridiagonal ``(..., n, n)`` stack: diagonal
-    ``Re a_ii``, off-diagonals ``|(a_{i,i+1} + conj a_{i+1,i}) / 2|``."""
-    n = p.shape[-1]
-    t = np.zeros(p.shape, dtype=float)
-    flat = t.reshape(p.shape[:-2] + (n * n,))
-    flat[..., ::n + 1] = np.diagonal(p, 0, -2, -1).real
-    off = np.abs(0.5 * (np.diagonal(p, 1, -2, -1)
-                        + np.diagonal(p, -1, -2, -1).conj()))
+def _tridiagonal_form(main: np.ndarray, upper: np.ndarray,
+                      lower: np.ndarray) -> np.ndarray:
+    """The real symmetric tridiagonal matrices similar to the Hermitian
+    parts of the tridiagonal matrices with diagonals ``main`` ``(..., n)``,
+    ``upper`` and ``lower`` ``(..., n - 1)``: diagonal ``Re a_ii``,
+    off-diagonals ``|(a_{i,i+1} + conj a_{i+1,i}) / 2|``."""
+    n = main.shape[-1]
+    t = np.zeros(main.shape + (n,), dtype=float)
+    flat = t.reshape(main.shape[:-1] + (n * n,))
+    flat[..., ::n + 1] = main.real
+    off = np.abs(0.5 * (upper + lower.conj()))
     flat[..., 1::n + 1] = off          # (i, i + 1)
     flat[..., n::n + 1] = off          # (i + 1, i)
     return t
 
 
-def _part_eigvalsh(p: np.ndarray) -> np.ndarray:
+def _part_eigvalsh(p) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of each matrix of the
     ``(..., n, n)`` stack ``p``: through the real tridiagonal form when
-    ``p`` is tridiagonal in its data, else ``eigvalsh(hermitize(p))``."""
+    ``p`` is tridiagonal in its data, else ``eigvalsh(hermitize(p))``.  A
+    part given as its three diagonals ``(main, upper, lower)`` takes the
+    real form without a scan."""
+    if isinstance(p, tuple):
+        return np.linalg.eigvalsh(_tridiagonal_form(*p))
     if _is_tridiagonal(p):
-        return np.linalg.eigvalsh(_tridiagonal_form(p))
+        return np.linalg.eigvalsh(_tridiagonal_form(
+            *(np.diagonal(p, k, -2, -1) for k in (0, 1, -1))))
     return np.linalg.eigvalsh(hermitize(p))
 
 
@@ -423,13 +441,15 @@ def parts_eigvalsh(parts: tuple, blocks) -> np.ndarray:
     Conventions): exact in spectrum, about half the cost of the complex
     solve, and within rounding of it.  Every other part, one entry off
     the band included, is ``np.linalg.eigvalsh(hermitize(p))`` with the
-    dense solve's bits.
+    dense solve's bits.  A part given as the tuple of its three diagonals
+    ``(main, upper, lower)`` (``(..., k, n)``, ``(..., k, n - 1)`` twice;
+    no ``k`` axis for one component) takes the real form unscanned.
     """
     if blocks is None:
         return _part_eigvalsh(parts[0])
+    levels = [_part_eigvalsh(p) for p in parts]
     return np.sort(np.concatenate(
-        [_part_eigvalsh(p).reshape(p.shape[:-3] + (-1,)) for p in parts],
-        axis=-1), axis=-1)
+        [w.reshape(w.shape[:-2] + (-1,)) for w in levels], axis=-1), axis=-1)
 
 
 def parts(matrix: np.ndarray, blocks) -> tuple:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from invphase import invariant, linalg
+from invphase import cli, invariant, linalg, oscillator
 from invphase.errors import (
     ComputeError,
     DegeneracyCrossing,
@@ -77,6 +77,11 @@ def rotation_stack(grid, i0, kd):
     """The whole-stack ``einsum`` of ``e^{-iKt} I0 e^{iKt}``."""
     p = np.exp(-1j * np.outer(grid, kd))
     return np.einsum("ti,ij,tj->tij", p, i0, p.conj())
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 def chunk_rows(dim):
@@ -633,6 +638,177 @@ class TestRotatedPath:
         with mock.patch.object(InvariantPath, "parts", drifting):
             with pytest.raises(ComputeError, match="spectrum drifts"):
                 InvariantPath.rotated(grid, np.diag([1.0, 2.0]), [0.0, 1.0])
+
+
+def pattern_block(rng, n, pattern, hollow):
+    """A connected Hermitian ``n x n`` block with the nonzero ``pattern``
+    (``dense``, ``tridiagonal``, ``pentadiagonal``, or ``gap``: the
+    pentadiagonal pattern with one zero pair on the first off-diagonal);
+    ``hollow`` zeroes its diagonal."""
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    keep = {"dense": dist >= 0, "tridiagonal": dist <= 1,
+            "pentadiagonal": dist <= 2, "gap": dist <= 2}[pattern]
+    if pattern == "gap" and n >= 3:
+        i = rng.integers(n - 1)
+        keep = keep.copy()
+        keep[i, i + 1] = keep[i + 1, i] = False
+    b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = (b + b.conj().T) / 2 * keep
+    if hollow:
+        np.fill_diagonal(b, 0.0)
+    return b
+
+
+@st.composite
+def entry_paths(draw):
+    """``(grid, I0, k_diag)`` of rotated paths over chosen block patterns.
+
+    ``I0`` has 1 to 4 blocks of 1 to 5 rows, each dense, tridiagonal,
+    pentadiagonal or with a zero on its first off-diagonal, some with a
+    zero diagonal (a zero 1 x 1 block has no entry), on interleaved
+    members (as the oscillator's parity blocks).  ``k_diag`` is generic or
+    small integers with ties and zeros.  The grid has 3 points, 1 to 40,
+    or ``c - 1`` to ``c + 2`` and ``2 c + 1`` for the row chunk ``c`` of
+    the spectra or of the residual (then ``dim >= 8``)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = draw(st.lists(st.tuples(
+        st.integers(1, 5),
+        st.sampled_from(["dense", "tridiagonal", "pentadiagonal", "gap"]),
+        st.booleans()), min_size=1, max_size=4))
+    grid_kind = draw(st.sampled_from(["three", "short", "chunk", "residual"]))
+    dim = sum(n for n, _, _ in specs)
+    if grid_kind in ("chunk", "residual") and dim < 8:
+        specs.append((8 - dim, "tridiagonal", False))
+        dim = 8
+    perm = rng.permutation(dim)
+    i0 = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for n, pattern, hollow in specs:
+        members = np.sort(perm[start:start + n])
+        i0[np.ix_(members, members)] = pattern_block(rng, n, pattern, hollow)
+        start += n
+    if draw(st.booleans()):
+        kd = rng.integers(-2, 3, size=dim).astype(float)
+    else:
+        kd = rng.normal(size=dim)
+    if grid_kind == "three":
+        n_pts = 3
+    elif grid_kind == "short":
+        n_pts = draw(st.integers(1, 40))
+    else:
+        c = chunk_rows(dim) // (4 if grid_kind == "residual" else 1)
+        n_pts = draw(st.sampled_from([c - 1, c, c + 1, c + 2, 2 * c + 1]))
+    return np.linspace(0.0, 2 * np.pi, n_pts), i0, kd
+
+
+def _counted_reads(run):
+    """``run()`` and how often it read ``InvariantPath.rows`` and the
+    rotated path's entries."""
+    counts = {"rows": 0, "_entries": 0}
+    originals = {name: getattr(InvariantPath, name) for name in counts}
+
+    def counting(name):
+        def read(self, k0, k1):
+            counts[name] += 1
+            return originals[name](self, k0, k1)
+        return read
+
+    with mock.patch.object(InvariantPath, "rows", counting("rows")), \
+            mock.patch.object(InvariantPath, "_entries",
+                              counting("_entries")):
+        return run(), counts
+
+
+class TestRotatedEntries:
+    """A rotated path computes only ``I0``'s entries of each part; every
+    read and diagnostic has the bits of the same path stored."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=entry_paths())
+    def test_reads_and_diagnostics_match_the_stored_path(self, case):
+        grid, i0, kd = case
+        path = InvariantPath.rotated(grid, i0, kd)
+        stored = InvariantPath(grid, path.samples)
+        dim = kd.size
+        assert (linalg.block_sizes(path._blocks, dim)
+                == linalg.block_sizes(stored._blocks, dim))
+        for step in (chunk_rows(dim), chunk_rows(dim) // 4 + 1, 7):
+            for k0 in range(0, grid.size, step):
+                k1 = k0 + step
+                assert _same_bits(path.rows(k0, k1), stored.rows(k0, k1))
+                got, want = path.parts(k0, k1), stored.parts(k0, k1)
+                assert len(got) == len(want)
+                assert all(_same_bits(a, b) for a, b in zip(got, want))
+        assert _same_bits(np.float64(path.spectrum_drift()),
+                          np.float64(stored.spectrum_drift()))
+        if grid.size >= 3:
+            sched = HamiltonianSchedule.constant(np.diag(kd))
+            residual, reads = _counted_reads(
+                lambda: lvn_residual(path, sched))
+            assert reads["rows"] == 0 and reads["_entries"] > 0
+            assert _same_bits(residual, lvn_residual(stored, sched))
+
+    def test_band_parts_take_the_real_form_from_their_diagonals(self):
+        # the oscillator's validate path: both parity blocks keep their
+        # three diagonals, so no part is scanned or put into zeros
+        params = oscillator.derive_params(M=1.0, Omega=3.0, m=2.0,
+                                          omega=1.0)
+        fock = oscillator.build_fock(params, 24, "k")
+        kd = np.diag(fock.K.array).real
+        path = InvariantPath.rotated(np.linspace(0.0, params.T, 257),
+                                     fock.I0.array, kd)
+        assert [e.band for e in path._layout] == [True]
+        assert path._layout[0].values.shape == (2, 12 + 2 * 11)
+        with mock.patch.object(linalg, "_is_tridiagonal",
+                               wraps=linalg._is_tridiagonal) as scans:
+            drift = path.spectrum_drift()
+        assert scans.call_count == 0
+        stored = InvariantPath(path.grid, path.samples)
+        assert drift == stored.spectrum_drift()
+
+    def test_wrong_level_fails_on_the_entries_route(self):
+        # validate's path with one level of K moved: the residual reads
+        # I0's entries only, fails RESIDUAL_TOL, and has the stored bits
+        params = oscillator.derive_params(M=1.0, Omega=3.0, m=2.0,
+                                          omega=1.0)
+        fock = oscillator.build_fock(params, 24, "k")
+        kd = np.diag(fock.K.array).real
+        grid = np.linspace(0.0, params.T, cli.RESIDUAL_STEPS + 1)
+        sched = HamiltonianSchedule.constant(fock.K.array)
+        scale = frob(fock.I0.array)
+        right = InvariantPath.rotated(grid, fock.I0.array, kd)
+        assert lvn_residual(right, sched).max() / scale < cli.RESIDUAL_TOL
+        wrong_kd = kd.copy()
+        wrong_kd[5] += 1e-3
+        wrong = InvariantPath.rotated(grid, fock.I0.array, wrong_kd)
+        assert invariant.lvn_blocks(wrong, sched) == [12, 12]
+        residual, reads = _counted_reads(lambda: lvn_residual(wrong, sched))
+        assert reads["rows"] == 0 and reads["_entries"] > 0
+        assert residual.max() / scale > cli.RESIDUAL_TOL
+        stored = InvariantPath(grid, wrong.samples)
+        assert _same_bits(residual, lvn_residual(stored, sched))
+
+    @pytest.mark.parametrize("kind", ["coupled", "callable"])
+    def test_other_schedules_read_whole_rows(self, kind):
+        # a constant H with an even/odd coupling, or a callable H: the
+        # whole-matrix route, whose every entries read comes from rows
+        dim = 8
+        rng = np.random.default_rng(6)
+        kd = rng.normal(size=dim)
+        i0 = random_hermitian(dim, 6) * parity_mask(dim)
+        path = InvariantPath.rotated(np.linspace(0.0, 2.3, 50), i0, kd)
+        if kind == "coupled":
+            h = np.diag(kd).astype(complex)
+            h[0, 1] = h[1, 0] = 1e-3
+            sched = HamiltonianSchedule.constant(h)
+        else:
+            sched = HamiltonianSchedule.from_callable(
+                lambda t: np.diag(kd), dim)
+        assert invariant.lvn_blocks(path, sched) == [dim]
+        residual, reads = _counted_reads(lambda: lvn_residual(path, sched))
+        assert reads["rows"] > 0 and reads["_entries"] == reads["rows"]
+        stored = InvariantPath(path.grid, path.samples)
+        assert _same_bits(residual, lvn_residual(stored, sched))
 
 
 class TestLvnResidual:

@@ -490,6 +490,52 @@ class TestStackedHelpers:
                           linalg.hermitize(wrapped.array))
 
 
+class TestHermitianPartRange:
+    """The Hermitian part is ``A/2 + A^H/2``: halving first keeps a finite
+    input finite near the float range, and elsewhere keeps the bits of
+    ``(A + A^H)/2``."""
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1e308, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, 1.2e308 - 1e307j], [1.2e308 + 1e307j, -1.7e308]])],
+        ids=["diagonal", "off-diagonal"])
+    def test_entries_near_the_float_range_stay_finite(self, a):
+        # A + A^H overflows to inf (and inf - inf to nan) before halving
+        for got in (linalg.require_hermitian(a, "x"), linalg.hermitize(a),
+                    linalg.require_hermitian_stack(a[None],
+                                                   lambda k: "x")[0]):
+            assert np.isfinite(got).all()
+            assert _same_bits(got, a.astype(complex))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 6), lead=st.integers(0, 3), data=st.data())
+    def test_bits_of_the_summed_form_in_the_normal_range(self, dim, lead,
+                                                         data):
+        # every real and imaginary part +0.0 or of magnitude in
+        # [2**-1021, 1e307]: the halves are exact and A + A^H is finite,
+        # so both forms round the same exact sum once; below 2**-1021 a
+        # half can lose a bit, and a -0.0 part can flip a zero's sign
+        part = st.one_of(st.just(0.0), st.builds(
+            lambda m, neg: -m if neg else m,
+            st.floats(2.0 ** -1021, 1e307), st.booleans()))
+        shape = (lead, dim, dim) if lead else (dim, dim)
+        size = 2 * int(np.prod(shape))
+        vals = np.array(data.draw(st.lists(part, min_size=size,
+                                           max_size=size)))
+        a = vals[0::2].reshape(shape) + 1j * vals[1::2].reshape(shape)
+        ref = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        assert _same_bits(linalg.hermitize(a), ref)
+        # the gate returns the same bits for an input that passes it: the
+        # upper triangle mirrored, with a real diagonal
+        h = a.copy()
+        i, j = np.triu_indices(dim, 1)
+        h[..., j, i] = a[..., i, j].conj()
+        d = np.arange(dim)
+        h[..., d, d] = a[..., d, d].real
+        gated = linalg.require_hermitian_stack(h, lambda k: "x")
+        assert _same_bits(gated, 0.5 * (h + h.conj().swapaxes(-1, -2)))
+
+
 @st.composite
 def adjacency_masks(draw):
     """Symmetric boolean adjacency matrices: random graphs of up to 40
